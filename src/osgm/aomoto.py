@@ -138,12 +138,14 @@ def os_cohomology(t, lam):
     return CohomologyData(dims, reps, cobound, c.bases)
 
 
-def in_resonance(t, lam, q, m):
+def in_resonance(t, lam, q, m, h=None):
     """Whether the specialized complex has at least m-dimensional degree-q
-    cohomology."""
+    cohomology; pass `os_cohomology(t, lam)` as `h` when it is at hand."""
     if not 0 <= q <= t.ell or m < 1:
         raise ValueError("need 0 <= q <= ell and m >= 1")
-    return os_cohomology(t, lam).dims[q] >= m
+    if h is None:
+        h = os_cohomology(t, lam)
+    return h.dims[q] >= m
 
 
 def nonresonance_conditions(t):

@@ -43,12 +43,14 @@ class Arrangement:
             raise ValueError("arrangement file needs ell, n and rows") from e
         if ell < 1:
             raise ValueError("ell must be at least 1")
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError("rows must be a list")
         if len(raw) != n:
             raise ValueError("expected %d rows, found %d" % (n, len(raw)))
         rows = []
         for i, entry in enumerate(raw, start=1):
-            if len(entry) != ell + 1:
-                raise ValueError("row %d: expected %d entries" % (i, ell + 1))
+            if not isinstance(entry, (list, tuple)) or len(entry) != ell + 1:
+                raise ValueError("row %d: expected a list of %d entries" % (i, ell + 1))
             try:
                 row = tuple(parse_rational(str(x)) for x in entry)
             except ValueError as e:
@@ -127,6 +129,9 @@ class CombinatorialType:
         self.affine_empty = sorted(tuple(sorted(S)) for S in affine_empty)
         self.realization = realization
         self._validate()
+        # membership tables; dep and affine_empty are never reassigned
+        self._dep_sets = {q: frozenset(fam) for q, fam in self.dep.items()}
+        self._empty_set = frozenset(self.affine_empty)
 
     @property
     def backed_by_realization(self):
@@ -173,7 +178,7 @@ class CombinatorialType:
         S = tuple(sorted(S))
         if len(S) >= self.ell + 2:
             return True
-        return S in set(self.dep.get(len(S), []))
+        return S in self._dep_sets.get(len(S), ())
 
     def is_starred(self, S):
         """Dependent with a common point in the projective closure.
@@ -190,7 +195,7 @@ class CombinatorialType:
 
     def has_empty_intersection(self, S):
         """Affine-intersection test for S a subset of [n], |S| <= ell."""
-        return tuple(sorted(S)) in set(self.affine_empty)
+        return tuple(sorted(S)) in self._empty_set
 
     def to_json(self):
         return {

@@ -212,7 +212,7 @@ def cmd_resonance(args):
     if args.json:
         data = {"dims": h.dims, "nonresonant": ok}
         if args.degree is not None:
-            data["in_resonance"] = in_resonance(t, lam, args.degree, 1)
+            data["in_resonance"] = in_resonance(t, lam, args.degree, 1, h=h)
         print(json.dumps(data))
         return
     print("cohomology dimensions, degrees 0..%d: %s"
@@ -222,7 +222,7 @@ def cmd_resonance(args):
     if args.degree is not None:
         q = args.degree
         print("degree %d carries cohomology: %s"
-              % (q, "yes" if in_resonance(t, lam, q, 1) else "no"))
+              % (q, "yes" if in_resonance(t, lam, q, 1, h=h) else "no"))
 
 
 def _print_spectrum_lines(report):
@@ -244,16 +244,17 @@ def cmd_gm(args):
     lam = _parse_weights(args.weights, n)
     if args.pencil is not None:
         S, r = _parse_pencil(args.pencil, n)
-        e = omega_tilde_sum(S, r, n, ell)
+        e = pencil_e = omega_tilde_sum(S, r, n, ell)
     else:
         t2 = _load_type(args.file2)
         S, r = principal_dependence(t2, t)
         e = omega_tilde_pair(t2, t)
+        pencil_e = None
     ind = induce_on_type(e, t)
     h = os_cohomology(t, lam)
     degrees = _degree_list(args, ell)
     gm = {q: gm_endomorphism(ind, lam, q, h=h) for q in degrees}
-    report = spectrum_report(S, r, lam, n, ell)
+    report = spectrum_report(S, r, lam, n, ell, e=pencil_e)
     if args.json:
         print(json.dumps({
             "S": list(S),
@@ -296,7 +297,7 @@ def cmd_spectrum(args):
     report = None
     if args.weights is not None:
         lam = _parse_weights(args.weights, n)
-        report = spectrum_report(S, r, lam, n, ell)
+        report = spectrum_report(S, r, lam, n, ell, e=e)
     if args.json:
         data = {
             "S": list(S),

@@ -29,9 +29,7 @@ from .arrangement import (
 from .linalg import (
     identity_matrix,
     kernel_basis,
-    mat_add,
     mat_evaluate,
-    mat_scale,
     matmul,
     rank,
 )
@@ -41,7 +39,6 @@ from .poly import Polynomial, format_rational
 # the generic complex and the basic endomorphisms only depend on (n, ell),
 # and the acceptance sweeps revisit them constantly
 _complex_cache = {}
-_base_cache = {}
 _omega_cache = {}
 
 
@@ -58,6 +55,12 @@ def _mm(a, b, zero):
     if not b or not b[0]:
         return [[] for _ in a]
     return matmul(a, b, zero)
+
+
+# The relabeling action below is not used by the library: the test suite
+# conjugates leading-set endomorphisms through it to cross-check the closed
+# form of omega_tilde.  It stays here because the benchmark tracer in
+# perfbench/child.py looks up `SigmaAction.__init__` in this module by name.
 
 
 def sigma_for(S, n):
@@ -206,52 +209,6 @@ def _boundary_terms(S):
     ]
 
 
-def _omega_base(k, n, ell):
-    """Matrices of the basic endomorphism for the leading set (1, ..., k).
-
-    Only two degrees can be nonzero: in degree k-1 a monomial one index
-    short of the set picks up the missing variable times the boundary of
-    the completed monomial, and in degree k the set's own monomial maps to
-    the weighted one-form times its boundary.  Sets too large for the
-    ambient dimension (or reaching past n) act as zero.
-    """
-    key = (k, n, ell)
-    if key in _base_cache:
-        return _base_cache[key]
-    cx = _generic_complex(n, ell)
-    zero = Polynomial.zero(n)
-    mats = []
-    for p in range(ell + 1):
-        size = len(cx.bases[p])
-        mats.append([[zero] * size for _ in range(size)])
-    if k <= n:
-        s0 = tuple(range(1, k + 1))
-        bnd = _boundary_terms(s0)
-        if k - 1 <= ell:
-            p = k - 1
-            index = {T: i for i, T in enumerate(cx.bases[p])}
-            for j in s0:
-                T = tuple(t for t in s0 if t != j)
-                _, sgn = wedge((j,), T)
-                yj = Polynomial.variable(j, n)
-                row = mats[p][index[T]]
-                for V, bsgn in bnd:
-                    row[index[V]] = row[index[V]] + yj * (sgn * bsgn)
-        if k <= ell:
-            p = k
-            index = {T: i for i, T in enumerate(cx.bases[p])}
-            row = mats[p][index[s0]]
-            for U, bsgn in bnd:
-                for j in range(1, n + 1):
-                    w = wedge((j,), U)
-                    if w is None:
-                        continue
-                    V, sgn = w
-                    row[index[V]] = row[index[V]] + Polynomial.variable(j, n) * (bsgn * sgn)
-    _base_cache[key] = mats
-    return mats
-
-
 def _clean_subset(S, n):
     S = tuple(int(j) for j in S)
     if len(set(S)) != len(S):
@@ -263,40 +220,84 @@ def _clean_subset(S, n):
     return tuple(sorted(S))
 
 
-def omega_tilde(S, n, ell, sigma=None):
+def _closure_images(K, n):
+    """Images of the closure monomials that the endomorphism of K does
+    not kill.
+
+    Keyed by closure monomial U; each image is {affine monomial: entry},
+    already stripped of the closure monomials that contain n+1.
+    """
+    zero = Polynomial.zero(n)
+    bnd = [(V, s) for V, s in _boundary_terms(K) if n + 1 not in V]
+    images = {}
+    for j in K:
+        U = tuple(t for t in K if t != j)
+        _, sgn = wedge((j,), U)
+        yj = Polynomial.subset_sum((j,), n) * sgn
+        images[U] = {V: yj * s for V, s in bnd}
+    top = {}
+    for V, s in bnd:
+        for j in range(1, n + 1):
+            w = wedge((j,), V)
+            if w is not None:
+                W, sgn = w
+                top[W] = top.get(W, zero) + Polynomial.variable(j, n) * (s * sgn)
+    images[K] = top
+    return images
+
+
+def _rows_containing(U, n):
+    """Affine monomials e_T whose closure expansion has an f_U term, with
+    its coefficient.
+
+    e_T = prod over t in T of (f_t - f_{n+1}); swapping t for f_{n+1}
+    and moving it last costs the sign (-1)^(|T| - position of t).
+    """
+    if U[-1] != n + 1:
+        return [(U, 1)]
+    V = U[:-1]
+    out = []
+    for t in range(1, n + 1):
+        if t not in V:
+            T = tuple(sorted(V + (t,)))
+            out.append((T, -1 if (len(T) - T.index(t)) % 2 else 1))
+    return out
+
+
+def omega_tilde(S, n, ell):
     """Basic endomorphism of the generic complex attached to a subset S.
 
-    Computed by conjugating the leading-set matrices through a relabeling
-    that carries 1..|S| onto S.  Any bijection extending that assignment
-    gives the same endomorphism; pass `sigma` to use a specific one, else
-    the order-preserving extension is chosen (and the result cached).
+    Written down from its closed form on the closure classes f_1..f_{n+1}
+    (affine e_j = f_j - f_{n+1}, weighted form omega = sum y_j f_j with
+    y_{n+1} = -(y_1 + ... + y_n)): f_{S minus j} goes to the sign of
+    (j, S minus j) times y_j times the boundary of f_S, f_S goes to omega
+    wedge the boundary of f_S, and every other closure monomial dies.  An
+    affine row e_T is expanded into closure monomials, mapped, and read
+    back by dropping the monomials that contain n+1, so only rows whose
+    expansion meets S or S minus j are nonzero.  The result is cached and
+    re-checked against the differential on construction;
+    `tests/oracles.py` keeps the older route, conjugating the leading-set
+    endomorphism through a relabeling, as a cross-check.
     """
     S = _clean_subset(S, n)
-    k = len(S)
     key = (S, n, ell)
-    if sigma is None and key in _omega_cache:
+    if key in _omega_cache:
         return _omega_cache[key]
     cx = _generic_complex(n, ell)
-    base = _omega_base(k, n, ell)
-    if sigma is None:
-        images = sigma_for(S, n)
-    else:
-        images = tuple(int(i) for i in sigma)
-        if images[:k] != S:
-            raise ValueError("sigma must carry 1..%d onto sorted S" % k)
-    if images == tuple(range(1, n + 2)):
-        mats = base
-    else:
-        act = SigmaAction(images, n, ell, validate=False)
-        inv = act.inverse()
-        zero = Polynomial.zero(n)
-        mats = []
-        for p in range(ell + 1):
-            twisted = act.subst_mat(base[p])
-            mats.append(_mm(_mm(inv.mats[p], twisted, zero), act.mats[p], zero))
+    zero = Polynomial.zero(n)
+    mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
+    index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
+    for U, image in _closure_images(S, n).items():
+        p = len(U)
+        if p > ell:
+            continue
+        for T, c in _rows_containing(U, n):
+            row = mats[p][index[p][T]]
+            for V, f in image.items():
+                j = index[p][V]
+                row[j] = row[j] + f * c
     e = ChainEndomorphism(cx, mats, validate=True)
-    if sigma is None:
-        _omega_cache[key] = e
+    _omega_cache[key] = e
     return e
 
 
@@ -320,18 +321,15 @@ def pencil_sum_terms(S, r, n, ell):
 def _weighted_sum(terms, n, ell):
     cx = _generic_complex(n, ell)
     zero = Polynomial.zero(n)
-    mats = []
-    for p in range(ell + 1):
-        size = len(cx.bases[p])
-        mats.append([[zero] * size for _ in range(size)])
+    mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
     for K in sorted(terms):
         m = terms[K]
         e = omega_tilde(K, n, ell)
-        for p in range(ell + 1):
-            part = e.mats[p]
-            if m != 1:
-                part = mat_scale(part, Fraction(m), zero)
-            mats[p] = mat_add(mats[p], part)
+        for acc, part in zip(mats, e.mats):
+            for row, acc_row in zip(part, acc):
+                for j, c in enumerate(row):
+                    if c:
+                        acc_row[j] = acc_row[j] + (c if m == 1 else c * m)
     return ChainEndomorphism(cx, mats, validate=True)
 
 
@@ -514,13 +512,14 @@ def spectrum_check(e, S):
     return True, None
 
 
-def spectrum_report(S, r, lam, n, ell):
+def spectrum_report(S, r, lam, n, ell, e=None):
     """Specialized eigenvalue summary of the pencil endomorphism at lam.
 
     Per degree: the two predicted multiplicities and whether the
     specialized matrix actually satisfies the quadratic relation with the
     predicted ranks.  A weight sum of zero collapses the two eigenvalues
-    and the prediction does not apply.
+    and the prediction does not apply.  Pass the pencil endomorphism
+    `omega_tilde_sum(S, r, n, ell)` as `e` when it is already built.
     """
     S = _clean_subset(S, n)
     lam_s = lam.subset_sum(S)
@@ -530,7 +529,8 @@ def spectrum_report(S, r, lam, n, ell):
             "message": "spectrum theorem inapplicable: lambda_S = 0",
             "degrees": [],
         }
-    e = omega_tilde_sum(S, r, n, ell)
+    if e is None:
+        e = omega_tilde_sum(S, r, n, ell)
     mats = e.specialize(lam)
     degrees = []
     for q, m in enumerate(mats):

@@ -115,19 +115,20 @@ def matmul(a, b, zero):
     """Matrix product; `zero` supplies the additive identity of the ring."""
     if not a or not b:
         return []
-    nk = len(b)
     ncols = len(b[0])
+    # nonzero entries of each row of b, collected the first time a row is used
+    support = [None] * len(b)
     out = []
     for row in a:
         acc = [zero] * ncols
-        for k in range(nk):
-            x = row[k]
+        for k, x in enumerate(row):
             if not x:
                 continue
-            brow = b[k]
-            for j in range(ncols):
-                if brow[j]:
-                    acc[j] = acc[j] + x * brow[j]
+            nz = support[k]
+            if nz is None:
+                nz = support[k] = [(j, y) for j, y in enumerate(b[k]) if y]
+            for j, y in nz:
+                acc[j] = acc[j] + x * y
         out.append(acc)
     return out
 
@@ -139,14 +140,6 @@ def mat_evaluate(m, lam):
 
 def identity_matrix(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_scale(m, c, zero):
-    return [[c * x if x else zero for x in row] for row in m]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):

@@ -5,6 +5,8 @@
 from fractions import Fraction
 from itertools import combinations
 
+from osgm.poly import Polynomial
+
 
 def bareiss_rank(m):
     # fraction-free integer elimination
@@ -121,3 +123,88 @@ def exterior_quotient_dims(arr):
         span, monoms = ideal_span_rows(arr, q)
         dims.append(len(monoms) - (frac_rank(span) if span else 0))
     return dims
+
+
+def _sort_sign(seq):
+    # sorted tuple and the sign of the permutation that sorts seq
+    sign = 1
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                sign = -sign
+    return tuple(sorted(seq)), sign
+
+
+def leading_set_omega(k, n, ell):
+    """Basic endomorphism of the leading set (1, ..., k) on the generic
+    complex, written straight from its defining pattern in the affine
+    generators.
+
+    In degree k-1 the monomial missing j picks up the sign of (j, rest)
+    times y_j times the boundary of e_{1..k}; in degree k the monomial
+    e_{1..k} goes to the weighted one-form times that boundary.  Sets
+    reaching past n act as zero.
+    """
+    zero = Polynomial.zero(n)
+    bases = [list(combinations(range(1, n + 1), p)) for p in range(ell + 1)]
+    index = [{T: i for i, T in enumerate(b)} for b in bases]
+    mats = [[[zero] * len(b) for _ in b] for b in bases]
+    if k > n:
+        return mats
+    s0 = tuple(range(1, k + 1))
+    bnd = [(s0[:a] + s0[a + 1:], (-1) ** a) for a in range(k)]
+    if k - 1 <= ell:
+        idx = index[k - 1]
+        for j in s0:
+            T = tuple(t for t in s0 if t != j)
+            _, sgn = _sort_sign((j,) + T)
+            row = mats[k - 1][idx[T]]
+            for V, b in bnd:
+                row[idx[V]] = row[idx[V]] + Polynomial.variable(j, n) * (sgn * b)
+    if k <= ell:
+        idx = index[k]
+        row = mats[k][idx[s0]]
+        for U, b in bnd:
+            for j in range(1, n + 1):
+                if j not in U:
+                    V, sgn = _sort_sign((j,) + U)
+                    row[idx[V]] = row[idx[V]] + Polynomial.variable(j, n) * (b * sgn)
+    return mats
+
+
+def _product(a, b, zero):
+    out = []
+    for row in a:
+        acc = [zero] * (len(b[0]) if b else 0)
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def omega_tilde_by_conjugation(S, n, ell, sigma=None):
+    """Matrices of the basic endomorphism of S by the relabeling route.
+
+    A relabeling sigma of [n+1] carrying 1..|S| onto sorted S (the
+    order-preserving one unless given) conjugates the leading-set
+    endomorphism into place: inverse action, then the coefficient
+    substitution, then the action.  Any such sigma must give the same
+    matrices.
+    """
+    from osgm.gauss_manin import SigmaAction, sigma_for
+
+    S = tuple(sorted(S))
+    images = tuple(sigma) if sigma is not None else sigma_for(S, n)
+    if images[:len(S)] != S:
+        raise ValueError("sigma must carry 1..%d onto sorted S" % len(S))
+    base = leading_set_omega(len(S), n, ell)
+    act = SigmaAction(images, n, ell, validate=False)
+    inv = act.inverse()
+    zero = Polynomial.zero(n)
+    return [
+        _product(_product(inv.mats[p], act.subst_mat(base[p]), zero), act.mats[p], zero)
+        for p in range(ell + 1)
+    ]

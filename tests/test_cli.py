@@ -167,3 +167,47 @@ def test_weights_length_checked(capsys):
     code, _, err = run(capsys, "cohomology", SELBERG, "--weights", "1/2,1/3")
     assert code == 2
     assert "expected 5 weights" in err
+
+
+def test_malformed_rows_exit_2_without_traceback(tmp_path, capsys):
+    for rows, message in [(5, "rows must be a list"),
+                          ([1, 2], "row 1: expected a list of 2 entries")]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"ell": 1, "n": 2, "rows": rows}))
+        code, out, err = run(capsys, "betti", str(bad))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+def test_resonance_degree_reads_the_computed_cohomology(capsys, monkeypatch):
+    import osgm.aomoto
+    import osgm.cli
+
+    calls = []
+    real = osgm.aomoto.os_cohomology
+
+    def counted(t, lam):
+        calls.append(1)
+        return real(t, lam)
+
+    monkeypatch.setattr(osgm.cli, "os_cohomology", counted)
+    monkeypatch.setattr(osgm.aomoto, "os_cohomology", counted)
+    code, out, _ = run(capsys, "resonance", SELBERG, "--weights", RES,
+                       "--degree", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {"dims": [0, 1, 3], "nonresonant": False,
+                               "in_resonance": True}
+    code, out, _ = run(capsys, "resonance", SELBERG, "--weights", NONRES,
+                       "--degree", "1")
+    assert code == 0
+    assert out == ("cohomology dimensions, degrees 0..2: 0 0 2\n"
+                   "nonresonance test (sufficient condition): passed\n"
+                   "degree 1 carries cohomology: no\n")
+    assert len(calls) == 2
+    # an out-of-range degree keeps the library's message and exit code
+    code, out, err = run(capsys, "resonance", SELBERG, "--weights", RES,
+                         "--degree", "3", "--json")
+    assert code == 2 and out == ""
+    assert "need 0 <= q <= ell and m >= 1" in err

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -24,7 +24,7 @@ from osgm.gauss_manin import (
 )
 from osgm.linalg import identity_matrix, matmul, mat_sub, rank
 from osgm.poly import Polynomial
-from oracles import bareiss_rank
+from oracles import bareiss_rank, omega_tilde_by_conjugation
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -242,17 +242,35 @@ def test_omega_tilde_all_small_sets_are_chain_maps():
 
 
 def test_omega_tilde_extension_independence():
+    # the closed form equals the leading-set endomorphism conjugated through
+    # every relabeling tried, the order-preserving one and random others
     rng = random.Random(23)
-    for S in [(2, 6), (3, 4, 6), (1, 5, 6), (2, 4)]:
-        canonical = omega_tilde(S, 5, 2)
-        rest = [i for i in range(1, 7) if i not in S]
-        for _ in range(3):
-            rng.shuffle(rest)
-            images = tuple(list(S) + rest)
-            # images[i-1] = value at i, so position the complement explicitly
-            sigma = list(S) + rest
-            alt = omega_tilde(S, 5, 2, sigma=tuple(sigma))
-            assert alt.mats == canonical.mats
+    for n, ell in [(4, 2), (5, 2), (5, 3), (6, 3)]:
+        for k in range(2, ell + 2):
+            for K in combinations(range(1, n + 2), k):
+                direct = omega_tilde(K, n, ell).mats
+                rest = [i for i in range(1, n + 2) if i not in K]
+                sigmas = {sigma_for(K, n)}
+                while len(sigmas) < min(3, factorial(len(rest))):
+                    rng.shuffle(rest)
+                    sigmas.add(K + tuple(rest))
+                assert len(sigmas) >= 2
+                for sigma in sorted(sigmas):
+                    assert omega_tilde_by_conjugation(K, n, ell, sigma) == direct, \
+                        (n, ell, K, sigma)
+
+
+def test_chain_check_rejects_a_flipped_sign():
+    for K, n, ell in [((3, 4), 5, 2), ((2, 4, 6), 5, 2), ((1, 3, 7), 6, 3)]:
+        e = omega_tilde(K, n, ell)
+        spots = [(q, i, j) for q, m in enumerate(e.mats)
+                 for i, row in enumerate(m) for j, c in enumerate(row) if c]
+        assert spots
+        for q, i, j in spots:
+            mats = [[list(row) for row in m] for m in e.mats]
+            mats[q][i][j] = -mats[q][i][j]
+            with pytest.raises(ValueError, match="commute"):
+                ChainEndomorphism(e.cx, mats)
 
 
 # ---- weighted sums ----------------------------------------------------------
