@@ -26,8 +26,14 @@ class Weights:
 
     def __init__(self, values):
         vals = []
-        for x in values:
-            vals.append(parse_rational(x) if isinstance(x, str) else Fraction(x))
+        for i, x in enumerate(values, start=1):
+            if isinstance(x, str):
+                vals.append(parse_rational(x))
+                continue
+            try:
+                vals.append(Fraction(x))
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError("weight %d is not a rational number: %r" % (i, x)) from e
         self.values = tuple(vals)
 
     @property
@@ -66,6 +72,11 @@ class AomotoComplex:
 
 
 def build_aomoto(t):
+    """The weighted complex of a type, built once per type object."""
+    return t.derived("aomoto", _build_aomoto)
+
+
+def _build_aomoto(t):
     n = t.n
     bases = [nbc_basis(t, q) for q in range(t.ell + 1)]
     boundary = []

@@ -13,6 +13,7 @@ filter only thins out the larger sets.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .linalg import rank
@@ -39,7 +40,7 @@ class Arrangement:
             ell = int(data["ell"])
             n = int(data["n"])
             raw = data["rows"]
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, OverflowError) as e:
             raise ValueError("arrangement file needs ell, n and rows") from e
         if ell < 1:
             raise ValueError("ell must be at least 1")
@@ -116,7 +117,8 @@ class CombinatorialType:
 
     Types built from a realization carry it as a witness; user-asserted
     types are accepted after a monotonicity check but flagged, since
-    realizability is not decided here.
+    realizability is not decided here.  A type is immutable once built, so
+    everything derived from it lives in its store (see `derived`).
     """
 
     def __init__(self, n, ell, dep, affine_empty, realization=None):
@@ -132,6 +134,17 @@ class CombinatorialType:
         # membership tables; dep and affine_empty are never reassigned
         self._dep_sets = {q: frozenset(fam) for q, fam in self.dep.items()}
         self._empty_set = frozenset(self.affine_empty)
+        self._store = {}  # filled by derived()
+
+    def derived(self, key, build):
+        """`build(self)`, computed on first use and kept as long as the type.
+
+        Each module fills the keys of the data it owns.  Values are shared:
+        callers treat them as read-only, except memo tables built empty.
+        """
+        if key not in self._store:
+            self._store[key] = build(self)
+        return self._store[key]
 
     @property
     def backed_by_realization(self):
@@ -212,25 +225,26 @@ class CombinatorialType:
         return cls(data["n"], data["ell"], dep, empty)
 
 
+@cache
 def generic_type(n, ell):
-    """Type of n hyperplanes in general position in C^ell.
+    """Type of n hyperplanes in general position in C^ell, one per (n, ell).
 
-    Backed by a moment-curve witness (rows (1, j, ..., j^ell)); any ell+1
-    of its projective rows are independent, so dep is empty in all stored
-    grades and only the (ell+1)-fold affine intersections are empty.
+    Written from its closed form: any ell+1 rows of the moment-curve
+    witness (1, j, ..., j^ell) are independent, so dep is empty in all
+    stored grades and exactly the (ell+1)-fold affine intersections are
+    empty.  `tests/oracles.py` rank-tests the witness as a cross-check.
     """
     rows = [tuple(Fraction(j) ** k for k in range(ell + 1)) for j in range(1, n + 1)]
-    return CombinatorialType.from_arrangement(Arrangement(ell, n, rows))
+    return CombinatorialType(n, ell, {}, combinations(range(1, n + 1), ell + 1),
+                             realization=Arrangement(ell, n, rows))
 
 
 def dep_star(t):
     """Graded family of starred dependent subsets, for all sizes 2..n+1."""
-    out = {}
-    for q in range(2, t.n + 2):
-        out[q] = [
-            S for S in combinations(range(1, t.n + 2), q) if t.is_starred(S)
-        ]
-    return out
+    return t.derived("dep_star", lambda t: {
+        q: [S for S in combinations(range(1, t.n + 2), q) if t.is_starred(S)]
+        for q in range(2, t.n + 2)
+    })
 
 
 def compare_types(t1, t2):

@@ -3,8 +3,8 @@
 Loads arrangement files, dispatches one operation, and prints either an
 aligned human-readable table or the JSON records the library defines.
 Exit codes: 0 on success, 2 for input/validation problems, 3 when a
-mathematical precondition fails (a map that does not descend, or a
-degeneration with no unique pencil behind it).
+mathematical precondition fails and the library raises `NotCovered` (a map
+that does not descend, or a degeneration with no unique pencil behind it).
 """
 
 import argparse
@@ -21,6 +21,7 @@ from .aomoto import (
 )
 from .arrangement import Arrangement, CombinatorialType, dep_star
 from .gauss_manin import (
+    NotCovered,
     eigenspace_dims,
     gm_endomorphism,
     induce_on_type,
@@ -33,8 +34,6 @@ from .gauss_manin import (
 from .orlik_solomon import betti_numbers, nbc_basis
 from .poly import format_rational
 
-_MATH_FAILURE_MARKERS = ("covering datum", "not unique", "single pencil")
-
 
 def _load_type(path):
     return CombinatorialType.from_arrangement(Arrangement.from_file(path))
@@ -44,7 +43,7 @@ def _parse_weights(text, n):
     if os.path.exists(text):
         with open(text) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or "weights" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("weights"), list):
             raise ValueError('weights file needs a "weights" list')
         values = data["weights"]
     else:
@@ -374,11 +373,8 @@ def main(argv=None):
     try:
         args.func(args)
     except (ValueError, OSError) as e:
-        text = str(e)
-        print("error: %s" % text, file=sys.stderr)
-        if any(marker in text for marker in _MATH_FAILURE_MARKERS):
-            return 3
-        return 2
+        print("error: %s" % e, file=sys.stderr)
+        return 3 if isinstance(e, NotCovered) else 2
     return 0
 
 

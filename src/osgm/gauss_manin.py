@@ -36,17 +36,10 @@ from .linalg import (
 from .orlik_solomon import projection_matrix, wedge
 from .poly import Polynomial, format_rational
 
-# the generic complex and the basic endomorphisms only depend on (n, ell),
-# and the acceptance sweeps revisit them constantly
-_complex_cache = {}
-_omega_cache = {}
 
-
-def _generic_complex(n, ell):
-    key = (n, ell)
-    if key not in _complex_cache:
-        _complex_cache[key] = build_aomoto(generic_type(n, ell))
-    return _complex_cache[key]
+class NotCovered(ValueError):
+    """A mathematical precondition fails: a map that does not descend to the
+    type, a closed class sent off the closed classes, or no unique pencil."""
 
 
 def _mm(a, b, zero):
@@ -151,7 +144,7 @@ class SigmaAction:
         return out
 
     def _check_chain(self):
-        cx = _generic_complex(self.n, self.ell)
+        cx = build_aomoto(generic_type(self.n, self.ell))
         zero = Polynomial.zero(self.n)
         for p in range(self.ell):
             twisted = self.subst_mat(cx.boundary[p])
@@ -274,16 +267,17 @@ def omega_tilde(S, n, ell):
     wedge the boundary of f_S, and every other closure monomial dies.  An
     affine row e_T is expanded into closure monomials, mapped, and read
     back by dropping the monomials that contain n+1, so only rows whose
-    expansion meets S or S minus j are nonzero.  The result is cached and
-    re-checked against the differential on construction;
-    `tests/oracles.py` keeps the older route, conjugating the leading-set
-    endomorphism through a relabeling, as a cross-check.
+    expansion meets S or S minus j are nonzero.  The result is kept in the
+    store of `generic_type(n, ell)` and re-checked against the differential
+    on construction; `tests/oracles.py` keeps the older route, conjugating
+    the leading-set endomorphism through a relabeling, as a cross-check.
     """
     S = _clean_subset(S, n)
-    key = (S, n, ell)
-    if key in _omega_cache:
-        return _omega_cache[key]
-    cx = _generic_complex(n, ell)
+    g = generic_type(n, ell)
+    built = g.derived("omega_tilde", lambda _: {})
+    if S in built:
+        return built[S]
+    cx = build_aomoto(g)
     zero = Polynomial.zero(n)
     mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
     index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
@@ -296,9 +290,8 @@ def omega_tilde(S, n, ell):
             for V, f in image.items():
                 j = index[p][V]
                 row[j] = row[j] + f * c
-    e = ChainEndomorphism(cx, mats, validate=True)
-    _omega_cache[key] = e
-    return e
+    built[S] = ChainEndomorphism(cx, mats, validate=True)
+    return built[S]
 
 
 def pencil_sum_terms(S, r, n, ell):
@@ -319,7 +312,7 @@ def pencil_sum_terms(S, r, n, ell):
 
 
 def _weighted_sum(terms, n, ell):
-    cx = _generic_complex(n, ell)
+    cx = build_aomoto(generic_type(n, ell))
     zero = Polynomial.zero(n)
     mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
     for K in sorted(terms):
@@ -394,7 +387,7 @@ def induce_on_type(e, t):
             image = matmul([v], e.mats[q], zero)[0]
             pushed = matmul([image], proj, zero)[0]
             if any(pushed):
-                raise ValueError(
+                raise NotCovered(
                     "not a valid covering datum: degree-%d relations "
                     "are not preserved" % q)
         index = {T: i for i, T in enumerate(gen_bases[q])}
@@ -419,7 +412,7 @@ def gm_endomorphism(e, lam, q, h=None):
         img = matmul([z], w, Fraction(0))[0]
         coords = h.class_coords(q, img)
         if coords is None:
-            raise RuntimeError("image of a closed class is not closed in degree %d" % q)
+            raise NotCovered("image of a closed class is not closed in degree %d" % q)
         out.append(coords)
     return out
 
@@ -462,9 +455,9 @@ def principal_dependence(t_special, t_general):
             if profile <= sp_all and new <= profile:
                 found.append((S, r))
     if not found:
-        raise ValueError("no single pencil accounts for the degeneration")
+        raise NotCovered("no single pencil accounts for the degeneration")
     if len(found) > 1:
-        raise ValueError("principal dependence is not unique: %r" % (found,))
+        raise NotCovered("principal dependence is not unique: %r" % (found,))
     return found[0]
 
 
@@ -488,6 +481,18 @@ def eigenspace_dims(n, s, r, q):
     return d0, ds
 
 
+def _quadratic_defect(m, s, zero):
+    """M - s*I, and the first entry (row, col) in row-major order where
+    M (M - s*I) is nonzero, or None when the product vanishes."""
+    shifted = [[c - s if i == j else c for j, c in enumerate(row)]
+               for i, row in enumerate(m)]
+    for i, row in enumerate(_mm(m, shifted, zero)):
+        for j, c in enumerate(row):
+            if c:
+                return shifted, (i, j)
+    return shifted, None
+
+
 def spectrum_check(e, S):
     """Symbolically verify M (M - y_S I) = 0 in each degree.
 
@@ -497,18 +502,10 @@ def spectrum_check(e, S):
     """
     n = e.cx.t.n
     ys = Polynomial.subset_sum(tuple(S), n)
-    zero = Polynomial.zero(n)
     for q, m in enumerate(e.mats):
-        size = len(m)
-        shifted = [
-            [m[i][j] - ys if i == j else m[i][j] for j in range(size)]
-            for i in range(size)
-        ]
-        prod = _mm(m, shifted, zero)
-        for i in range(size):
-            for j in range(size):
-                if prod[i][j] != zero:
-                    return False, {"degree": q, "row": i, "col": j}
+        _, bad = _quadratic_defect(m, ys, Polynomial.zero(n))
+        if bad is not None:
+            return False, {"degree": q, "row": bad[0], "col": bad[1]}
     return True, None
 
 
@@ -535,17 +532,8 @@ def spectrum_report(S, r, lam, n, ell, e=None):
     degrees = []
     for q, m in enumerate(mats):
         d0, ds = eigenspace_dims(n, len(S), r, q)
-        size = len(m)
-        shifted = [
-            [m[i][j] - (lam_s if i == j else 0) for j in range(size)]
-            for i in range(size)
-        ]
-        quad = _mm(m, shifted, Fraction(0))
-        ok = (
-            all(not c for row in quad for c in row)
-            and rank(m) == ds
-            and rank(shifted) == d0
-        )
+        shifted, bad = _quadratic_defect(m, lam_s, Fraction(0))
+        ok = bad is None and rank(m) == ds and rank(shifted) == d0
         degrees.append({
             "degree": q,
             "lambda_S": format_rational(lam_s),

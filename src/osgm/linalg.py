@@ -144,7 +144,3 @@ def identity_matrix(n):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def zero_matrix(nrows, ncols, zero):
-    return [[zero] * ncols for _ in range(nrows)]

@@ -28,6 +28,10 @@ def wedge(t1, t2):
 
 def circuits(t):
     """Minimal dependent subsets of [n] with a common affine point, sorted."""
+    return t.derived("circuits", _circuits)
+
+
+def _circuits(t):
     out = []
     for size in range(2, min(t.ell + 1, t.n) + 1):
         for S in combinations(range(1, t.n + 1), size):
@@ -41,7 +45,7 @@ def circuits(t):
 
 def broken_circuits(t):
     """Each circuit with its minimum removed, sorted."""
-    return sorted({C[1:] for C in circuits(t)})
+    return t.derived("broken_circuits", lambda t: sorted({C[1:] for C in circuits(t)}))
 
 
 def nbc_basis(t, q):
@@ -66,9 +70,7 @@ def betti_numbers(t):
 
 def _reduce_monomial(S, t):
     # memoized rewriting of a single monomial into the nbc basis
-    cache = getattr(t, "_reduce_cache", None)
-    if cache is None:
-        cache = t._reduce_cache = {"broken": broken_circuits(t)}
+    cache = t.derived("reductions", lambda _: {})
     if S in cache:
         return cache[S]
     if len(S) > t.ell:
@@ -79,17 +81,17 @@ def _reduce_monomial(S, t):
     if len(S) >= 2 and t.has_empty_intersection(S):
         cache[S] = {}
         return {}
-    containing = [B for B in cache["broken"] if set(B) <= set(S)]
-    if not containing:
+    # the lexicographically smallest broken circuit inside S, if any
+    B = next((B for B in broken_circuits(t) if set(B) <= set(S)), None)
+    if B is None:
         cache[S] = {S: 1}
         return cache[S]
-    B = containing[0]  # lexicographically smallest broken circuit inside S
-    k = min(j for j in range(1, t.n + 1) if tuple(sorted((j,) + B)) in _circuit_set(t) and j < B[0])
     rest = tuple(j for j in S if j not in B)
     _, outer = wedge(B, rest)
-    # circuit relation: e_B = sum over c in B of +/- e_{(k,B) minus c}
+    # circuit relation through the first (so smallest-k) circuit (k, B):
+    # e_B = sum over c in B of +/- e_{(k,B) minus c}
     out = {}
-    C = (k,) + B
+    C = next(C for C in circuits(t) if C[1:] == B)
     for i in range(1, len(C)):
         piece = C[:i] + C[i + 1:]
         w = wedge(piece, rest)
@@ -105,15 +107,6 @@ def _reduce_monomial(S, t):
                 out.pop(U, None)
     cache[S] = out
     return out
-
-
-def _circuit_set(t):
-    cache = getattr(t, "_reduce_cache", None)
-    if cache is None:
-        cache = t._reduce_cache = {"broken": broken_circuits(t)}
-    if "circuits" not in cache:
-        cache["circuits"] = set(circuits(t))
-    return cache["circuits"]
 
 
 def os_reduce(x, t):

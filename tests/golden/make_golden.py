@@ -1,0 +1,105 @@
+"""Regenerate the golden CLI outputs in this directory.
+
+Run from the repository root with the library on the path:
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+
+Each case in CASES is run through `osgm.cli.main` in-process; its stdout
+goes to `<name>.out` and its argv and exit code to `cases.json`.  Only
+regenerate when an output change is intended: `tests/test_golden.py`
+compares the current outputs with these files byte for byte.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+
+SEL = "data/selberg.json"
+DEG = "data/selberg-degenerate.json"
+NONRES = "1/2,1/3,1/5,1/7,1/11"
+RES = "1,2,2,1,-3"
+# lambda_S = 0 on S = {3,4,5}: the spectrum prediction does not apply
+FLAT = "1/2,1/3,1,-1/2,-1/2"
+
+CASES = [
+    ("deps", ["deps", SEL]),
+    ("deps-json", ["deps", SEL, "--json"]),
+    ("deps-degree3", ["deps", SEL, "--degree", "3"]),
+    ("deps-degenerate-json", ["deps", DEG, "--json"]),
+    ("betti", ["betti", SEL]),
+    ("betti-json", ["betti", SEL, "--json"]),
+    ("nbc", ["nbc", SEL]),
+    ("nbc-json", ["nbc", SEL, "--json"]),
+    ("nbc-degree1", ["nbc", SEL, "--degree", "1"]),
+    ("aomoto", ["aomoto", SEL]),
+    ("aomoto-json", ["aomoto", SEL, "--json"]),
+    ("cohomology-nonres", ["cohomology", SEL, "--weights", NONRES]),
+    ("cohomology-nonres-json", ["cohomology", SEL, "--weights", NONRES, "--json"]),
+    ("cohomology-res", ["cohomology", SEL, "--weights", RES]),
+    ("cohomology-res-json", ["cohomology", SEL, "--weights", RES, "--json"]),
+    ("cohomology-res-degree1", ["cohomology", SEL, "--weights", RES, "--degree", "1"]),
+    ("resonance-nonres", ["resonance", SEL, "--weights", NONRES, "--degree", "1"]),
+    ("resonance-nonres-json", ["resonance", SEL, "--weights", NONRES, "--json"]),
+    ("resonance-res", ["resonance", SEL, "--weights", RES, "--degree", "1"]),
+    ("resonance-res-json",
+     ["resonance", SEL, "--weights", RES, "--degree", "2", "--json"]),
+    ("gm-pencil-nonres", ["gm", SEL, "--pencil", "3,4,5", "1", "--weights", NONRES]),
+    ("gm-pencil-nonres-json",
+     ["gm", SEL, "--pencil", "3,4,5", "1", "--weights", NONRES, "--json"]),
+    ("gm-pencil-res", ["gm", SEL, "--pencil", "3,4,5", "1", "--weights", RES]),
+    ("gm-pencil-res-json",
+     ["gm", SEL, "--pencil", "3,4,5", "1", "--weights", RES, "--json"]),
+    ("gm-pencil-rank2", ["gm", SEL, "--pencil", "3,4,6", "2", "--weights", NONRES]),
+    ("gm-pencil-flat", ["gm", SEL, "--pencil", "3,4,5", "1", "--weights", FLAT]),
+    ("gm-pencil-not-covering",
+     ["gm", SEL, "--pencil", "1,2,6", "1", "--weights", NONRES]),
+    ("gm-pair-nonres", ["gm", SEL, DEG, "--weights", NONRES]),
+    ("gm-pair-nonres-json", ["gm", SEL, DEG, "--weights", NONRES, "--json"]),
+    ("gm-pair-res", ["gm", SEL, DEG, "--weights", RES]),
+    ("gm-pair-res-json", ["gm", SEL, DEG, "--weights", RES, "--json"]),
+    ("gm-pair-degree2", ["gm", SEL, DEG, "--weights", NONRES, "--degree", "2"]),
+    ("gm-pair-reversed", ["gm", DEG, SEL, "--weights", NONRES]),
+    ("spectrum", ["spectrum", SEL, "--pencil", "3,4,5", "1"]),
+    ("spectrum-json", ["spectrum", SEL, "--pencil", "3,4,5", "1", "--json"]),
+    ("spectrum-nonres",
+     ["spectrum", SEL, "--pencil", "3,4,5", "1", "--weights", NONRES]),
+    ("spectrum-nonres-json",
+     ["spectrum", SEL, "--pencil", "3,4,5", "1", "--weights", NONRES, "--json"]),
+    ("spectrum-res", ["spectrum", SEL, "--pencil", "3,4,5", "1", "--weights", RES]),
+    ("spectrum-res-json",
+     ["spectrum", SEL, "--pencil", "3,4,5", "1", "--weights", RES, "--json"]),
+    ("spectrum-flat-json",
+     ["spectrum", SEL, "--pencil", "3,4,5", "1", "--weights", FLAT, "--json"]),
+    ("spectrum-rank2", ["spectrum", SEL, "--pencil", "3,4,6", "2", "--weights", NONRES]),
+]
+
+
+def run_case(argv):
+    """(exit code, stdout) of one in-process CLI run from the repo root."""
+    from osgm.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def main():
+    os.chdir(ROOT)
+    manifest = []
+    for name, argv in CASES:
+        code, out = run_case(argv)
+        (HERE / (name + ".out")).write_text(out)
+        manifest.append({"name": name, "argv": argv, "exit": code})
+    (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    print("wrote %d cases" % len(manifest), file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -208,3 +208,12 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
         _product(_product(inv.mats[p], act.subst_mat(base[p]), zero), act.mats[p], zero)
         for p in range(ell + 1)
     ]
+
+
+def generic_type_by_rank(n, ell):
+    """The generic type on the moment-curve rows (1, j, .., j^ell), found by
+    rank-testing every subset instead of from the closed form."""
+    from osgm.arrangement import Arrangement, CombinatorialType
+
+    rows = [tuple(Fraction(j) ** k for k in range(ell + 1)) for j in range(1, n + 1)]
+    return CombinatorialType.from_arrangement(Arrangement(ell, n, rows))

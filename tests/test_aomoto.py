@@ -252,3 +252,16 @@ def test_generic_complex_shapes():
             assert row[k] == -y(other)
         else:
             assert not row[k]
+
+
+def test_build_aomoto_is_built_once_per_type():
+    t = selberg_type()
+    assert build_aomoto(t) is build_aomoto(t)
+    g = generic_type(4, 2)
+    assert build_aomoto(g) is build_aomoto(generic_type(4, 2))
+
+
+def test_weights_reject_non_rational_entries():
+    for bad in (None, {"a": 1}, [1], float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="weight 2 is not a rational number"):
+            Weights(["1", bad, "3"])

@@ -15,8 +15,9 @@ from osgm.arrangement import (
     pencil_starred,
     pencil_realization,
     compare_types,
+    generic_type,
 )
-from oracles import frac_rank
+from oracles import frac_rank, generic_type_by_rank
 
 SELBERG_ROWS = [
     ["0", "1", "0"],
@@ -296,3 +297,34 @@ def test_type_json_round_trip():
     t2 = CombinatorialType.from_json(json.loads(s))
     assert compare_types(t, t2) == "equal"
     assert t2.affine_empty == t.affine_empty
+
+
+def test_generic_type_closed_form_matches_rank_oracle():
+    for n in range(1, 12):
+        for ell in range(1, 5):
+            t, oracle = generic_type(n, ell), generic_type_by_rank(n, ell)
+            assert t.dep == oracle.dep, (n, ell)
+            assert t.affine_empty == oracle.affine_empty, (n, ell)
+            assert t.backed_by_realization and oracle.backed_by_realization
+            assert t.realization.rows == oracle.realization.rows
+
+
+def test_generic_type_is_one_object_per_shape():
+    assert generic_type(5, 2) is generic_type(5, 2)
+    assert generic_type(5, 2) is not generic_type(5, 3)
+
+
+def test_derived_data_is_computed_once_per_type():
+    t = CombinatorialType.from_arrangement(selberg())
+    calls = []
+
+    def build(u):
+        calls.append(u)
+        return len(calls)
+
+    assert t.derived("probe", build) == 1
+    assert t.derived("probe", build) == 1
+    assert calls == [t]
+    assert dep_star(t) is dep_star(t)
+    # an equal but separate type keeps its own store
+    assert CombinatorialType.from_arrangement(selberg()).derived("probe", build) == 2

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from osgm.aomoto import build_aomoto
 from osgm.arrangement import Arrangement, CombinatorialType
 from osgm.cli import main
@@ -211,3 +213,120 @@ def test_resonance_degree_reads_the_computed_cohomology(capsys, monkeypatch):
                          "--degree", "3", "--json")
     assert code == 2 and out == ""
     assert "need 0 <= q <= ell and m >= 1" in err
+
+
+def test_exit_code_follows_the_exception_type(tmp_path, monkeypatch, capsys):
+    # messages that merely mention a mathematical failure are input errors
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "betti", "no single pencil.json")
+    assert code == 2 and out == "" and "no single pencil.json" in err
+    code, out, err = run(capsys, "cohomology", SELBERG,
+                         "--weights", "1,2,3,4,covering datum")
+    assert code == 2 and out == "" and "covering datum" in err
+    # a map that does not descend raises NotCovered, with its message intact
+    code, out, err = run(capsys, "gm", SELBERG, "--pencil", "1,2,6", "1",
+                         "--weights", NONRES)
+    assert code == 3 and out == ""
+    assert err == ("error: not a valid covering datum: degree-2 relations "
+                   "are not preserved\n")
+
+
+def test_malformed_weights_file_exits_2_naming_the_entry(tmp_path, capsys):
+    wfile = tmp_path / "weights.json"
+    for weights, message in [([None, 2, 3, 4, 5], "weight 1 is not a rational number: None"),
+                             ([1, {"a": 1}, 3, 4, 5], "weight 2 is not a rational number"),
+                             ([1, 2, [3], 4, 5], "weight 3 is not a rational number"),
+                             (5, 'weights file needs a "weights" list')]:
+        wfile.write_text(json.dumps({"weights": weights}))
+        code, out, err = run(capsys, "cohomology", SELBERG, "--weights", str(wfile))
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+
+def test_gm_builds_each_type_complex_once(capsys, monkeypatch):
+    import osgm.aomoto
+    from osgm.arrangement import generic_type
+
+    built = []
+    real = osgm.aomoto._build_aomoto
+
+    def counted(t):
+        built.append((t.n, t.ell, tuple(t.affine_empty),
+                      tuple((q, tuple(f)) for q, f in sorted(t.dep.items()))))
+        return real(t)
+
+    monkeypatch.setattr(osgm.aomoto, "_build_aomoto", counted)
+    for argv in (["gm", SELBERG, "--pencil", "3,4,5", "1"],
+                 ["gm", SELBERG, DEGENERATE]):
+        # start without the generic (5, 2) complex other tests may have built
+        generic_type.cache_clear()
+        built.clear()
+        code, _, _ = run(capsys, *argv, "--weights", NONRES, "--json")
+        assert code == 0
+        # the Selberg type and the generic type, one complex each
+        assert len(built) == len(set(built)) == 2
+
+
+# ---- malformed input never ends in a traceback --------------------------------
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(), st.text(max_size=4),
+                     st.sampled_from(["1/2", "-3", "1/0", "x/2", ""]))
+_junk = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=6)
+
+
+def _break(draw, data, places):
+    """Replace one of `places` (a top-level key, or a (list, index) pair) in
+    data by junk, or the whole document; "intact" leaves it as it is."""
+    spot = draw(st.sampled_from(["intact", "document"] + list(range(len(places)))))
+    if spot == "document":
+        return draw(_junk)
+    if spot != "intact":
+        owner, key = places[spot]
+        owner[key] = draw(_junk)
+    return data
+
+
+@given(data=st.data(), command=st.sampled_from([
+    ["deps", "--json"], ["betti"], ["nbc"], ["aomoto", "--json"],
+    ["cohomology", "--weights"], ["resonance", "--degree", "1", "--weights"],
+    ["gm", "--pencil", "1,2", "1", "--weights"],
+    ["spectrum", "--pencil", "1,2", "1", "--json", "--weights"]]))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_malformed_files_exit_cleanly(data, command):
+    import contextlib
+    import io
+    import tempfile
+
+    draw = data.draw
+    ell = draw(st.integers(1, 2))
+    n = draw(st.integers(ell, 4))
+    # moment-curve rows (c, j, .., j^ell), scaled per entry: mostly generic,
+    # sometimes parallel, coincident or not a hyperplane at all
+    rows = [[draw(st.sampled_from(["0", "1", "-1/2"]))]
+            + [str(j ** k * draw(st.sampled_from([1, -1, 2, 0]))) for k in range(1, ell + 1)]
+            for j in range(1, n + 1)]
+    arrangement = {"ell": ell, "n": n, "rows": rows}
+    weights = {"weights": [draw(st.sampled_from(["1/2", "-1/3", "2", "0", 3]))
+                           for _ in range(n)]}
+    # at most one place in the two files is broken
+    if draw(st.booleans()):
+        arrangement = _break(draw, arrangement, [(arrangement, "ell"), (arrangement, "n"),
+                                                 (arrangement, "rows"), (rows, 0), (rows[0], 0)])
+    else:
+        weights = _break(draw, weights, [(weights, "weights"), (weights["weights"], 0)])
+    with tempfile.TemporaryDirectory() as tmp:
+        afile, wfile = Path(tmp) / "a.json", Path(tmp) / "w.json"
+        afile.write_text(json.dumps(arrangement))
+        wfile.write_text(json.dumps(weights))
+        argv = [command[0], str(afile)] + command[1:]
+        if argv[-1] == "--weights":
+            argv.append(str(wfile))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

@@ -9,6 +9,7 @@ from osgm.arrangement import Arrangement, CombinatorialType, generic_type
 from osgm.aomoto import Weights, build_aomoto, os_cohomology, weights_nonresonant
 from osgm.gauss_manin import (
     ChainEndomorphism,
+    NotCovered,
     SigmaAction,
     eigenspace_dims,
     gm_endomorphism,
@@ -21,6 +22,7 @@ from osgm.gauss_manin import (
     relative_multiplicities,
     sigma_for,
     spectrum_check,
+    spectrum_report,
 )
 from osgm.linalg import identity_matrix, matmul, mat_sub, rank
 from osgm.poly import Polynomial
@@ -366,7 +368,7 @@ def test_induce_rejects_map_that_breaks_relations():
     one = Polynomial.constant(Fraction(1), 5)
     mats[2][0][1] = one  # e_12 (a relation for the Selberg type) -> e_13
     e = ChainEndomorphism(cx, mats, validate=False)
-    with pytest.raises(ValueError, match="covering"):
+    with pytest.raises(NotCovered, match="covering"):
         induce_on_type(e, selberg_type())
 
 
@@ -520,3 +522,55 @@ def test_spectrum_check_symbolic_and_witness():
     ok, witness = spectrum_check(bad, (3, 4, 5))
     assert not ok
     assert witness["degree"] == 1
+
+
+def test_spectrum_witness_is_first_failing_entry_row_major():
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    ys = y(3, 4, 5)
+    for q, (i, j) in ((1, (3, 2)), (2, (0, 0)), (2, (9, 4))):
+        mats = [[list(row) for row in m] for m in e.mats]
+        mats[q][i][j] = mats[q][i][j] + y(1)
+        ok, witness = spectrum_check(ChainEndomorphism(e.cx, mats, validate=False),
+                                     (3, 4, 5))
+        m = mats[q]
+        shifted = [[c - ys if a == b else c for b, c in enumerate(row)]
+                   for a, row in enumerate(m)]
+        product = matmul(m, shifted, Z)
+        first = next((a, b) for a, row in enumerate(product)
+                     for b, c in enumerate(row) if c)
+        assert not ok
+        assert witness == {"degree": q, "row": first[0], "col": first[1]}
+
+
+def test_spectrum_report_flags_only_the_broken_degree():
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    lam = Weights(NONRES)
+    good = spectrum_report((3, 4, 5), 1, lam, 5, 2)
+    assert good == spectrum_report((3, 4, 5), 1, lam, 5, 2, e=e)
+    assert [d["verified"] for d in good["degrees"]] == [True, True, True]
+    broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
+    bad = spectrum_report((3, 4, 5), 1, lam, 5, 2,
+                          e=ChainEndomorphism(e.cx, broken, validate=False))
+    assert [d["verified"] for d in bad["degrees"]] == [True, False, True]
+    assert [{k: d[k] for k in ("degree", "lambda_S", "d0", "dS")}
+            for d in bad["degrees"]] == [
+        {k: d[k] for k in ("degree", "lambda_S", "d0", "dS")} for d in good["degrees"]]
+
+
+def test_gm_endomorphism_refuses_classes_of_other_weights():
+    # cohomology computed at resonant weights does not describe the complex
+    # at nonresonant ones: the image of a class leaves the closed classes
+    t = selberg_type()
+    ind = induce_on_type(omega_tilde_sum((3, 4, 5), 1, 5, 2), t)
+    h = os_cohomology(t, Weights(RES))
+    with pytest.raises(NotCovered, match="not closed in degree 1"):
+        gm_endomorphism(ind, Weights(NONRES), 1, h=h)
+
+
+def test_principal_dependence_failures_are_not_covered():
+    rows = [["0", "1", "0"], ["1", "1", "0"], ["2", "1", "0"],
+            ["0", "0", "1"], ["1", "0", "1"], ["2", "0", "1"]]
+    two = CombinatorialType.from_arrangement(
+        Arrangement.from_json({"ell": 2, "n": 6, "rows": rows}))
+    with pytest.raises(NotCovered, match="no single pencil"):
+        principal_dependence(two, generic_type(6, 2))
