@@ -12,8 +12,7 @@ from fractions import Fraction
 from .linalg import (
     rref,
     kernel_basis,
-    coset_reduce,
-    solve_row_combination,
+    echelon_reduce,
     mat_evaluate,
     identity_matrix,
 )
@@ -30,6 +29,8 @@ class Weights:
             if isinstance(x, str):
                 vals.append(parse_rational(x))
                 continue
+            if isinstance(x, bool):
+                raise ValueError("weight %d is not a rational number: %r" % (i, x))
             try:
                 vals.append(Fraction(x))
             except (TypeError, ValueError, OverflowError) as e:
@@ -102,21 +103,29 @@ def _build_aomoto(t):
 class CohomologyData:
     """Per-degree dimensions and echelon-canonical representative cocycles
     of the specialized complex, plus the reduced coboundary spaces needed to
-    compare classes."""
+    compare classes, each with its pivot columns."""
 
-    def __init__(self, dims, reps, cobound, bases):
+    def __init__(self, dims, reps, rep_pivots, cobound, cob_pivots, bases):
         self.dims = dims
-        self.reps = reps          # reps[q]: list of row vectors, rref'd mod coboundaries
-        self.cobound = cobound    # cobound[q]: rref rows of the coboundary space
+        self.reps = reps              # reps[q]: rref rows, reduced mod coboundaries
+        self.rep_pivots = rep_pivots  # their pivots, none of them a coboundary pivot
+        self.cobound = cobound        # cobound[q]: rref rows of the coboundary space
+        self.cob_pivots = cob_pivots
         self.bases = bases
 
     def class_coords(self, q, vec):
         """Coordinates of a cocycle's class in the representative basis,
-        or None when the vector is not in the cocycle-plus-coboundary span."""
-        reduced = coset_reduce(list(vec), self.cobound[q])
-        if not self.reps[q]:
-            return [] if not any(reduced) else None
-        return solve_row_combination(self.reps[q], reduced)
+        or None when the vector is not in the cocycle-plus-coboundary span.
+
+        After reduction by the coboundaries each coordinate is the entry at
+        its representative's pivot; the vector is a member exactly when
+        nothing is left once the representatives are taken off as well.
+        """
+        reduced = echelon_reduce(vec, self.cobound[q], self.cob_pivots[q])
+        coords = [reduced[p] for p in self.rep_pivots[q]]
+        if any(echelon_reduce(reduced, self.reps[q], self.rep_pivots[q])):
+            return None
+        return coords
 
     def element(self, q, k):
         """The k-th representative as {monomial: coefficient}."""
@@ -127,26 +136,31 @@ class CohomologyData:
 
 def os_cohomology(t, lam):
     c = build_aomoto(t)
-    dims, reps, cobound = [], [], []
+    # each specialized differential serves as the outgoing map of degree q
+    # and, echelonized, as the coboundary space of degree q+1
+    maps = [c.boundary_at(lam, q) for q in range(t.ell + 1)]
+    dims, reps, rep_pivots, cobound, cob_pivots = [], [], [], [], []
     for q in range(t.ell + 1):
-        dim_q = len(c.bases[q])
-        out_mat = c.boundary_at(lam, q)
+        out_mat = maps[q]
+        cob_rows, cob_piv = rref(maps[q - 1]) if q else ([], [])
+        cob_rows = cob_rows[:len(cob_piv)]
         if not out_mat or not out_mat[0]:
-            cocycles = identity_matrix(dim_q)
+            # every cochain is closed, and reducing the unit vectors by the
+            # coboundaries spans exactly the coordinates off their pivots
+            taken = set(cob_piv)
+            piv = [j for j in range(len(c.bases[q])) if j not in taken]
+            unit = identity_matrix(len(c.bases[q]))
+            canon = [unit[j] for j in piv]
         else:
-            cocycles = kernel_basis(out_mat)
-        if q == 0:
-            cob_rows, _ = rref([])
-        else:
-            cob_rows, _ = rref(c.boundary_at(lam, q - 1))
-        cob_rows = [r for r in cob_rows if any(r)]
-        reduced = [coset_reduce(z, cob_rows) for z in cocycles]
-        canon, _ = rref(reduced)
-        canon = [r for r in canon if any(r)]
+            canon, piv = rref([echelon_reduce(z, cob_rows, cob_piv)
+                               for z in kernel_basis(out_mat)])
+            canon = canon[:len(piv)]
         dims.append(len(canon))
         reps.append(canon)
+        rep_pivots.append(piv)
         cobound.append(cob_rows)
-    return CohomologyData(dims, reps, cobound, c.bases)
+        cob_pivots.append(cob_piv)
+    return CohomologyData(dims, reps, rep_pivots, cobound, cob_pivots, c.bases)
 
 
 def in_resonance(t, lam, q, m, h=None):

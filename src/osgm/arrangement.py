@@ -20,6 +20,15 @@ from .linalg import rank
 from .poly import parse_rational, format_rational
 
 
+def _whole_number(data, key):
+    """data[key] as an int; booleans and fractional floats are refused
+    rather than read as 1, 0 or truncated."""
+    x = data[key]
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError("%s must be an integer, not %r" % (key, x))
+    return int(x)
+
+
 class Arrangement:
 
     __slots__ = ("n", "ell", "rows")
@@ -37,8 +46,8 @@ class Arrangement:
         and rejects non-hyperplane rows and non-essential arrangements.
         """
         try:
-            ell = int(data["ell"])
-            n = int(data["n"])
+            ell = _whole_number(data, "ell")
+            n = _whole_number(data, "n")
             raw = data["rows"]
         except (KeyError, TypeError, OverflowError) as e:
             raise ValueError("arrangement file needs ell, n and rows") from e

@@ -451,8 +451,10 @@ def principal_dependence(t_special, t_general):
     found = []
     for S in sorted(new):
         for r in range(1, min(ell, len(S) - 1) + 1):
-            profile = _pencil_star_profile(S, r, n, ell)
-            if profile <= sp_all and new <= profile:
+            # |new| tests first; only survivors pay for the walk over all subsets
+            if not all(pencil_starred(K, S, r, ell) for K in new):
+                continue
+            if _pencil_star_profile(S, r, n, ell) <= sp_all:
                 found.append((S, r))
     if not found:
         raise NotCovered("no single pencil accounts for the degeneration")

@@ -217,3 +217,74 @@ def generic_type_by_rank(n, ell):
 
     rows = [tuple(Fraction(j) ** k for k in range(ell + 1)) for j in range(1, n + 1)]
     return CombinatorialType.from_arrangement(Arrangement(ell, n, rows))
+
+
+def dense_rref(m):
+    """Reduced row echelon form by full-width row operations, zeros
+    included: the elimination the library's sparse kernel must reproduce.
+    Returns (rows, pivot columns), zero rows kept at the bottom."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def class_coords_by_solving(h, q, vec):
+    """Class coordinates of vec by the solving route: reduce modulo the
+    coboundaries with a fresh elimination, then solve for a combination of
+    the representatives.  None when vec is not a cocycle."""
+    from osgm.linalg import coset_reduce, solve_row_combination
+
+    reduced = coset_reduce(list(vec), h.cobound[q])
+    if not h.reps[q]:
+        return [] if not any(reduced) else None
+    return solve_row_combination(h.reps[q], reduced)
+
+
+def cohomology_reps_by_elimination(t, lam):
+    """Representative classes of the specialized Aomoto complex and their
+    pivots, per degree, by dense elimination throughout: closed cochains
+    from the null space of the transposed differential, reduced modulo
+    the echelonized coboundaries, then echelonized."""
+    from osgm.aomoto import build_aomoto
+
+    c = build_aomoto(t)
+    out = []
+    for q in range(t.ell + 1):
+        size = len(c.bases[q])
+        closed = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+        if q < t.ell and size:
+            d = [[e.evaluate(lam.values) for e in row] for row in c.boundary[q]]
+            red, piv = dense_rref([list(col) for col in zip(*d)])
+            closed = []
+            for free in (j for j in range(size) if j not in piv):
+                v = [Fraction(int(j == free)) for j in range(size)]
+                for row, p in zip(red, piv):
+                    v[p] = -row[free]
+                closed.append(v)
+        cob, cob_piv = [], []
+        if q:
+            d = [[e.evaluate(lam.values) for e in row] for row in c.boundary[q - 1]]
+            cob, cob_piv = dense_rref(d)
+        reduced = []
+        for v in closed:
+            for row, p in zip(cob, cob_piv):
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+            reduced.append(v)
+        reps, piv = dense_rref(reduced)
+        out.append((reps[:len(piv)], piv))
+    return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from osgm.arrangement import Arrangement, CombinatorialType, generic_type
+from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
 from osgm.orlik_solomon import betti_numbers, nbc_basis
 from osgm.aomoto import (
     Weights,
@@ -15,7 +15,7 @@ from osgm.aomoto import (
 )
 from osgm.poly import Polynomial
 from osgm.linalg import matmul, mat_evaluate
-from oracles import frac_rank
+from oracles import class_coords_by_solving, cohomology_reps_by_elimination, frac_rank
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -159,6 +159,70 @@ def test_class_coords_well_defined():
     v = [Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), Fraction(0)]
     shifted = [a + Fraction(3) * b for a, b in zip(v, d0[0])]
     assert h.class_coords(1, v) == h.class_coords(1, shifted)
+
+
+_COORD_CASES = [
+    # (type, weights): nonresonant first, then resonant
+    ("selberg", ["1/2", "1/3", "1/5", "1/7", "1/11"]),
+    ("selberg", ["1", "2", "2", "1", "-3"]),
+    ("generic-5-2", ["1/2", "1/3", "1/5", "1/7", "1/11"]),
+    ("generic-5-2", ["0"] * 5),
+    ("generic-5-2", ["1", "2", "3", "4", "5"]),
+    # four concurrent lines among eight: dims (0, 0, 18), then (0, 2, 20)
+    ("four-fold-8-2", ["1/2", "1/3", "1/5", "1/7", "1/11", "1/13", "1/17", "1/19"]),
+    ("four-fold-8-2", ["1", "2", "-1", "-2", "0", "0", "0", "0"]),
+]
+
+
+def _coord_type(name):
+    if name == "selberg":
+        return selberg_type()
+    if name == "generic-5-2":
+        return generic_type(5, 2)
+    return CombinatorialType.from_arrangement(pencil_realization(8, 2, (1, 2, 3, 4), 2))
+
+
+@pytest.mark.parametrize("name, weights", _COORD_CASES)
+def test_cohomology_reps_match_dense_elimination(name, weights):
+    t = _coord_type(name)
+    h = os_cohomology(t, Weights(weights))
+    expected = cohomology_reps_by_elimination(t, Weights(weights))
+    assert [(h.reps[q], h.rep_pivots[q]) for q in range(t.ell + 1)] == expected
+    assert h.dims == [len(reps) for reps, _ in expected]
+
+
+@pytest.mark.parametrize("name, weights", _COORD_CASES)
+def test_class_coords_match_the_solving_oracle(name, weights):
+    # the pivot read-off against a fresh reduction and solve, None included
+    t = _coord_type(name)
+    lam = Weights(weights)
+    h = os_cohomology(t, lam)
+    c = build_aomoto(t)
+    rng = random.Random("%s:%s" % (name, weights))
+    for q in range(t.ell + 1):
+        size = len(c.bases[q])
+        d_out = c.boundary_at(lam, q)
+        reps, cob = h.reps[q], h.cobound[q]
+        for k, z in enumerate(reps):
+            unit = [Fraction(int(i == k)) for i in range(len(reps))]
+            assert h.class_coords(q, z) == class_coords_by_solving(h, q, z) == unit
+        for _ in range(12):
+            a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in reps]
+            b = [Fraction(rng.randint(-3, 3)) for _ in cob]
+            v = [sum((x * r[j] for x, r in zip(a + b, reps + cob)), Fraction(0))
+                 for j in range(size)]
+            assert h.class_coords(q, v) == class_coords_by_solving(h, q, v) == a
+        # a basis vector the differential does not kill, added to a cocycle
+        for i in range(size):
+            if not any(d_out[i]):
+                continue
+            base = reps[0] if reps else [Fraction(0)] * size
+            v = [x + (1 if j == i else 0) for j, x in enumerate(base)]
+            assert h.class_coords(q, v) is None
+            assert class_coords_by_solving(h, q, v) is None
+        for _ in range(12):
+            v = [Fraction(rng.choice((0, 0, 1, -2))) for _ in range(size)]
+            assert h.class_coords(q, v) == class_coords_by_solving(h, q, v)
 
 
 def test_euler_characteristic_invariant():

@@ -183,6 +183,21 @@ def test_malformed_rows_exit_2_without_traceback(tmp_path, capsys):
         assert out == ""
 
 
+def test_non_integer_ell_and_n_exit_2_naming_the_field(tmp_path, capsys):
+    selberg = json.loads(Path(SELBERG).read_text())
+    bad = tmp_path / "bad.json"
+    for key, value in [("ell", 2.9), ("ell", True), ("n", 5.5), ("n", False),
+                       ("ell", float("nan"))]:
+        bad.write_text(json.dumps(dict(selberg, **{key: value})))
+        code, out, err = run(capsys, "betti", str(bad))
+        assert code == 2 and out == ""
+        assert "%s must be an integer, not %r" % (key, value) in err
+        assert "Traceback" not in err
+    # an integral float still names the integer it spells
+    bad.write_text(json.dumps(dict(selberg, ell=2.0, n=5.0)))
+    assert run(capsys, "betti", str(bad))[:2] == run(capsys, "betti", SELBERG)[:2]
+
+
 def test_resonance_degree_reads_the_computed_cohomology(capsys, monkeypatch):
     import osgm.aomoto
     import osgm.cli
@@ -236,6 +251,8 @@ def test_malformed_weights_file_exits_2_naming_the_entry(tmp_path, capsys):
     for weights, message in [([None, 2, 3, 4, 5], "weight 1 is not a rational number: None"),
                              ([1, {"a": 1}, 3, 4, 5], "weight 2 is not a rational number"),
                              ([1, 2, [3], 4, 5], "weight 3 is not a rational number"),
+                             ([True, 2, 3, 4, 5], "weight 1 is not a rational number: True"),
+                             ([1, 2, 3, 4, False], "weight 5 is not a rational number: False"),
                              (5, 'weights file needs a "weights" list')]:
         wfile.write_text(json.dumps({"weights": weights}))
         code, out, err = run(capsys, "cohomology", SELBERG, "--weights", str(wfile))
@@ -277,6 +294,10 @@ _junk = st.recursive(_scalars, lambda inner: st.one_of(
     st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=6)
 
 
+_bad_numbers = st.one_of(st.booleans(),
+                         st.floats().filter(lambda x: not x.is_integer()))
+
+
 def _break(draw, data, places):
     """Replace one of `places` (a top-level key, or a (list, index) pair) in
     data by junk, or the whole document; "intact" leaves it as it is."""
@@ -311,12 +332,20 @@ def test_malformed_files_exit_cleanly(data, command):
     arrangement = {"ell": ell, "n": n, "rows": rows}
     weights = {"weights": [draw(st.sampled_from(["1/2", "-1/3", "2", "0", 3]))
                            for _ in range(n)]}
-    # at most one place in the two files is broken
-    if draw(st.booleans()):
+    # at most one place in the two files is broken; a boolean or a
+    # fractional float where a count or a weight is read must exit 2
+    expect_2 = False
+    target = draw(st.sampled_from(["arrangement", "weights", "number"]))
+    if target == "arrangement":
         arrangement = _break(draw, arrangement, [(arrangement, "ell"), (arrangement, "n"),
                                                  (arrangement, "rows"), (rows, 0), (rows[0], 0)])
-    else:
+    elif target == "weights":
         weights = _break(draw, weights, [(weights, "weights"), (weights["weights"], 0)])
+    else:
+        owner, key = draw(st.sampled_from([(arrangement, "ell"), (arrangement, "n"),
+                                           (weights["weights"], 0)]))
+        owner[key] = draw(_bad_numbers)
+        expect_2 = owner is arrangement or "--weights" in command
     with tempfile.TemporaryDirectory() as tmp:
         afile, wfile = Path(tmp) / "a.json", Path(tmp) / "w.json"
         afile.write_text(json.dumps(arrangement))
@@ -327,6 +356,6 @@ def test_malformed_files_exit_cleanly(data, command):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 2, 3)
+    assert code in ((2,) if expect_2 else (0, 2, 3))
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")

@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
 
 from osgm.linalg import (
     rank,
     rref,
     kernel_basis,
     coset_reduce,
+    echelon_reduce,
     solve_row_combination,
     matmul,
     mat_evaluate,
     identity_matrix,
 )
 from osgm.poly import Polynomial
+from oracles import dense_rref
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,46 @@ def test_coset_reduce_properties():
     base = frac_matrix([[1, 1, 0], [0, 0, 1]])
     assert coset_reduce([Fraction(3), Fraction(3), Fraction(-2)], base) == [Fraction(0)] * 3
     assert coset_reduce([Fraction(1), Fraction(0), Fraction(0)], base) != [Fraction(0)] * 3
+
+
+# mostly zeros, as in the specialized differentials; the rational entries
+# keep small numerators and denominators so the elimination stays cheap
+_sparse_entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-5, 5),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([st.integers(-5, 5), _sparse_entry]))
+    return [[Fraction(x) for x in draw(st.lists(entries, min_size=ncols, max_size=ncols))]
+            for _ in range(nrows)]
+
+
+@given(m=_sparse_matrices())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_rref_matches_dense_elimination(m):
+    rows, pivots = rref(m)
+    assert (rows, pivots) == dense_rref(m)
+    # clearing denominators row by row keeps the rank
+    ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
+    assert len(pivots) == bareiss_rank(ints)
+
+
+def test_echelon_reduce_agrees_with_coset_reduce():
+    rng = random.Random(17)
+    for _ in range(100):
+        dim = rng.randint(1, 7)
+        base = frac_matrix(random_int_matrix(rng, rng.randint(1, dim), dim))
+        rows, pivots = rref(base)
+        v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+        red = echelon_reduce(v, rows[:len(pivots)], pivots)
+        assert red == coset_reduce(v, base)
+        assert all(red[p] == 0 for p in pivots)
+        # members of the span reduce to zero
+        member = [sum((Fraction(k) * r[j] for k, r in enumerate(rows, start=1)), Fraction(0))
+                  for j in range(dim)]
+        assert not any(echelon_reduce(member, rows[:len(pivots)], pivots))
 
 
 def test_solve_row_combination():
