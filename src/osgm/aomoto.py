@@ -9,6 +9,7 @@ computed here, together with resonance queries.
 
 from fractions import Fraction
 
+from .arrangement import dep_star
 from .linalg import (
     rref,
     kernel_basis,
@@ -178,8 +179,6 @@ def nonresonance_conditions(t):
     singletons of [n+1] and every starred dependent set.  Sufficient for
     cohomology to concentrate in the top degree; not claimed necessary."""
     conds = [(j,) for j in range(1, t.n + 2)]
-    from .arrangement import dep_star
-
     for fam in dep_star(t).values():
         conds.extend(fam)
     return sorted(conds, key=lambda S: (len(S), S))

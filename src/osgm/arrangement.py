@@ -10,6 +10,11 @@ rows.  A dependent set is "starred" when the hyperplanes of the projective
 closure actually share a point, i.e. when the rows have rank at most ell.
 For sets of size at most ell+1 dependence already forces this, so the star
 filter only thins out the larger sets.
+
+Repeated hyperplanes are valid input.  Two identical rows i, j (or rows
+that are multiples of each other) make {i, j} a dependent pair, the rank-1
+pencil on two hyperplanes: the type of a collision, which `osgm gm` can
+recover from a pair of files or take as `--pencil i,j 1`.
 """
 
 from fractions import Fraction
@@ -187,12 +192,19 @@ class CombinatorialType:
         dep = {}
         for q in range(2, min(a.ell + 1, a.n + 1) + 1):
             dep[q] = dependent_subsets(a, q)
+        dependent = set().union(*dep.values())
         # emptiness matters up to size ell+1: a dependent set of that size
-        # with no common affine point contributes e_S, not a circuit
+        # with no common affine point contributes e_S, not a circuit.  For
+        # independent S the coefficient rows have rank rank(S + infinity) - 1,
+        # so S is empty exactly when adding infinity makes it dependent,
+        # which always happens at size ell+1.  Only dependent S need ranks.
         empty = []
         for q in range(2, min(a.ell + 1, a.n) + 1):
             for S in combinations(range(1, a.n + 1), q):
-                if not a.affine_nonempty(S):
+                if S in dependent:
+                    if not a.affine_nonempty(S):
+                        empty.append(S)
+                elif q == a.ell + 1 or S + (a.n + 1,) in dependent:
                     empty.append(S)
         return cls(a.n, a.ell, dep, empty, realization=a)
 
@@ -201,19 +213,6 @@ class CombinatorialType:
         if len(S) >= self.ell + 2:
             return True
         return S in self._dep_sets.get(len(S), ())
-
-    def is_starred(self, S):
-        """Dependent with a common point in the projective closure.
-
-        For |S| <= ell+1 this is plain dependence; beyond that, S is starred
-        exactly when every (ell+1)-subset of S is dependent.
-        """
-        S = tuple(sorted(S))
-        if len(S) < 2:
-            return False
-        if len(S) <= self.ell + 1:
-            return self.is_dependent(S)
-        return all(self.is_dependent(J) for J in combinations(S, self.ell + 1))
 
     def has_empty_intersection(self, S):
         """Affine-intersection test for S a subset of [n], |S| <= ell."""
@@ -249,11 +248,32 @@ def generic_type(n, ell):
 
 
 def dep_star(t):
-    """Graded family of starred dependent subsets, for all sizes 2..n+1."""
-    return t.derived("dep_star", lambda t: {
-        q: [S for S in combinations(range(1, t.n + 2), q) if t.is_starred(S)]
-        for q in range(2, t.n + 2)
-    })
+    """Graded family of starred dependent subsets, for all sizes 2..n+1.
+
+    A starred set has a common point in the projective closure.  Up to size
+    ell+1 that is plain dependence; beyond it, K is starred exactly when
+    every (ell+1)-subset is dependent, that is when every (|K|-1)-subset is
+    starred.  So each grade above ell+1 grows from the one below, by
+    extending each starred set with a larger index, and comes out sorted.
+    """
+    return t.derived("dep_star", _dep_star)
+
+
+def _dep_star(t):
+    star = {}
+    for q in range(2, t.n + 2):
+        if q <= t.ell + 1:
+            star[q] = list(t.dep[q])
+            continue
+        below = set(star[q - 1])
+        star[q] = [
+            K + (j,)
+            for K in star[q - 1]
+            for j in range(K[-1] + 1, t.n + 2)
+            # dropping j gives K itself; drop every other element in turn
+            if all(K[:i] + K[i + 1:] + (j,) in below for i in range(q - 1))
+        ]
+    return star
 
 
 def compare_types(t1, t2):
@@ -292,6 +312,26 @@ def pencil_starred(K, S, r, ell):
     if len(K) < 2:
         return False
     return pencil_rank(K, S, r, ell) <= min(len(K) - 1, ell)
+
+
+def pencil_profile(S, r, n, ell, top=None):
+    """The starred sets of the pencil type on (S, r), as sorted tuples of at
+    most `top` elements (all sizes by default), in no particular order.
+
+    Write K = A + B with A inside S and B outside.  `pencil_starred` asks
+    min(ell+1, min(|A|, r) + |B|) <= min(|K|-1, ell); the right side is at
+    most ell, so this is min(|A|, r) + |B| <= |A| + |B| - 1 and <= ell, that
+    is |A| >= r+1 and |B| <= ell - r.  The sets are listed straight from
+    that, without looking at any other subset of [n+1].
+    """
+    S = tuple(sorted(S))
+    rest = [j for j in range(1, n + 2) if j not in S]
+    top = n + 1 if top is None else top
+    for a in range(r + 1, min(len(S), top) + 1):
+        for b in range(min(ell - r, len(rest), top - a) + 1):
+            for A in combinations(S, a):
+                for B in combinations(rest, b):
+                    yield tuple(sorted(A + B))
 
 
 def multiplicity_pencil(K, S, r, ell, n):

@@ -24,6 +24,7 @@ from .arrangement import (
     dep_star,
     generic_type,
     multiplicity_pencil,
+    pencil_profile,
     pencil_starred,
 )
 from .linalg import (
@@ -303,12 +304,8 @@ def pencil_sum_terms(S, r, n, ell):
     S = _clean_subset(S, n)
     if not 1 <= r <= min(ell, len(S) - 1):
         raise ValueError("pencil rank r out of range")
-    out = {}
-    for q in range(2, min(ell + 1, n + 1) + 1):
-        for K in combinations(range(1, n + 2), q):
-            if pencil_starred(K, S, r, ell):
-                out[K] = multiplicity_pencil(K, S, r, ell, n)
-    return out
+    forced = sorted(pencil_profile(S, r, n, ell, top=ell + 1), key=lambda K: (len(K), K))
+    return {K: multiplicity_pencil(K, S, r, ell, n) for K in forced}
 
 
 def _weighted_sum(terms, n, ell):
@@ -417,15 +414,6 @@ def gm_endomorphism(e, lam, q, h=None):
     return out
 
 
-def _pencil_star_profile(S, r, n, ell):
-    out = set()
-    for q in range(2, n + 2):
-        for K in combinations(range(1, n + 2), q):
-            if pencil_starred(K, S, r, ell):
-                out.add(K)
-    return out
-
-
 def principal_dependence(t_special, t_general):
     """The unique pencil (S, r) whose new dependences are exactly the
     difference of the two types.
@@ -433,28 +421,25 @@ def principal_dependence(t_special, t_general):
     Both inclusions are enforced: every set the pencil forces must be
     dependent in the special type, and every newly dependent set must be
     forced by the pencil.  Degenerations that fail to come from a single
-    pencil are rejected.
+    pencil are rejected.  A strictly finer special type always has a new
+    dependent set of size at most ell+1, so there is a candidate S.
     """
     if compare_types(t_special, t_general) != "t2_finer":
         raise ValueError("first type must have strictly more dependent sets")
     n, ell = t_special.n, t_special.ell
     star_sp = dep_star(t_special)
     star_gen = dep_star(t_general)
-    sp_all = set()
-    for q in star_sp:
-        sp_all.update(star_sp[q])
+    sp_all = set().union(*star_sp.values())
     new = set()
     for q in star_sp:
         new.update(set(star_sp[q]) - set(star_gen.get(q, [])))
-    if not new:
-        raise ValueError("the types share all projective dependences")
     found = []
     for S in sorted(new):
         for r in range(1, min(ell, len(S) - 1) + 1):
-            # |new| tests first; only survivors pay for the walk over all subsets
-            if not all(pencil_starred(K, S, r, ell) for K in new):
-                continue
-            if _pencil_star_profile(S, r, n, ell) <= sp_all:
+            # the pencil must force every new set, and the special type must
+            # hold every set the pencil forces; stop at the first one missing
+            if (all(pencil_starred(K, S, r, ell) for K in new)
+                    and all(K in sp_all for K in pencil_profile(S, r, n, ell))):
                 found.append((S, r))
     if not found:
         raise NotCovered("no single pencil accounts for the degeneration")

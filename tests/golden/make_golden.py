@@ -26,6 +26,14 @@ NONRES = "1/2,1/3,1/5,1/7,1/11"
 RES = "1,2,2,1,-3"
 # lambda_S = 0 on S = {3,4,5}: the spectrum prediction does not apply
 FLAT = "1/2,1/3,1,-1/2,-1/2"
+INPUTS = "tests/golden/inputs/"
+# lines 1..5 through one point: starred sets of sizes 4 and 5 above ell+1
+FIVE = INPUTS + "five-concurrent.json"
+GEN8 = INPUTS + "generic-8-2.json"
+NONRES8 = "1/2,1/3,1/5,1/7,1/11,1/13,1/17,1/19"
+# rows 2 and 4 are the same line
+REP = INPUTS + "repeated-row.json"
+GEN5 = INPUTS + "generic-5-2.json"
 
 CASES = [
     ("deps", ["deps", SEL]),
@@ -77,6 +85,15 @@ CASES = [
     ("spectrum-flat-json",
      ["spectrum", SEL, "--pencil", "3,4,5", "1", "--weights", FLAT, "--json"]),
     ("spectrum-rank2", ["spectrum", SEL, "--pencil", "3,4,6", "2", "--weights", NONRES]),
+    ("deps-five-concurrent", ["deps", FIVE]),
+    ("deps-five-concurrent-json", ["deps", FIVE, "--json"]),
+    ("gm-pair-five-concurrent", ["gm", GEN8, FIVE, "--weights", NONRES8]),
+    ("gm-pair-five-concurrent-json", ["gm", GEN8, FIVE, "--weights", NONRES8, "--json"]),
+    ("deps-repeated", ["deps", REP]),
+    ("deps-repeated-json", ["deps", REP, "--json"]),
+    ("gm-pencil-repeated", ["gm", REP, "--pencil", "2,4", "1", "--weights", NONRES]),
+    ("gm-pair-repeated", ["gm", GEN5, REP, "--weights", NONRES]),
+    ("gm-pair-repeated-json", ["gm", GEN5, REP, "--weights", NONRES, "--json"]),
 ]
 
 

@@ -4,6 +4,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from osgm.poly import Polynomial
 
@@ -210,13 +211,90 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
     ]
 
 
+def _integer_rows(rows):
+    # scaling a row keeps every rank, so clear each row's denominators
+    out = []
+    for row in rows:
+        m = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * m) for x in row])
+    return out
+
+
+def affine_empty_by_rank(a):
+    """Subsets of [n] of sizes 2..ell+1 with no common affine point, sorted,
+    found by comparing the rank of the coefficient rows with that of the
+    full rows for every such subset."""
+    def empty(S):
+        full = _integer_rows(a.row(j) for j in S)
+        return bareiss_rank([r[1:] for r in full]) < bareiss_rank(full)
+
+    return sorted(S for q in range(2, min(a.ell + 1, a.n) + 1)
+                  for S in combinations(range(1, a.n + 1), q) if empty(S))
+
+
 def generic_type_by_rank(n, ell):
     """The generic type on the moment-curve rows (1, j, .., j^ell), found by
-    rank-testing every subset instead of from the closed form."""
+    rank-testing every stored subset, for dependence and affine emptiness
+    alike, instead of from the closed form."""
     from osgm.arrangement import Arrangement, CombinatorialType
 
     rows = [tuple(Fraction(j) ** k for k in range(ell + 1)) for j in range(1, n + 1)]
-    return CombinatorialType.from_arrangement(Arrangement(ell, n, rows))
+    a = Arrangement(ell, n, rows)
+    dep = {q: [S for S in combinations(range(1, n + 2), q)
+               if bareiss_rank([a.row(j) for j in S]) < q]
+           for q in range(2, min(ell + 1, n + 1) + 1)}
+    return CombinatorialType(n, ell, dep, affine_empty_by_rank(a), realization=a)
+
+
+def is_starred(t, S):
+    """Dependent with a common point in the projective closure, from the
+    definition: plain dependence up to size ell+1, and beyond that every
+    (ell+1)-subset dependent."""
+    S = tuple(sorted(S))
+    if len(S) < 2:
+        return False
+    if len(S) <= t.ell + 1:
+        return t.is_dependent(S)
+    return all(t.is_dependent(J) for J in combinations(S, t.ell + 1))
+
+
+def dep_star_by_walk(t):
+    """Starred sets of every size 2..n+1, by testing every subset of [n+1]."""
+    return {q: [S for S in combinations(range(1, t.n + 2), q) if is_starred(t, S)]
+            for q in range(2, t.n + 2)}
+
+
+def pencil_profile_by_walk(S, r, n, ell):
+    """Starred sets of the pencil type on (S, r), by testing every subset of
+    [n+1] with `pencil_starred`."""
+    from osgm.arrangement import pencil_starred
+
+    return {K for q in range(2, n + 2) for K in combinations(range(1, n + 2), q)
+            if pencil_starred(K, S, r, ell)}
+
+
+def principal_dependence_by_walk(t_special, t_general):
+    """Pencil recovery by whole-subset walks: starred sets of both types and
+    the profile of every candidate (S, r) found by testing every subset."""
+    from osgm.arrangement import compare_types, pencil_starred
+    from osgm.gauss_manin import NotCovered
+
+    if compare_types(t_special, t_general) != "t2_finer":
+        raise ValueError("first type must have strictly more dependent sets")
+    n, ell = t_special.n, t_special.ell
+    star_sp, star_gen = dep_star_by_walk(t_special), dep_star_by_walk(t_general)
+    sp_all = set().union(*star_sp.values())
+    new = set()
+    for q in star_sp:
+        new.update(set(star_sp[q]) - set(star_gen[q]))
+    found = [(S, r) for S in sorted(new) for r in range(1, min(ell, len(S) - 1) + 1)
+             if all(pencil_starred(K, S, r, ell) for K in new)
+             and pencil_profile_by_walk(S, r, n, ell) <= sp_all]
+    if not found:
+        raise NotCovered("no single pencil accounts for the degeneration")
+    if len(found) > 1:
+        raise NotCovered("principal dependence is not unique: %r" % (found,))
+    return found[0]
 
 
 def dense_rref(m):

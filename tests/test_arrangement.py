@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osgm.arrangement import (
     Arrangement,
@@ -16,8 +17,18 @@ from osgm.arrangement import (
     pencil_realization,
     compare_types,
     generic_type,
+    pencil_profile,
 )
-from oracles import frac_rank, generic_type_by_rank
+from osgm.gauss_manin import pencil_sum_terms
+from oracles import (
+    affine_empty_by_rank,
+    dep_star_by_walk,
+    frac_rank,
+    generic_type_by_rank,
+    is_starred,
+    pencil_profile_by_walk,
+)
+from strategies import asserted_types, integer_arrangements, pencil_arrangements, realized_types
 
 SELBERG_ROWS = [
     ["0", "1", "0"],
@@ -138,12 +149,16 @@ def test_dep_star_degenerate_selberg():
 
 def test_is_starred_big_sets_agree_with_rank():
     # on realization-backed types, the every-(ell+1)-subset rule must agree
-    # with the honest rank predicate rank(N_S) <= ell
+    # with the honest rank predicate rank(N_S) <= ell, and so must the
+    # starred sets grown level by level
     for a in (selberg_degenerate(), generic_lines(5)):
         t = CombinatorialType.from_arrangement(a)
+        star = dep_star(t)
         for q in range(a.ell + 2, a.n + 2):
             for S in combinations(range(1, a.n + 2), q):
-                assert t.is_starred(S) == (frac_rank([a.row(j) for j in S]) <= a.ell)
+                starred = frac_rank([a.row(j) for j in S]) <= a.ell
+                assert is_starred(t, S) == starred
+                assert (S in star[q]) == starred
 
 
 def test_multiplicity():
@@ -197,7 +212,7 @@ def test_pencil_realization_matches_closed_form():
                             rk = frac_rank([a.row(j) for j in K])
                             assert len(K) - rk == multiplicity_pencil(K, S, r, ell, n)
                             if q >= 2:
-                                assert t.is_starred(K) == pencil_starred(K, S, r, ell)
+                                assert is_starred(t, K) == pencil_starred(K, S, r, ell)
 
 
 def test_pencil_realization_with_infinity_member():
@@ -328,3 +343,40 @@ def test_derived_data_is_computed_once_per_type():
     assert dep_star(t) is dep_star(t)
     # an equal but separate type keeps its own store
     assert CombinatorialType.from_arrangement(selberg()).derived("probe", build) == 2
+
+
+# ---- level-by-level and closed-form routes against whole-subset walks -------
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@given(t=st.one_of(realized_types(), asserted_types()))
+@PROPERTY
+def test_dep_star_matches_the_walk_over_all_subsets(t):
+    star = dep_star(t)
+    assert star == dep_star_by_walk(t)
+    assert list(star) == list(range(2, t.n + 2))
+
+
+@given(a=st.one_of(integer_arrangements(), pencil_arrangements(1), pencil_arrangements(2)))
+@PROPERTY
+def test_affine_emptiness_read_off_dependence_matches_ranks(a):
+    assert CombinatorialType.from_arrangement(a).affine_empty == affine_empty_by_rank(a)
+
+
+@given(data=st.data(), ell=st.integers(1, 4), n=st.integers(1, 8))
+@PROPERTY
+def test_pencil_profile_matches_the_walk_over_all_subsets(data, ell, n):
+    S = tuple(sorted(data.draw(st.lists(st.integers(1, n + 1), min_size=2,
+                                        max_size=n + 1, unique=True))))
+    r = data.draw(st.integers(1, min(ell, len(S) - 1)))
+    profile = list(pencil_profile(S, r, n, ell))
+    assert len(profile) == len(set(profile))
+    assert set(profile) == pencil_profile_by_walk(S, r, n, ell)
+    top = data.draw(st.integers(2, n + 1))
+    assert set(pencil_profile(S, r, n, ell, top=top)) == {
+        K for K in profile if len(K) <= top}
+    # the pencil sum runs over the same family, cut at ell+1, by size then
+    # lexicographically
+    forced = sorted((K for K in profile if len(K) <= ell + 1), key=lambda K: (len(K), K))
+    assert list(pencil_sum_terms(S, r, n, ell)) == forced

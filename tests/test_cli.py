@@ -156,6 +156,27 @@ def test_spectrum_symbolic_and_inapplicable(capsys):
     assert "spectrum theorem inapplicable: lambda_S = 0" in out
 
 
+
+def test_repeated_hyperplanes_read_as_a_collision(tmp_path, capsys):
+    # identical rows 2 and 4 are valid input: the dependent pair {2,4}, the
+    # rank-1 pencil on two hyperplanes
+    rows = [["1", str(j), str(j * j)] for j in range(1, 6)]
+    generic = tmp_path / "generic.json"
+    generic.write_text(json.dumps({"ell": 2, "n": 5, "rows": rows}))
+    rows[3] = rows[1]
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps({"ell": 2, "n": 5, "rows": rows}))
+    code, out, err = run(capsys, "deps", str(repeated))
+    assert code == 0 and not err
+    assert "Dep_2: {2,4}" in out
+    code, by_pencil, err = run(capsys, "gm", str(repeated), "--pencil", "2,4", "1",
+                               "--weights", NONRES)
+    assert code == 0 and not err
+    assert by_pencil.startswith("pencil (S, r): S = {2,4}, r = 1")
+    code, by_pair, err = run(capsys, "gm", str(generic), str(repeated), "--weights", NONRES)
+    assert code == 0 and not err
+    assert by_pair.startswith("pencil (S, r): S = {2,4}, r = 1")
+
 def test_weights_accepted_from_file(tmp_path, capsys):
     wfile = tmp_path / "weights.json"
     wfile.write_text(json.dumps({"weights": NONRES.split(",")}))

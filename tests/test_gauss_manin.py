@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
 
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type
 from osgm.aomoto import Weights, build_aomoto, os_cohomology, weights_nonresonant
@@ -26,7 +27,8 @@ from osgm.gauss_manin import (
 )
 from osgm.linalg import identity_matrix, matmul, mat_sub, rank
 from osgm.poly import Polynomial
-from oracles import bareiss_rank, omega_tilde_by_conjugation
+from oracles import bareiss_rank, omega_tilde_by_conjugation, principal_dependence_by_walk
+from strategies import type_pairs
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -469,6 +471,21 @@ def test_principal_dependence_requires_a_difference():
     t = selberg_type()
     with pytest.raises(ValueError):
         principal_dependence(t, t)
+
+
+def _outcome(route, t_special, t_general):
+    try:
+        return route(t_special, t_general)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@given(pair=type_pairs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_principal_dependence_matches_the_walk_route(pair):
+    # same pencil, or the same refusal with the same message, as the route
+    # that walks every subset for the starred sets and for each profile
+    assert _outcome(principal_dependence, *pair) == _outcome(principal_dependence_by_walk, *pair)
 
 
 # ---- spectrum ----------------------------------------------------------------
