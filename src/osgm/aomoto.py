@@ -1,10 +1,10 @@
-"""Cochain complexes on the nbc basis with polynomial weights.
+"""Cochain complexes on the nbc basis with symbolic weights.
 
 The differential in degree q sends a basis monomial a_T to the reduction of
-(sum_j y_j e_j) e_T, a matrix over Q[y_1..y_n] under the row convention
-(row = image of the basis vector, maps act by v |-> v M).  Specializing the
-variables at a rational weight vector gives the complex whose cohomology is
-computed here, together with resonance queries.
+(sum_j y_j e_j) e_T, a matrix of linear forms in y_1..y_n under the row
+convention (row = image of the basis vector, maps act by v |-> v M).
+Specializing the variables at a rational weight vector gives the complex
+whose cohomology is computed here, together with resonance queries.
 """
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ from .linalg import (
     identity_matrix,
 )
 from .orlik_solomon import nbc_basis, os_reduce, wedge
-from .poly import Polynomial, parse_rational
+from .poly import LinearForm, parse_rational
 
 
 class Weights:
@@ -28,7 +28,10 @@ class Weights:
         vals = []
         for i, x in enumerate(values, start=1):
             if isinstance(x, str):
-                vals.append(parse_rational(x))
+                try:
+                    vals.append(parse_rational(x))
+                except ValueError as e:
+                    raise ValueError("weight %d: %s" % (i, e)) from None
                 continue
             if isinstance(x, bool):
                 raise ValueError("weight %d is not a rational number: %r" % (i, x))
@@ -64,7 +67,7 @@ class AomotoComplex:
     def __init__(self, t, bases, boundary):
         self.t = t
         self.bases = bases        # bases[q] = nbc monomials of degree q
-        self.boundary = boundary  # boundary[q]: |nbc_q| x |nbc_{q+1}| over Q[y]
+        self.boundary = boundary  # boundary[q]: |nbc_q| x |nbc_{q+1}| linear forms
 
     def boundary_at(self, lam, q):
         """Specialized differential leaving degree q (zero-width at the top)."""
@@ -92,8 +95,8 @@ def _build_aomoto(t):
                 if w is None:
                     continue
                 M, sgn = w
-                x[M] = x.get(M, Polynomial.zero(n)) + Polynomial.variable(j, n) * sgn
-            row = [Polynomial.zero(n)] * len(cols)
+                x[M] = x.get(M, LinearForm.zero(n)) + LinearForm.variable(j, n) * sgn
+            row = [LinearForm.zero(n)] * len(cols)
             for U, c in os_reduce(x, t).items():
                 row[cols[U]] = c
             mat.append(row)

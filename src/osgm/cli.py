@@ -78,7 +78,7 @@ def _fmt_table(rows):
     ]
 
 
-def _poly_matrix_json(m):
+def _form_matrix_json(m):
     return [[entry.to_json() for entry in row] for row in m]
 
 
@@ -112,6 +112,8 @@ def _os_element_json(elem):
 
 def cmd_deps(args):
     t = _load_type(args.file)
+    if args.degree is not None and not 2 <= args.degree <= t.n + 1:
+        raise ValueError("degree must lie in 2..%d" % (t.n + 1))
     star = dep_star(t)
     dep_qs = [args.degree] if args.degree is not None else sorted(t.dep)
     star_qs = [args.degree] if args.degree is not None else sorted(star)
@@ -171,7 +173,7 @@ def cmd_aomoto(args):
         print(json.dumps({
             "bases": {str(q): [list(T) for T in cx.bases[q]]
                       for q in range(t.ell + 1)},
-            "boundary": {str(q): _poly_matrix_json(cx.boundary[q])
+            "boundary": {str(q): _form_matrix_json(cx.boundary[q])
                          for q in range(t.ell)},
         }, indent=2))
         return
@@ -208,20 +210,20 @@ def cmd_resonance(args):
     lam = _parse_weights(args.weights, t.n)
     h = os_cohomology(t, lam)
     ok = weights_nonresonant(t, lam)
+    # asked before printing, so a bad degree leaves stdout empty
+    carries = None if args.degree is None else in_resonance(t, lam, args.degree, 1, h=h)
     if args.json:
         data = {"dims": h.dims, "nonresonant": ok}
-        if args.degree is not None:
-            data["in_resonance"] = in_resonance(t, lam, args.degree, 1, h=h)
+        if carries is not None:
+            data["in_resonance"] = carries
         print(json.dumps(data))
         return
     print("cohomology dimensions, degrees 0..%d: %s"
           % (t.ell, " ".join(str(d) for d in h.dims)))
     print("nonresonance test (sufficient condition): %s"
           % ("passed" if ok else "failed"))
-    if args.degree is not None:
-        q = args.degree
-        print("degree %d carries cohomology: %s"
-              % (q, "yes" if in_resonance(t, lam, q, 1, h=h) else "no"))
+    if carries is not None:
+        print("degree %d carries cohomology: %s" % (args.degree, "yes" if carries else "no"))
 
 
 def _print_spectrum_lines(report):
@@ -258,7 +260,7 @@ def cmd_gm(args):
         print(json.dumps({
             "S": list(S),
             "r": r,
-            "omega": {str(q): _poly_matrix_json(ind.mats[q])
+            "omega": {str(q): _form_matrix_json(ind.mats[q])
                       for q in range(ell + 1)},
             "weights": lam.to_json(),
             "dims": h.dims,
@@ -330,14 +332,15 @@ def _build_parser():
                     "connection matrices of degenerations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, file2=False, weights=None, pencil=False):
+    def add(name, func, help_text, file2=False, weights=None, pencil=False, degree=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="arrangement JSON file")
         if file2:
             p.add_argument("file2", nargs="?", default=None,
                            help="degenerate arrangement JSON file")
-        p.add_argument("--degree", type=int, default=None,
-                       help="restrict output to one degree")
+        if degree:
+            p.add_argument("--degree", type=int, default=None,
+                           help="restrict output to one degree")
         if weights is not None:
             p.add_argument("--weights", required=weights,
                            help='rationals "a/b,c/d,..." or a JSON file '
@@ -351,9 +354,10 @@ def _build_parser():
         return p
 
     add("deps", cmd_deps, "dependent subsets of the projective closure, by size")
-    add("betti", cmd_betti, "dimensions of the algebra in each degree")
+    add("betti", cmd_betti, "dimensions of the algebra in each degree", degree=False)
     add("nbc", cmd_nbc, "monomial basis in each degree")
-    add("aomoto", cmd_aomoto, "symbolic boundary matrices of the weight complex")
+    add("aomoto", cmd_aomoto, "symbolic boundary matrices of the weight complex",
+        degree=False)
     add("cohomology", cmd_cohomology,
         "cohomology dimensions and classes at given weights", weights=True)
     add("resonance", cmd_resonance,
@@ -363,7 +367,7 @@ def _build_parser():
         file2=True, weights=True, pencil=True)
     add("spectrum", cmd_spectrum,
         "eigenvalue structure of a pencil degeneration",
-        weights=False, pencil=True)
+        weights=False, pencil=True, degree=False)
     return parser
 
 

@@ -35,7 +35,7 @@ from .linalg import (
     rank,
 )
 from .orlik_solomon import projection_matrix, wedge
-from .poly import Polynomial, format_rational
+from .poly import LinearForm, Quadratic, format_rational
 
 
 class NotCovered(ValueError):
@@ -90,9 +90,9 @@ class SigmaAction:
         for j in range(1, n + 1):
             m = images[j - 1]
             if m == n + 1:
-                self.subst[j] = Polynomial.subset_sum((n + 1,), n)
+                self.subst[j] = LinearForm.subset_sum((n + 1,), n)
             else:
-                self.subst[j] = Polynomial.variable(m, n)
+                self.subst[j] = LinearForm.variable(m, n)
         self.mats = [self._degree_matrix(p) for p in range(ell + 1)]
         if validate:
             self._check_chain()
@@ -146,7 +146,7 @@ class SigmaAction:
 
     def _check_chain(self):
         cx = build_aomoto(generic_type(self.n, self.ell))
-        zero = Polynomial.zero(self.n)
+        zero = LinearForm.zero(self.n)
         for p in range(self.ell):
             twisted = self.subst_mat(cx.boundary[p])
             if _mm(twisted, self.mats[p + 1], zero) != _mm(self.mats[p], cx.boundary[p], zero):
@@ -166,7 +166,9 @@ class SigmaAction:
 
 
 class ChainEndomorphism:
-    """Degreewise square matrices over Q[y] commuting with the differential.
+    """Degreewise square matrices of linear forms in the weights commuting
+    with the differential; the identity W_q D_q = D_q W_{q+1} is checked
+    exactly, as a matrix of quadratic forms.
 
     Instances are treated as immutable once built; sums and induced maps
     always allocate fresh matrices, so cached copies can be shared freely.
@@ -183,10 +185,9 @@ class ChainEndomorphism:
             self._check_chain()
 
     def _check_chain(self):
-        zero = Polynomial.zero(self.cx.t.n)
         for q in range(len(self.mats) - 1):
             d = self.cx.boundary[q]
-            if _mm(self.mats[q], d, zero) != _mm(d, self.mats[q + 1], zero):
+            if _mm(self.mats[q], d, Quadratic()) != _mm(d, self.mats[q + 1], Quadratic()):
                 raise ValueError("matrices do not commute with the differential "
                                  "in degree %d" % q)
 
@@ -221,13 +222,13 @@ def _closure_images(K, n):
     Keyed by closure monomial U; each image is {affine monomial: entry},
     already stripped of the closure monomials that contain n+1.
     """
-    zero = Polynomial.zero(n)
+    zero = LinearForm.zero(n)
     bnd = [(V, s) for V, s in _boundary_terms(K) if n + 1 not in V]
     images = {}
     for j in K:
         U = tuple(t for t in K if t != j)
         _, sgn = wedge((j,), U)
-        yj = Polynomial.subset_sum((j,), n) * sgn
+        yj = LinearForm.subset_sum((j,), n) * sgn
         images[U] = {V: yj * s for V, s in bnd}
     top = {}
     for V, s in bnd:
@@ -235,7 +236,7 @@ def _closure_images(K, n):
             w = wedge((j,), V)
             if w is not None:
                 W, sgn = w
-                top[W] = top.get(W, zero) + Polynomial.variable(j, n) * (s * sgn)
+                top[W] = top.get(W, zero) + LinearForm.variable(j, n) * (s * sgn)
     images[K] = top
     return images
 
@@ -279,7 +280,7 @@ def omega_tilde(S, n, ell):
     if S in built:
         return built[S]
     cx = build_aomoto(g)
-    zero = Polynomial.zero(n)
+    zero = LinearForm.zero(n)
     mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
     index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
     for U, image in _closure_images(S, n).items():
@@ -310,7 +311,7 @@ def pencil_sum_terms(S, r, n, ell):
 
 def _weighted_sum(terms, n, ell):
     cx = build_aomoto(generic_type(n, ell))
-    zero = Polynomial.zero(n)
+    zero = LinearForm.zero(n)
     mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
     for K in sorted(terms):
         m = terms[K]
@@ -375,7 +376,7 @@ def induce_on_type(e, t):
         raise ValueError("type does not live on the endomorphism's (n, ell)")
     n, ell = t.n, t.ell
     cx = build_aomoto(t)
-    zero = Polynomial.zero(n)
+    zero = LinearForm.zero(n)
     gen_bases = e.cx.bases
     mats = []
     for q in range(ell + 1):
@@ -488,9 +489,9 @@ def spectrum_check(e, S):
     first failing degree and entry.
     """
     n = e.cx.t.n
-    ys = Polynomial.subset_sum(tuple(S), n)
+    ys = LinearForm.subset_sum(tuple(S), n)
     for q, m in enumerate(e.mats):
-        _, bad = _quadratic_defect(m, ys, Polynomial.zero(n))
+        _, bad = _quadratic_defect(m, ys, Quadratic())
         if bad is not None:
             return False, {"degree": q, "row": bad[0], "col": bad[1]}
     return True, None

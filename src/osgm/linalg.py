@@ -142,7 +142,8 @@ def solve_row_combination(rows, w):
 
 
 def matmul(a, b, zero):
-    """Matrix product; `zero` supplies the additive identity of the ring."""
+    """Matrix product; `zero` is the additive identity of the products of
+    entries (`Quadratic()` when both matrices hold linear forms)."""
     if not a or not b:
         return []
     ncols = len(b[0])
@@ -164,7 +165,7 @@ def matmul(a, b, zero):
 
 
 def mat_evaluate(m, lam):
-    """Specialize a polynomial matrix at a rational weight vector."""
+    """Specialize a matrix of linear forms at a rational weight vector."""
     return [[entry.evaluate(lam) for entry in row] for row in m]
 
 

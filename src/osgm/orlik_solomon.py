@@ -1,7 +1,8 @@
 """Exterior algebra modulo the relations of a combinatorial type.
 
 Elements are dicts {sorted index tuple: coefficient}; coefficients may be
-Fractions or Polynomials, the code only relies on ring operations.  The
+Fractions or linear forms in the weights, the code only adds them and
+scales them by integers.  The
 quotient has a monomial basis indexed by the subsets that contain no broken
 circuit and have a nonempty affine intersection, and os_reduce rewrites any
 element into that basis.

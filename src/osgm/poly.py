@@ -1,13 +1,18 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Linear forms in the weight variables over exact rationals.
 
-Coefficients live in Q (stdlib Fraction), variables are y_1..y_n.  The weight
-of the projective extra hyperplane never appears as a variable: y_{n+1} is
-eliminated everywhere as -(y_1 + ... + y_n), see Polynomial.subset_sum.
+Every matrix entry osgm builds (an Aomoto boundary, a basic endomorphism,
+a pencil or pair sum, an induced map) is a form c_1 y_1 + ... + c_n y_n
+with rational coefficients (stdlib Fraction) and no constant term: the
+differential multiplies by the weighted one-form sum y_j e_j, and every
+map built from it is linear in the weights too.  The weight of the
+projective extra hyperplane never appears as a variable: y_{n+1} is
+eliminated everywhere as -(y_1 + ... + y_n), see LinearForm.subset_sum.
 
-Terms are stored sparsely as {exponent tuple: Fraction}; zero coefficients are
-dropped eagerly, so equality is dict equality and `bool(p)` tests nonzero.
-The canonical term order used for printing and serialization is graded
-lexicographic: higher total degree first, ties broken lexicographically.
+A form stores {j: Fraction} for its nonzero coefficients only, so equality
+is dict equality and `bool(f)` tests nonzero.  Printing and serialization
+list the terms by ascending variable index, each serialized with its
+exponent vector.  The product of two forms is a `Quadratic`, kept only so
+that symbolic matrix products can be compared exactly.
 """
 
 from fractions import Fraction
@@ -32,132 +37,90 @@ def format_rational(q):
     return str(q)
 
 
-def _grlex_key(expo):
-    # graded lex, descending: total degree first, then lexicographically
-    # larger exponent vectors first (so y1^2 sorts before y1*y2)
-    return (-sum(expo), tuple(-e for e in expo))
+def _add_terms(terms, pairs):
+    """A copy of the sparse coefficient map `terms` with each (key, c) of
+    `pairs` added in, zero coefficients dropped."""
+    out = dict(terms)
+    for key, c in pairs:
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
-class Polynomial:
+class LinearForm:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for expo, c in terms.items():
-                if c:
-                    self.terms[expo] = self.terms.get(expo, Fraction(0)) + c
-                    if not self.terms[expo]:
-                        del self.terms[expo]
+        self.terms = {j: Fraction(c) for j, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        # trusted constructor: terms already Fractions, all nonzero
+        f = cls.__new__(cls)
+        f.nvars = nvars
+        f.terms = terms
+        return f
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, c, nvars):
-        c = Fraction(c)
-        if not c:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        return cls._of(nvars, {})
 
     @classmethod
     def variable(cls, j, nvars):
         """The variable y_j, 1-based, 1 <= j <= nvars."""
         if not 1 <= j <= nvars:
             raise ValueError("variable index %d out of range 1..%d" % (j, nvars))
-        expo = [0] * nvars
-        expo[j - 1] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)})
+        return cls._of(nvars, {j: Fraction(1)})
 
     @classmethod
     def subset_sum(cls, S, nvars):
         """y_S = sum of y_j over j in S, where j = nvars+1 means the infinity
         weight -(y_1 + ... + y_nvars)."""
-        coeffs = [0] * nvars
+        coeffs = [0] * (nvars + 1)
         for j in S:
             if j == nvars + 1:
-                for k in range(nvars):
+                for k in range(1, nvars + 1):
                     coeffs[k] -= 1
             else:
-                coeffs[j - 1] += 1
-        p = cls(nvars)
-        for k, c in enumerate(coeffs):
-            if c:
-                expo = [0] * nvars
-                expo[k] = 1
-                p.terms[tuple(expo)] = Fraction(c)
-        return p
+                coeffs[j] += 1
+        return cls._of(nvars, {j: Fraction(c) for j, c in enumerate(coeffs) if c})
 
-    @classmethod
-    def random(cls, rng, nvars, max_deg=2, max_terms=4):
-        # test helper: a small random polynomial
-        p = cls(nvars)
-        for _ in range(rng.randint(0, max_terms)):
-            expo = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            if c:
-                p = p + cls(nvars, {expo: c})
-        return p
-
-    # ---- ring operations ----------------------------------------------
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts: %d vs %d" % (self.nvars, other.nvars))
+    # ---- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other, self.nvars)
-        self._check(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = terms.get(expo, Fraction(0)) + c
-            if s:
-                terms[expo] = s
-            else:
-                terms.pop(expo, None)
-        out = Polynomial(self.nvars)
-        out.terms = terms
-        return out
+        if not isinstance(other, LinearForm):
+            # 0 + form, as sums started from the integer 0 produce
+            return self if other == 0 else NotImplemented
+        if self.nvars != other.nvars:
+            raise ValueError("mixed variable counts: %d vs %d" % (self.nvars, other.nvars))
+        return LinearForm._of(self.nvars, _add_terms(self.terms, other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial(self.nvars)
-        out.terms = {expo: -c for expo, c in self.terms.items()}
-        return out
+        return LinearForm._of(self.nvars, {j: -c for j, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other, self.nvars)
+        if not isinstance(other, LinearForm):
+            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            out = Polynomial(self.nvars)
-            if c:
-                out.terms = {expo: c * v for expo, v in self.terms.items()}
-            return out
-        self._check(other)
-        out = Polynomial(self.nvars)
-        terms = out.terms
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(expo, Fraction(0)) + c1 * c2
-                if s:
-                    terms[expo] = s
-                else:
-                    terms.pop(expo, None)
-        return out
+        """Scalar multiple, or the Quadratic product of two forms."""
+        if isinstance(other, LinearForm):
+            return Quadratic(_add_terms({}, (((j, k) if j <= k else (k, j), a * b)
+                                             for j, a in self.terms.items()
+                                             for k, b in other.terms.items())))
+        c = Fraction(other)
+        if not c:
+            return LinearForm._of(self.nvars, {})
+        return LinearForm._of(self.nvars, {j: c * v for j, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -165,13 +128,9 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
-        # comparison against a scalar
-        return self == Polynomial.constant(other, self.nvars)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
 
     # ---- evaluation / substitution -------------------------------------
 
@@ -180,52 +139,27 @@ class Polynomial:
         if len(lam) != self.nvars:
             raise ValueError("expected %d values, got %d" % (self.nvars, len(lam)))
         total = Fraction(0)
-        for expo, c in self.terms.items():
-            v = c
-            for x, e in zip(lam, expo):
-                if e:
-                    v *= x ** e
-            total += v
+        for j, c in self.terms.items():
+            total += c * lam[j - 1]
         return total
 
     def substitute(self, mapping):
-        """Ring homomorphism determined by y_j -> mapping[j] (a Polynomial).
-        Variables not in the mapping are left alone."""
-        out = Polynomial.zero(self.nvars)
-        for expo, c in self.terms.items():
-            term = Polynomial.constant(c, self.nvars)
-            for k, e in enumerate(expo):
-                if not e:
-                    continue
-                img = mapping.get(k + 1)
-                if img is None:
-                    img = Polynomial.variable(k + 1, self.nvars)
-                for _ in range(e):
-                    term = term * img
-            out = out + term
+        """Image under y_j -> mapping[j] (a LinearForm); variables not in
+        the mapping are left alone."""
+        out = LinearForm.zero(self.nvars)
+        for j, c in self.terms.items():
+            img = mapping.get(j)
+            out = out + (img * c if img is not None else LinearForm._of(self.nvars, {j: c}))
         return out
 
     # ---- presentation ---------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for expo, c in self.sorted_terms():
-            mono = "*".join(
-                "y%d" % (k + 1) if e == 1 else "y%d^%d" % (k + 1, e)
-                for k, e in enumerate(expo)
-                if e
-            )
-            if not mono:
-                body = format_rational(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (format_rational(abs(c)), mono)
+        for j, c in sorted(self.terms.items()):
+            body = "y%d" % j if abs(c) == 1 else "%s*y%d" % (format_rational(abs(c)), j)
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -235,21 +169,35 @@ class Polynomial:
     __repr__ = __str__
 
     def to_json(self):
-        return [
-            {"coefficient": format_rational(c), "exponents": list(expo)}
-            for expo, c in self.sorted_terms()
-        ]
+        out = []
+        for j, c in sorted(self.terms.items()):
+            expo = [0] * self.nvars
+            expo[j - 1] = 1
+            out.append({"coefficient": format_rational(c), "exponents": expo})
+        return out
 
-    @classmethod
-    def from_json(cls, records, nvars):
-        p = cls(nvars)
-        for rec in records:
-            expo = tuple(rec["exponents"])
-            if len(expo) != nvars:
-                raise ValueError("exponent tuple of length %d, expected %d" % (len(expo), nvars))
-            c = parse_rational(rec["coefficient"])
-            if c:
-                p.terms[expo] = p.terms.get(expo, Fraction(0)) + c
-                if not p.terms[expo]:
-                    del p.terms[expo]
-        return p
+
+class Quadratic:
+    """A quadratic form, sum of c y_j y_k over j <= k, stored as
+    {(j, k): c} with nonzero coefficients only.
+
+    Only the product of two linear forms makes one; summed by `matmul`
+    from `Quadratic()`, it lets the chain and spectrum identities be
+    compared exactly.  It supports nothing beyond +, truthiness and ==.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = terms or {}
+
+    def __add__(self, other):
+        return Quadratic(_add_terms(self.terms, other.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Quadratic):
+            return NotImplemented
+        return self.terms == other.terms

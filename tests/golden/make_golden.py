@@ -34,6 +34,10 @@ NONRES8 = "1/2,1/3,1/5,1/7,1/11,1/13,1/17,1/19"
 # rows 2 and 4 are the same line
 REP = INPUTS + "repeated-row.json"
 GEN5 = INPUTS + "generic-5-2.json"
+# ten generic lines: two-digit variables, and the pencil through the line
+# at infinity gives multi-term forms over all ten of them
+GEN10 = INPUTS + "generic-10-2.json"
+NONRES10 = "1/2,1/3,1/5,1/7,1/11,1/13,1/17,1/19,1/23,1/29"
 
 CASES = [
     ("deps", ["deps", SEL]),
@@ -94,6 +98,13 @@ CASES = [
     ("gm-pencil-repeated", ["gm", REP, "--pencil", "2,4", "1", "--weights", NONRES]),
     ("gm-pair-repeated", ["gm", GEN5, REP, "--weights", NONRES]),
     ("gm-pair-repeated-json", ["gm", GEN5, REP, "--weights", NONRES, "--json"]),
+    ("aomoto-generic10", ["aomoto", GEN10]),
+    ("aomoto-generic10-json", ["aomoto", GEN10, "--json"]),
+    ("gm-pencil-generic10",
+     ["gm", GEN10, "--pencil", "2,10,11", "1", "--weights", NONRES10]),
+    ("gm-pencil-generic10-json",
+     ["gm", GEN10, "--pencil", "2,10,11", "1", "--weights", NONRES10, "--json"]),
+    ("spectrum-generic10", ["spectrum", GEN10, "--pencil", "2,10,11", "1"]),
 ]
 
 

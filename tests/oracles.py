@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from osgm.poly import Polynomial
+from osgm.poly import LinearForm
 
 
 def bareiss_rank(m):
@@ -146,7 +146,7 @@ def leading_set_omega(k, n, ell):
     e_{1..k} goes to the weighted one-form times that boundary.  Sets
     reaching past n act as zero.
     """
-    zero = Polynomial.zero(n)
+    zero = LinearForm.zero(n)
     bases = [list(combinations(range(1, n + 1), p)) for p in range(ell + 1)]
     index = [{T: i for i, T in enumerate(b)} for b in bases]
     mats = [[[zero] * len(b) for _ in b] for b in bases]
@@ -161,7 +161,7 @@ def leading_set_omega(k, n, ell):
             _, sgn = _sort_sign((j,) + T)
             row = mats[k - 1][idx[T]]
             for V, b in bnd:
-                row[idx[V]] = row[idx[V]] + Polynomial.variable(j, n) * (sgn * b)
+                row[idx[V]] = row[idx[V]] + LinearForm.variable(j, n) * (sgn * b)
     if k <= ell:
         idx = index[k]
         row = mats[k][idx[s0]]
@@ -169,7 +169,7 @@ def leading_set_omega(k, n, ell):
             for j in range(1, n + 1):
                 if j not in U:
                     V, sgn = _sort_sign((j,) + U)
-                    row[idx[V]] = row[idx[V]] + Polynomial.variable(j, n) * (b * sgn)
+                    row[idx[V]] = row[idx[V]] + LinearForm.variable(j, n) * (b * sgn)
     return mats
 
 
@@ -204,7 +204,7 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
     base = leading_set_omega(len(S), n, ell)
     act = SigmaAction(images, n, ell, validate=False)
     inv = act.inverse()
-    zero = Polynomial.zero(n)
+    zero = LinearForm.zero(n)
     return [
         _product(_product(inv.mats[p], act.subst_mat(base[p]), zero), act.mats[p], zero)
         for p in range(ell + 1)
@@ -366,3 +366,71 @@ def cohomology_reps_by_elimination(t, lam):
         reps, piv = dense_rref(reduced)
         out.append((reps[:len(piv)], piv))
     return out
+
+
+# ---- symbolic products by evaluation -----------------------------------------
+# Every entry of a product of two linear-form matrices is a quadratic form
+# with no linear or constant part.  Its value at e_j is the coefficient of
+# y_j^2, and its value at e_j + e_k adds the coefficient of y_j y_k, so a
+# quadratic form that vanishes at all of these points is zero.  The routes
+# below decide the library's exact symbolic identities that way, through
+# rational matrices only.
+
+
+def quadratic_value(f, point):
+    """Value of a `Quadratic` at a rational point, from its coefficients."""
+    return sum((c * point[j - 1] * point[k - 1] for (j, k), c in f.terms.items()),
+               Fraction(0))
+
+
+def probe_points(n):
+    """The points e_j and e_j + e_k (j < k) of Q^n."""
+    units = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    return units + [tuple(a + b for a, b in zip(units[j], units[k]))
+                    for j, k in combinations(range(n), 2)]
+
+
+def _specialize(m, point):
+    return [[f.evaluate(point) for f in row] for row in m]
+
+
+def products_agree_by_evaluation(a, b, c, d, n):
+    """Whether a @ b equals c @ d, for linear-form matrices in n variables,
+    decided by comparing the specialized products at every probe point."""
+    zero = Fraction(0)
+    return all(
+        _product(_specialize(a, p), _specialize(b, p), zero)
+        == _product(_specialize(c, p), _specialize(d, p), zero)
+        for p in probe_points(n))
+
+
+def chain_failure_by_evaluation(cx, mats):
+    """First degree q where W_q D_q != D_q W_{q+1}, or None, with every
+    identity decided at the probe points."""
+    n = cx.t.n
+    for q in range(len(mats) - 1):
+        d = cx.boundary[q]
+        if not products_agree_by_evaluation(mats[q], d, d, mats[q + 1], n):
+            return q
+    return None
+
+
+def spectrum_check_by_evaluation(e, S):
+    """`spectrum_check` at the probe points: (True, None), or (False, the
+    first degree and row-major entry where M (M - y_S I) is nonzero at some
+    probe point)."""
+    n = e.cx.t.n
+    zero = Fraction(0)
+    for q, m in enumerate(e.mats):
+        bad = set()
+        for p in probe_points(n):
+            ys = sum((-sum(p) if j == n + 1 else p[j - 1] for j in S), zero)
+            spec = _specialize(m, p)
+            shifted = [[x - ys if i == k else x for k, x in enumerate(row)]
+                       for i, row in enumerate(spec)]
+            prod = _product(spec, shifted, zero)
+            bad.update((i, k) for i, row in enumerate(prod) for k, x in enumerate(row) if x)
+        if bad:
+            i, k = min(bad)
+            return False, {"degree": q, "row": i, "col": k}
+    return True, None

@@ -1,5 +1,6 @@
 # Hypothesis strategies for small combinatorial types, realized and
-# user-asserted, and for pairs of types that may be a degeneration.
+# user-asserted, for pairs of types that may be a degeneration, and for
+# linear forms in the weights and matrices of them.
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
+from osgm.poly import LinearForm
 
 
 def _moment(t, width):
@@ -158,3 +160,18 @@ def type_pairs(draw):
         special = Arrangement(general.ell, general.n, rows)
     return (CombinatorialType.from_arrangement(special),
             CombinatorialType.from_arrangement(general))
+
+
+def small_rationals():
+    return st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def linear_forms(n, max_terms=3):
+    """Linear forms in y_1..y_n with a few small rational coefficients."""
+    return st.dictionaries(st.integers(1, n), small_rationals(), max_size=max_terms).map(
+        lambda terms: LinearForm(n, terms))
+
+
+def linear_form_matrices(n, rows, cols):
+    return st.lists(st.lists(linear_forms(n), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)

@@ -26,7 +26,7 @@ from osgm.gauss_manin import (
 )
 from osgm.linalg import matmul, rank
 from osgm.orlik_solomon import betti_numbers, nbc_basis, os_reduce
-from osgm.poly import Polynomial
+from osgm.poly import LinearForm, Quadratic
 from conftest import record
 from oracles import exterior_quotient_dims
 
@@ -55,13 +55,13 @@ def selberg_type():
 
 
 def y(*js):
-    p = Polynomial.zero(5)
+    p = LinearForm.zero(5)
     for j in js:
-        p = p + Polynomial.variable(j, 5)
+        p = p + LinearForm.variable(j, 5)
     return p
 
 
-Z = Polynomial.zero(5)
+Z = LinearForm.zero(5)
 
 
 def b_block():
@@ -229,19 +229,17 @@ def test_criterion_7():
                selberg_type()]
     for t in squares:
         cx = build_aomoto(t)
-        zero = Polynomial.zero(t.n)
         for q in range(t.ell - 1):
-            prod = matmul(cx.boundary[q], cx.boundary[q + 1], zero)
+            prod = matmul(cx.boundary[q], cx.boundary[q + 1], Quadratic())
             assert all(not c for row in prod for c in row)
     # every basic endomorphism commutes with the differential
     cx = build_aomoto(generic_type(5, 2))
-    zero = Polynomial.zero(5)
     for size in (2, 3, 4):
         for S in combinations(range(1, 7), size):
             e = omega_tilde(S, 5, 2)
             for q in range(2):
-                lhs = matmul(e.mats[q], cx.boundary[q], zero)
-                rhs = matmul(cx.boundary[q], e.mats[q + 1], zero)
+                lhs = matmul(e.mats[q], cx.boundary[q], Quadratic())
+                rhs = matmul(cx.boundary[q], e.mats[q + 1], Quadratic())
                 assert lhs == rhs, S
     # basis counts against the brute-force quotient dimensions, and the
     # alternating-sum identity at random weights

@@ -13,7 +13,7 @@ from osgm.aomoto import (
     nonresonance_conditions,
     weights_nonresonant,
 )
-from osgm.poly import Polynomial
+from osgm.poly import LinearForm, Quadratic
 from osgm.linalg import matmul, mat_evaluate
 from oracles import class_coords_by_solving, cohomology_reps_by_elimination, frac_rank
 
@@ -31,9 +31,9 @@ def selberg_type():
 
 
 def y(*js):
-    p = Polynomial.zero(5)
+    p = LinearForm.zero(5)
     for j in js:
-        p = p + Polynomial.variable(j, 5)
+        p = p + LinearForm.variable(j, 5)
     return p
 
 
@@ -46,8 +46,10 @@ def test_weights():
     assert lam.subset_sum((3, 4, 5)) == Fraction(167, 385)
     with pytest.raises(ValueError):
         lam[7]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight 2: zero denominator"):
         Weights(["1/2", "1/0"])
+    with pytest.raises(ValueError, match="^weight 1: not a rational literal: 'x'"):
+        Weights(["x", "1/2"])
 
 
 def test_selberg_boundary_degree0():
@@ -57,7 +59,7 @@ def test_selberg_boundary_degree0():
 
 def test_selberg_boundary_degree1():
     c = build_aomoto(selberg_type())
-    z = Polynomial.zero(5)
+    z = LinearForm.zero(5)
     expected = [
         [-y(3), -y(4), -y(5), z, z, z],
         [z, z, z, -y(3), -y(4), -y(5)],
@@ -102,9 +104,8 @@ def test_differential_squares_to_zero():
         done += 1
     for t in types:
         c = build_aomoto(t)
-        zero = Polynomial.zero(t.n)
         for q in range(len(c.boundary) - 1):
-            prod = matmul(c.boundary[q], c.boundary[q + 1], zero)
+            prod = matmul(c.boundary[q], c.boundary[q + 1], Quadratic())
             assert all(not e for row in prod for e in row)
 
 

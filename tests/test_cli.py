@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from osgm.aomoto import build_aomoto
 from osgm.arrangement import Arrangement, CombinatorialType
 from osgm.cli import main
-from osgm.poly import Polynomial
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SELBERG = str(DATA / "selberg.json")
@@ -69,11 +68,8 @@ def test_aomoto_json_round_trips(capsys):
     t = CombinatorialType.from_arrangement(Arrangement.from_file(SELBERG))
     cx = build_aomoto(t)
     for q in range(t.ell):
-        parsed = [
-            [Polynomial.from_json(rec, t.n) for rec in row]
-            for row in data["boundary"][str(q)]
-        ]
-        assert parsed == cx.boundary[q]
+        assert data["boundary"][str(q)] == [[f.to_json() for f in row]
+                                            for row in cx.boundary[q]]
 
 
 def test_cohomology_resonant_dims(capsys):
@@ -380,3 +376,141 @@ def test_malformed_files_exit_cleanly(data, command):
     assert code in ((2,) if expect_2 else (0, 2, 3))
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+# ---- command-line arguments ---------------------------------------------------
+
+
+def run_quiet(argv):
+    """(exit code, stdout, stderr) of an in-process run; argparse refuses
+    arguments by raising SystemExit."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_degree_is_refused_where_it_is_not_read():
+    for argv in (["betti", SELBERG], ["aomoto", SELBERG],
+                 ["spectrum", SELBERG, "--pencil", "3,4,5", "1"]):
+        code, out, err = run_quiet(argv + ["--degree", "7"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --degree 7" in err
+
+
+def test_deps_refuses_degree_outside_the_subset_sizes():
+    for degree in ("-3", "0", "1", "7"):
+        code, out, err = run_quiet(["deps", SELBERG, "--degree", degree])
+        assert (code, out, err) == (2, "", "error: degree must lie in 2..6\n")
+    for degree in ("2", "6"):
+        code, out, _ = run_quiet(["deps", SELBERG, "--degree", degree])
+        assert code == 0
+        assert "Dep_%s: " % degree in out
+
+
+def test_resonance_refuses_a_bad_degree_before_printing():
+    for flags in ([], ["--json"]):
+        code, out, err = run_quiet(["resonance", SELBERG, "--weights", RES,
+                                    "--degree", "9"] + flags)
+        assert (code, out, err) == (2, "", "error: need 0 <= q <= ell and m >= 1\n")
+
+
+def test_weight_errors_name_the_weight():
+    for weights, message in (
+            ("1/2,x,1/5,1/7,1/11", "error: weight 2: not a rational literal: 'x'\n"),
+            ("1/0,1/3,1/5,1/7,1/11",
+             "error: weight 1: zero denominator in rational literal: '1/0'\n")):
+        code, out, err = run_quiet(["cohomology", SELBERG, "--weights", weights])
+        assert (code, out, err) == (2, "", message)
+
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _argv(command, pencil_s, pencil_r, degree, weights):
+    """argv of one subcommand on the Selberg file with the given tokens."""
+    return {
+        "deps": ["deps", SELBERG, "--degree", degree],
+        "nbc": ["nbc", SELBERG, "--degree", degree],
+        "cohomology": ["cohomology", SELBERG, "--weights", weights, "--degree", degree],
+        "resonance": ["resonance", SELBERG, "--weights", weights, "--degree", degree],
+        "gm": ["gm", SELBERG, "--pencil", pencil_s, pencil_r, "--weights", weights,
+               "--degree", degree],
+        "spectrum": ["spectrum", SELBERG, "--pencil", pencil_s, pencil_r,
+                     "--weights", weights],
+    }[command]
+
+
+COMMANDS = ["deps", "nbc", "cohomology", "resonance", "gm", "spectrum"]
+
+
+@FUZZ
+@given(command=st.sampled_from(COMMANDS), pencil_s=st.text(max_size=10),
+       pencil_r=st.text(max_size=4), degree=st.text(max_size=4),
+       weights=st.text(max_size=24))
+def test_arbitrary_argument_text_exits_cleanly(command, pencil_s, pencil_r, degree, weights):
+    code, out, err = run_quiet(_argv(command, pencil_s, pencil_r, degree, weights))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "")
+    assert code == 0 or out == ""
+
+
+NOT_INTEGERS = ["x", "3.5", "1/2", "0x3", "1e2", "3-", ""]
+NOT_RATIONALS = ["x", "1.5", "1/2/3", "1/x", "", "1/0", "-3/0"]
+
+
+@st.composite
+def malformed_arguments(draw):
+    """A valid call on the Selberg file with exactly one token broken."""
+    command = draw(st.sampled_from(COMMANDS))
+    S = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True))
+    r = draw(st.integers(1, min(2, len(S) - 1)))
+    weights = [str(draw(st.fractions(max_denominator=9))) for _ in range(5)]
+    degree = draw(st.integers(2, 6) if command == "deps" else st.integers(0, 2))
+    spots = {"deps": ["degree"], "nbc": ["degree"],
+             "cohomology": ["degree", "weights"], "resonance": ["degree", "weights"],
+             "gm": ["degree", "weights", "S", "r"], "spectrum": ["weights", "S", "r"]}
+    spot = draw(st.sampled_from(spots[command]))
+    items = [str(j) for j in S]
+    if spot == "degree":
+        degree = draw(st.one_of(
+            st.sampled_from(NOT_INTEGERS),
+            st.sampled_from([-1, 7, 100] if command == "deps" else [-1, 3, 100])))
+    elif spot == "weights":
+        kind = draw(st.sampled_from(["item", "count"]))
+        if kind == "item":
+            weights[draw(st.integers(0, 4))] = draw(st.sampled_from(NOT_RATIONALS))
+        else:
+            weights = weights[:-1] if draw(st.booleans()) else weights + ["1/2"]
+    elif spot == "S":
+        kind = draw(st.sampled_from(["not an integer", "repeated", "out of range",
+                                     "too few"]))
+        if kind == "not an integer":
+            items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(NOT_INTEGERS))
+        elif kind == "repeated":
+            items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(items)))
+        elif kind == "out of range":
+            items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(["0", "-1", "7"]))
+        else:
+            items = items[:1]
+    else:
+        r = draw(st.one_of(st.sampled_from(NOT_INTEGERS),
+                           st.sampled_from([-1, 0, 3, len(S)]).filter(
+                               lambda v: not 1 <= v <= min(2, len(S) - 1))))
+    return _argv(command, ",".join(items), str(r), str(degree), ",".join(weights))
+
+
+@FUZZ
+@given(argv=malformed_arguments())
+def test_malformed_arguments_exit_2(argv):
+    code, out, err = run_quiet(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(("error: ", "usage: "))
+    assert "Traceback" not in err

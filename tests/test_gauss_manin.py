@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type
 from osgm.aomoto import Weights, build_aomoto, os_cohomology, weights_nonresonant
@@ -26,9 +26,15 @@ from osgm.gauss_manin import (
     spectrum_report,
 )
 from osgm.linalg import identity_matrix, matmul, mat_sub, rank
-from osgm.poly import Polynomial
-from oracles import bareiss_rank, omega_tilde_by_conjugation, principal_dependence_by_walk
-from strategies import type_pairs
+from osgm.poly import LinearForm, Quadratic
+from oracles import (
+    bareiss_rank,
+    chain_failure_by_evaluation,
+    omega_tilde_by_conjugation,
+    principal_dependence_by_walk,
+    spectrum_check_by_evaluation,
+)
+from strategies import linear_forms, type_pairs
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -56,13 +62,13 @@ def collapsed_type():
 
 
 def y(*js):
-    p = Polynomial.zero(5)
+    p = LinearForm.zero(5)
     for j in js:
-        p = p + Polynomial.variable(j, 5)
+        p = p + LinearForm.variable(j, 5)
     return p
 
 
-Z = Polynomial.zero(5)
+Z = LinearForm.zero(5)
 
 
 def poly_zeros(nrows, ncols):
@@ -122,7 +128,7 @@ def test_sigma_swapping_with_last_index():
     assert m[2] == [0, 0, -one, 0, 0]
     assert m[0] == [one, 0, -one, 0, 0]
     assert m[4] == [0, 0, -one, 0, one]
-    assert act.substitute(y(3)) == Polynomial.subset_sum((6,), 5)
+    assert act.substitute(y(3)) == LinearForm.subset_sum((6,), 5)
     assert act.substitute(y(1)) == y(1)
 
 
@@ -334,14 +340,14 @@ def test_induce_identity():
     for q in range(3):
         size = len(cx.bases[q])
         mats.append([
-            [Polynomial.constant(Fraction(int(i == j)), 5) for j in range(size)]
+            [y(1) if i == j else Z for j in range(size)]
             for i in range(size)
         ])
     e = ChainEndomorphism(cx, mats)
     ind = induce_on_type(e, selberg_type())
     for q, size in enumerate((1, 5, 6)):
         expected = [
-            [Polynomial.constant(Fraction(int(i == j)), 5) for j in range(size)]
+            [y(1) if i == j else Z for j in range(size)]
             for i in range(size)
         ]
         assert ind.mats[q] == expected
@@ -367,8 +373,7 @@ def test_induce_rejects_map_that_breaks_relations():
         poly_zeros(5, 5),
         poly_zeros(10, 10),
     ]
-    one = Polynomial.constant(Fraction(1), 5)
-    mats[2][0][1] = one  # e_12 (a relation for the Selberg type) -> e_13
+    mats[2][0][1] = y(1)  # e_12 (a relation for the Selberg type) -> e_13
     e = ChainEndomorphism(cx, mats, validate=False)
     with pytest.raises(NotCovered, match="covering"):
         induce_on_type(e, selberg_type())
@@ -552,11 +557,40 @@ def test_spectrum_witness_is_first_failing_entry_row_major():
         m = mats[q]
         shifted = [[c - ys if a == b else c for b, c in enumerate(row)]
                    for a, row in enumerate(m)]
-        product = matmul(m, shifted, Z)
+        product = matmul(m, shifted, Quadratic())
         first = next((a, b) for a, row in enumerate(product)
                      for b, c in enumerate(row) if c)
         assert not ok
         assert witness == {"degree": q, "row": first[0], "col": first[1]}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_chain_and_spectrum_verdicts_match_evaluation(data):
+    # a pencil sum with up to two entries flipped or moved: the symbolic
+    # chain check and spectrum check decide as the probe-point route does
+    draw = data.draw
+    n, ell = draw(st.sampled_from([(3, 1), (3, 2), (4, 2), (4, 3)]))
+    S = tuple(sorted(draw(st.lists(st.integers(1, n + 1), min_size=2, max_size=n + 1,
+                                   unique=True))))
+    r = draw(st.integers(1, min(ell, len(S) - 1)))
+    e = omega_tilde_sum(S, r, n, ell)
+    mats = [[list(row) for row in m] for m in e.mats]
+    for _ in range(draw(st.integers(0, 2))):
+        q = draw(st.integers(0, ell))
+        i, j = (draw(st.integers(0, len(mats[q]) - 1)) for _ in range(2))
+        if draw(st.booleans()):
+            mats[q][i][j] = -mats[q][i][j]
+        else:
+            mats[q][i][j] = mats[q][i][j] + draw(linear_forms(n))
+    failing = chain_failure_by_evaluation(e.cx, mats)
+    if failing is None:
+        ChainEndomorphism(e.cx, mats)
+    else:
+        with pytest.raises(ValueError, match="in degree %d$" % failing):
+            ChainEndomorphism(e.cx, mats)
+    unchecked = ChainEndomorphism(e.cx, mats, validate=False)
+    assert spectrum_check(unchecked, S) == spectrum_check_by_evaluation(unchecked, S)
 
 
 def test_spectrum_report_flags_only_the_broken_degree():

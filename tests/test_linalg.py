@@ -15,8 +15,9 @@ from osgm.linalg import (
     mat_evaluate,
     identity_matrix,
 )
-from osgm.poly import Polynomial
-from oracles import dense_rref
+from osgm.poly import LinearForm, Quadratic
+from oracles import dense_rref, products_agree_by_evaluation, quadratic_value
+from strategies import linear_form_matrices, linear_forms, small_rationals
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +198,58 @@ def test_solve_row_combination():
     assert solve_row_combination(frac_matrix([[1, 0]]), [Fraction(0), Fraction(1)]) is None
 
 
+def _random_form(rng, n):
+    return LinearForm(n, {rng.randint(1, n): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for _ in range(rng.randint(0, 3))})
+
+
 def test_matmul_and_polynomial_evaluation_commute():
     rng = random.Random(44)
     n = 3
     lam = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
     for _ in range(25):
-        a = [[Polynomial.random(rng, n, max_deg=1, max_terms=3) for _ in range(3)] for _ in range(2)]
-        b = [[Polynomial.random(rng, n, max_deg=1, max_terms=3) for _ in range(2)] for _ in range(3)]
-        ab = matmul(a, b, Polynomial.zero(n))
-        left = mat_evaluate(ab, lam)
+        a = [[_random_form(rng, n) for _ in range(3)] for _ in range(2)]
+        b = [[_random_form(rng, n) for _ in range(2)] for _ in range(3)]
+        ab = matmul(a, b, Quadratic())
+        left = [[quadratic_value(f, lam) for f in row] for row in ab]
         right = matmul(mat_evaluate(a, lam), mat_evaluate(b, lam), Fraction(0))
         assert left == right
+        # a rational factor keeps the entries linear forms
+        r = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(3)]
+        ar = matmul(a, r, LinearForm.zero(n))
+        assert mat_evaluate(ar, lam) == matmul(mat_evaluate(a, lam), r, Fraction(0))
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_symbolic_products_agree_exactly_when_evaluations_do(data):
+    # a @ b against c @ d, where c @ d is the same product written another
+    # way, (a P)(P^-1 b) for an elementary P, or an unrelated one; either
+    # may then have one entry of d moved
+    draw = data.draw
+    n = draw(st.integers(1, 4))
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    a = draw(linear_form_matrices(n, rows, inner))
+    b = draw(linear_form_matrices(n, inner, cols))
+    how = draw(st.sampled_from(["same", "change of basis", "unrelated"]))
+    if how == "unrelated":
+        c = draw(linear_form_matrices(n, rows, inner))
+        d = draw(linear_form_matrices(n, inner, cols))
+    elif how == "change of basis" and inner > 1:
+        i, j = draw(st.lists(st.integers(0, inner - 1), min_size=2, max_size=2, unique=True))
+        f = draw(small_rationals())
+        p, p_inv = identity_matrix(inner), identity_matrix(inner)
+        p[i][j], p_inv[i][j] = f, -f
+        c = matmul(a, p, LinearForm.zero(n))
+        d = matmul(p_inv, b, LinearForm.zero(n))
+    else:
+        c, d = a, b
+    if draw(st.booleans()):
+        d = [list(row) for row in d]
+        i, j = draw(st.integers(0, inner - 1)), draw(st.integers(0, cols - 1))
+        d[i][j] = d[i][j] + draw(linear_forms(n))
+    symbolic = matmul(a, b, Quadratic()) == matmul(c, d, Quadratic())
+    assert symbolic == products_agree_by_evaluation(a, b, c, d, n)
 
 
 def test_identity_matrix():

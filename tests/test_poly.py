@@ -3,8 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from osgm.poly import Polynomial, parse_rational, format_rational
+from osgm.poly import LinearForm, Quadratic, parse_rational, format_rational
+from oracles import quadratic_value
+from strategies import linear_forms, small_rationals
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def test_parse_rational_forms():
@@ -37,81 +42,120 @@ def test_format_rational_round_trip():
 
 
 def test_variable_and_arith():
-    y1 = Polynomial.variable(1, 3)
-    y2 = Polynomial.variable(2, 3)
+    y1 = LinearForm.variable(1, 3)
+    y2 = LinearForm.variable(2, 3)
     p = y1 + y2
     assert str(p) == "y1 + y2"
     assert str(y1 - y1) == "0"
     assert str(2 * y1) == "2*y1"
-    assert str(y1 * y2 - y2 * y1) == "0"
-    q = (y1 + y2) * (y1 - y2)
-    assert q == y1 * y1 - y2 * y2
+    assert 0 + p == p
+    assert (y1 - y1).terms == {}
+    # the product of two forms is a quadratic form, compared exactly
+    assert y1 * y2 == y2 * y1
+    assert (y1 + y2) * (y1 - y2) == y1 * y1 + y2 * -y2
+    assert not y1 * y2 + (-y1) * y2
+    with pytest.raises(TypeError):
+        y1 + 1  # no constant term
+    with pytest.raises(ValueError):
+        y1 + LinearForm.variable(1, 4)
+    with pytest.raises(ValueError):
+        LinearForm.variable(4, 3)
 
 
 def test_canonical_string_graded_lex():
-    # higher total degree first, ties broken lexicographically on exponents
-    y = [Polynomial.variable(j, 3) for j in range(1, 4)]
-    p = y[2] + y[0] * y[1] + Polynomial.constant(Fraction(1, 2), 3) + y[0] * y[0]
-    assert str(p) == "y1^2 + y1*y2 + y3 + 1/2"
-    m = y[0] * y[1] - y[1] * y[2]
-    assert str(m) == "y1*y2 - y2*y3"
+    # terms by ascending variable index, which is graded lexicographic
+    # order on degree-one monomials: y2 before y10, not string order
+    y = [None] + [LinearForm.variable(j, 10) for j in range(1, 11)]
+    p = y[10] + y[2] * 3 - y[1] + Fraction(1, 2) * y[3]
+    assert str(p) == "-y1 + 3*y2 + 1/2*y3 + y10"
+    assert str(-p) == "y1 - 3*y2 - 1/2*y3 - y10"
+    assert str(y[2] - y[10]) == "y2 - y10"
 
 
 def test_evaluate():
-    y1 = Polynomial.variable(1, 2)
-    y2 = Polynomial.variable(2, 2)
-    p = y1 * y1 + 3 * y2 - 1
+    y1 = LinearForm.variable(1, 2)
+    y2 = LinearForm.variable(2, 2)
+    p = y1 * Fraction(1, 2) + 3 * y2
     lam = (Fraction(1, 2), Fraction(2, 3))
-    assert p.evaluate(lam) == Fraction(1, 4) + 2 - 1
+    assert p.evaluate(lam) == Fraction(1, 4) + 2
+    with pytest.raises(ValueError):
+        p.evaluate((Fraction(1),))
 
 
 def test_substitute_permutation_with_infinity():
     # y1 -> y2, y2 -> -(y1+y2) models the action of a permutation sending
     # 2 to the infinity index on two variables
-    y1 = Polynomial.variable(1, 2)
-    y2 = Polynomial.variable(2, 2)
-    p = y1 * y2
-    image = p.substitute({1: y2, 2: -(y1 + y2)})
-    assert image == y2 * -(y1 + y2)
-    # substitution is a ring homomorphism on a random sample
+    y1 = LinearForm.variable(1, 2)
+    y2 = LinearForm.variable(2, 2)
+    sub = {1: y2, 2: -(y1 + y2)}
+    assert (2 * y1 - y2).substitute(sub) == y1 + 3 * y2
+    assert y1.substitute({2: y1}) == y1
+    # substitution is linear on a random sample
     rng = random.Random(3)
     for _ in range(20):
-        a = Polynomial.random(rng, nvars=2, max_deg=2, max_terms=4)
-        b = Polynomial.random(rng, nvars=2, max_deg=2, max_terms=4)
-        sub = {1: y2, 2: -(y1 + y2)}
-        assert (a * b).substitute(sub) == a.substitute(sub) * b.substitute(sub)
+        a, b = (LinearForm(2, {j: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                               for j in (1, 2)}) for _ in range(2))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         assert (a + b).substitute(sub) == a.substitute(sub) + b.substitute(sub)
+        assert (c * a).substitute(sub) == c * a.substitute(sub)
 
 
 def test_subset_sum_eliminates_infinity():
     # y_{n+1} is never a variable: it is eliminated as -(y_1+...+y_n)
     n = 5
-    y = [Polynomial.variable(j, n) for j in range(1, n + 1)]
-    p = Polynomial.subset_sum([3, 4, 5], n)
+    y = [LinearForm.variable(j, n) for j in range(1, n + 1)]
+    p = LinearForm.subset_sum([3, 4, 5], n)
     assert p == y[2] + y[3] + y[4]
-    q = Polynomial.subset_sum([3, 4, 6], n)
+    q = LinearForm.subset_sum([3, 4, 6], n)
     assert q == -(y[0] + y[1] + y[4])
 
 
 def test_serialization_round_trip_and_shape():
-    y1 = Polynomial.variable(1, 2)
-    y2 = Polynomial.variable(2, 2)
-    p = Fraction(1, 2) * y1 * y1 - y2 + 3
+    y1 = LinearForm.variable(1, 2)
+    y2 = LinearForm.variable(2, 2)
+    p = Fraction(1, 2) * y1 - y2
     rec = p.to_json()
-    # canonical order: y1^2 first, then -y2, then the constant
+    # one record per term, ascending index, with its exponent vector
     assert rec == [
-        {"coefficient": "1/2", "exponents": [2, 0]},
+        {"coefficient": "1/2", "exponents": [1, 0]},
         {"coefficient": "-1", "exponents": [0, 1]},
-        {"coefficient": "3", "exponents": [0, 0]},
     ]
-    assert Polynomial.from_json(rec, 2) == p
-    # stable under a JSON round trip
-    assert Polynomial.from_json(json.loads(json.dumps(rec)), 2) == p
+    # the records determine the form, also after a JSON round trip
+    back = sum((parse_rational(r["coefficient"])
+                * LinearForm.variable(r["exponents"].index(1) + 1, 2)
+                for r in json.loads(json.dumps(rec))), LinearForm.zero(2))
+    assert back == p
 
 
 def test_zero_polynomial_serializes_empty():
-    z = Polynomial.zero(4)
+    z = LinearForm.zero(4)
     assert z.to_json() == []
-    assert Polynomial.from_json([], 4) == z
+    assert str(z) == "0"
     assert not z
+    assert z == LinearForm(4, {2: Fraction(0)})
     assert z.evaluate((Fraction(1), Fraction(2), Fraction(3), Fraction(4))) == 0
+    assert not Quadratic()
+    assert z * z == Quadratic()
+
+
+N = 4
+
+
+@PROPERTY
+@given(a=linear_forms(N), b=linear_forms(N), c=small_rationals(),
+       point=st.lists(small_rationals(), min_size=N, max_size=N),
+       images=st.dictionaries(st.integers(1, N), linear_forms(N), max_size=N))
+def test_linear_form_arithmetic_matches_evaluation(a, b, c, point, images):
+    def ev(f):
+        return f.evaluate(point)
+
+    assert ev(a + b) == ev(a) + ev(b)
+    assert ev(a - b) == ev(a) - ev(b)
+    assert ev(-a) == -ev(a)
+    assert ev(a * c) == ev(c * a) == c * ev(a)
+    assert quadratic_value(a * b, point) == ev(a) * ev(b)
+    assert quadratic_value(a * b + b * b, point) == (ev(a) + ev(b)) * ev(b)
+    units = [[Fraction(int(i == j)) for i in range(N)] for j in range(N)]
+    assert bool(a) == any(a.evaluate(u) for u in units)
+    moved = [ev(images[j]) if j in images else point[j - 1] for j in range(1, N + 1)]
+    assert ev(a.substitute(images)) == a.evaluate(moved)
