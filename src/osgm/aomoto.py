@@ -11,11 +11,12 @@ from fractions import Fraction
 
 from .arrangement import dep_star
 from .linalg import (
-    rref,
-    kernel_basis,
+    dense,
     echelon_reduce,
-    mat_evaluate,
+    evaluate_rows,
     identity_matrix,
+    kernel_basis,
+    rref,
 )
 from .orlik_solomon import nbc_basis, os_reduce, wedge
 from .poly import LinearForm, parse_rational
@@ -63,17 +64,33 @@ class Weights:
 
 
 class AomotoComplex:
+    """The weighted complex of a type on its nbc bases.
 
-    def __init__(self, t, bases, boundary):
+    The differential leaving degree q is kept as sparse rows: rows[q][i]
+    maps column k of degree q+1 to the nonzero linear form in row i,
+    column k, with integer coefficients.  `boundary` is the dense view,
+    built on demand for printing.
+    """
+
+    def __init__(self, t, bases, rows):
         self.t = t
-        self.bases = bases        # bases[q] = nbc monomials of degree q
-        self.boundary = boundary  # boundary[q]: |nbc_q| x |nbc_{q+1}| linear forms
+        self.bases = bases  # bases[q] = nbc monomials of degree q
+        self.rows = rows    # rows[q][i] = {k: form}, |nbc_q| rows, degrees q < ell
+
+    @property
+    def boundary(self):
+        """Dense |nbc_q| x |nbc_{q+1}| matrices of linear forms, per degree."""
+        zero = LinearForm.zero(self.t.n)
+        return [dense(r, len(self.bases[q + 1]), zero) for q, r in enumerate(self.rows)]
 
     def boundary_at(self, lam, q):
-        """Specialized differential leaving degree q (zero-width at the top)."""
-        if q >= len(self.boundary):
+        """Specialized differential leaving degree q as a dense rational
+        matrix, for elimination (zero-width at the top); only its nonzero
+        entries are evaluated."""
+        if q >= len(self.rows):
             return [[] for _ in self.bases[q]]
-        return mat_evaluate(self.boundary[q], lam.values)
+        return dense(evaluate_rows(self.rows[q], lam.values), len(self.bases[q + 1]),
+                     Fraction(0))
 
 
 def build_aomoto(t):
@@ -84,7 +101,7 @@ def build_aomoto(t):
 def _build_aomoto(t):
     n = t.n
     bases = [nbc_basis(t, q) for q in range(t.ell + 1)]
-    boundary = []
+    rows = []
     for q in range(t.ell):
         cols = {U: k for k, U in enumerate(bases[q + 1])}
         mat = []
@@ -96,12 +113,9 @@ def _build_aomoto(t):
                     continue
                 M, sgn = w
                 x[M] = x.get(M, LinearForm.zero(n)) + LinearForm.variable(j, n) * sgn
-            row = [LinearForm.zero(n)] * len(cols)
-            for U, c in os_reduce(x, t).items():
-                row[cols[U]] = c
-            mat.append(row)
-        boundary.append(mat)
-    return AomotoComplex(t, bases, boundary)
+            mat.append({cols[U]: c for U, c in os_reduce(x, t).items()})
+        rows.append(mat)
+    return AomotoComplex(t, bases, rows)
 
 
 class CohomologyData:

@@ -117,13 +117,6 @@ def dependent_subsets(a, q):
     return [S for S in combinations(range(1, a.n + 2), q) if a.is_dependent(S)]
 
 
-def multiplicity(S, a):
-    """|S| minus the rank of the rows of S."""
-    if not S:
-        raise ValueError("multiplicity of the empty set is undefined")
-    return len(S) - a.subset_rank(S)
-
-
 class CombinatorialType:
     """The graded family of dependent subsets of [n+1], with the extra
     affine data needed by the Orlik-Solomon side (which subsets of [n] have

@@ -169,18 +169,19 @@ def cmd_nbc(args):
 def cmd_aomoto(args):
     t = _load_type(args.file)
     cx = build_aomoto(t)
+    boundary = cx.boundary
     if args.json:
         print(json.dumps({
             "bases": {str(q): [list(T) for T in cx.bases[q]]
                       for q in range(t.ell + 1)},
-            "boundary": {str(q): _form_matrix_json(cx.boundary[q])
+            "boundary": {str(q): _form_matrix_json(boundary[q])
                          for q in range(t.ell)},
         }, indent=2))
         return
     for q in range(t.ell):
         print("boundary leaving degree %d (%dx%d):"
               % (q, len(cx.bases[q]), len(cx.bases[q + 1])))
-        for line in _fmt_table(cx.boundary[q]):
+        for line in _fmt_table(boundary[q]):
             print(line)
 
 
@@ -208,10 +209,11 @@ def cmd_cohomology(args):
 def cmd_resonance(args):
     t = _load_type(args.file)
     lam = _parse_weights(args.weights, t.n)
+    # checked before any work, so a bad degree leaves stdout empty
+    degrees = _degree_list(args, t.ell)
     h = os_cohomology(t, lam)
     ok = weights_nonresonant(t, lam)
-    # asked before printing, so a bad degree leaves stdout empty
-    carries = None if args.degree is None else in_resonance(t, lam, args.degree, 1, h=h)
+    carries = None if args.degree is None else in_resonance(t, lam, degrees[0], 1, h=h)
     if args.json:
         data = {"dims": h.dims, "nonresonant": ok}
         if carries is not None:
@@ -256,11 +258,12 @@ def cmd_gm(args):
     degrees = _degree_list(args, ell)
     gm = {q: gm_endomorphism(ind, lam, q, h=h) for q in degrees}
     report = spectrum_report(S, r, lam, n, ell, e=pencil_e)
+    mats = ind.mats
     if args.json:
         print(json.dumps({
             "S": list(S),
             "r": r,
-            "omega": {str(q): _form_matrix_json(ind.mats[q])
+            "omega": {str(q): _form_matrix_json(mats[q])
                       for q in range(ell + 1)},
             "weights": lam.to_json(),
             "dims": h.dims,
@@ -270,9 +273,9 @@ def cmd_gm(args):
         return
     print("pencil (S, r): S = %s, r = %d" % (_fmt_set(S), r))
     for q in range(ell + 1):
-        size = len(ind.mats[q])
+        size = len(mats[q])
         print("induced connection matrix, degree %d (%dx%d):" % (q, size, size))
-        for line in _fmt_table(ind.mats[q]):
+        for line in _fmt_table(mats[q]):
             print(line)
     print("weights: %s" % ", ".join(lam.to_json()))
     print("cohomology dimensions: %s" % " ".join(str(d) for d in h.dims))

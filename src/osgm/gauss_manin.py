@@ -28,27 +28,20 @@ from .arrangement import (
     pencil_starred,
 )
 from .linalg import (
+    dense,
+    evaluate_rows,
     identity_matrix,
     kernel_basis,
-    mat_evaluate,
     matmul,
     rank,
 )
 from .orlik_solomon import projection_matrix, wedge
-from .poly import LinearForm, Quadratic, format_rational
+from .poly import LinearForm, format_rational
 
 
 class NotCovered(ValueError):
     """A mathematical precondition fails: a map that does not descend to the
     type, a closed class sent off the closed classes, or no unique pencil."""
-
-
-def _mm(a, b, zero):
-    if not a:
-        return []
-    if not b or not b[0]:
-        return [[] for _ in a]
-    return matmul(a, b, zero)
 
 
 # The relabeling action below is not used by the library: the test suite
@@ -146,10 +139,10 @@ class SigmaAction:
 
     def _check_chain(self):
         cx = build_aomoto(generic_type(self.n, self.ell))
-        zero = LinearForm.zero(self.n)
+        mats = [[{j: c for j, c in enumerate(row) if c} for row in m] for m in self.mats]
         for p in range(self.ell):
-            twisted = self.subst_mat(cx.boundary[p])
-            if _mm(twisted, self.mats[p + 1], zero) != _mm(self.mats[p], cx.boundary[p], zero):
+            twisted = [{j: self.substitute(c) for j, c in row.items()} for row in cx.rows[p]]
+            if matmul(twisted, mats[p + 1]) != matmul(mats[p], cx.rows[p]):
                 raise AssertionError("relabeling fails to intertwine the differential")
 
     def substitute(self, f):
@@ -168,32 +161,47 @@ class SigmaAction:
 class ChainEndomorphism:
     """Degreewise square matrices of linear forms in the weights commuting
     with the differential; the identity W_q D_q = D_q W_{q+1} is checked
-    exactly, as a matrix of quadratic forms.
+    exactly, as a product of sparse matrices of quadratic forms.
+
+    Each degree is kept as sparse rows, rows[q][i] = {col: nonzero form},
+    so building, summing, checking and specializing cost in proportion to
+    the nonzeros.  The library's maps have integer coefficients, so all of
+    that runs in int arithmetic.  `mats` is the dense view, built on
+    demand for printing.
 
     Instances are treated as immutable once built; sums and induced maps
-    always allocate fresh matrices, so cached copies can be shared freely.
+    always allocate fresh rows, so cached copies can be shared freely.
     """
 
-    def __init__(self, cx, mats, validate=True):
+    def __init__(self, cx, rows, validate=True):
         self.cx = cx
-        self.mats = mats
-        for q, m in enumerate(mats):
+        self.rows = rows
+        for q, m in enumerate(rows):
             size = len(cx.bases[q])
-            if len(m) != size or any(len(row) != size for row in m):
-                raise ValueError("degree-%d matrix is not %dx%d" % (q, size, size))
+            if (len(m) != size or not all(isinstance(row, dict) for row in m)
+                    or not set().union(*m) <= set(range(size))):
+                raise ValueError("degree-%d rows are not %d sparse rows of width %d"
+                                 % (q, size, size))
         if validate:
             self._check_chain()
 
+    @property
+    def mats(self):
+        """Dense square matrices of linear forms, per degree."""
+        zero = LinearForm.zero(self.cx.t.n)
+        return [dense(m, len(m), zero) for m in self.rows]
+
     def _check_chain(self):
-        for q in range(len(self.mats) - 1):
-            d = self.cx.boundary[q]
-            if _mm(self.mats[q], d, Quadratic()) != _mm(d, self.mats[q + 1], Quadratic()):
+        for q in range(len(self.rows) - 1):
+            d = self.cx.rows[q]
+            if matmul(self.rows[q], d) != matmul(d, self.rows[q + 1]):
                 raise ValueError("matrices do not commute with the differential "
                                  "in degree %d" % q)
 
-    def specialize(self, lam):
-        """Rational matrices at a concrete weight vector."""
-        return [mat_evaluate(m, lam.values) for m in self.mats]
+    def specialize(self, lam, q):
+        """Degree q at a concrete weight vector, as sparse rows of
+        Fractions; only the nonzero forms are evaluated."""
+        return evaluate_rows(self.rows[q], lam.values)
 
 
 def _boundary_terms(S):
@@ -280,19 +288,15 @@ def omega_tilde(S, n, ell):
     if S in built:
         return built[S]
     cx = build_aomoto(g)
-    zero = LinearForm.zero(n)
-    mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
+    rows = [[{} for _ in b] for b in cx.bases]
     index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
     for U, image in _closure_images(S, n).items():
         p = len(U)
         if p > ell:
             continue
         for T, c in _rows_containing(U, n):
-            row = mats[p][index[p][T]]
-            for V, f in image.items():
-                j = index[p][V]
-                row[j] = row[j] + f * c
-    built[S] = ChainEndomorphism(cx, mats, validate=True)
+            _add_row(rows[p][index[p][T]], ((index[p][V], f) for V, f in image.items()), c)
+    built[S] = ChainEndomorphism(cx, rows, validate=True)
     return built[S]
 
 
@@ -309,19 +313,26 @@ def pencil_sum_terms(S, r, n, ell):
     return {K: multiplicity_pencil(K, S, r, ell, n) for K in forced}
 
 
+def _add_row(acc, entries, m):
+    """Add m times each (col, entry) into the sparse row acc, in place."""
+    for j, c in entries:
+        v = c if m == 1 else c * m
+        s = acc.get(j)
+        acc[j] = v if s is None else s + v
+
+
 def _weighted_sum(terms, n, ell):
     cx = build_aomoto(generic_type(n, ell))
-    zero = LinearForm.zero(n)
-    mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
+    rows = [[{} for _ in b] for b in cx.bases]
     for K in sorted(terms):
         m = terms[K]
-        e = omega_tilde(K, n, ell)
-        for acc, part in zip(mats, e.mats):
-            for row, acc_row in zip(part, acc):
-                for j, c in enumerate(row):
-                    if c:
-                        acc_row[j] = acc_row[j] + (c if m == 1 else c * m)
-    return ChainEndomorphism(cx, mats, validate=True)
+        for acc, part in zip(rows, omega_tilde(K, n, ell).rows):
+            for acc_row, row in zip(acc, part):
+                if row:
+                    _add_row(acc_row, row.items(), m)
+    # terms of different K cancel; keep the nonzero entries only
+    rows = [[{j: c for j, c in row.items() if c} if row else row for row in m] for m in rows]
+    return ChainEndomorphism(cx, rows, validate=True)
 
 
 def omega_tilde_sum(S, r, n, ell):
@@ -374,24 +385,19 @@ def induce_on_type(e, t):
     """
     if (t.n, t.ell) != (e.cx.t.n, e.cx.t.ell):
         raise ValueError("type does not live on the endomorphism's (n, ell)")
-    n, ell = t.n, t.ell
     cx = build_aomoto(t)
-    zero = LinearForm.zero(n)
-    gen_bases = e.cx.bases
-    mats = []
-    for q in range(ell + 1):
+    rows = []
+    for q in range(t.ell + 1):
         proj = projection_matrix(t, q)
-        for v in kernel_basis(proj):
-            image = matmul([v], e.mats[q], zero)[0]
-            pushed = matmul([image], proj, zero)[0]
-            if any(pushed):
-                raise NotCovered(
-                    "not a valid covering datum: degree-%d relations "
-                    "are not preserved" % q)
-        index = {T: i for i, T in enumerate(gen_bases[q])}
-        rows = [matmul([e.mats[q][index[T]]], proj, zero)[0] for T in cx.bases[q]]
-        mats.append(rows)
-    return ChainEndomorphism(cx, mats, validate=True)
+        proj_rows = [{j: c for j, c in enumerate(row) if c} for row in proj]
+        relations = [{i: c for i, c in enumerate(v) if c} for v in kernel_basis(proj)]
+        if any(matmul(matmul(relations, e.rows[q]), proj_rows)):
+            raise NotCovered(
+                "not a valid covering datum: degree-%d relations "
+                "are not preserved" % q)
+        index = {T: i for i, T in enumerate(e.cx.bases[q])}
+        rows.append(matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj_rows))
+    return ChainEndomorphism(cx, rows, validate=True)
 
 
 def gm_endomorphism(e, lam, q, h=None):
@@ -400,14 +406,14 @@ def gm_endomorphism(e, lam, q, h=None):
     Rows give the image of each cohomology class in the class basis; pass a
     precomputed cohomology object to avoid recomputing it per degree.
     """
-    if not 0 <= q < len(e.mats):
+    if not 0 <= q < len(e.rows):
         raise ValueError("degree out of range")
     if h is None:
         h = os_cohomology(e.cx.t, lam)
-    w = mat_evaluate(e.mats[q], lam.values)
+    w = e.specialize(lam, q)
     out = []
     for z in h.reps[q]:
-        img = matmul([z], w, Fraction(0))[0]
+        img = dense(matmul([{i: x for i, x in enumerate(z) if x}], w), len(w), Fraction(0))[0]
         coords = h.class_coords(q, img)
         if coords is None:
             raise NotCovered("image of a closed class is not closed in degree %d" % q)
@@ -469,15 +475,20 @@ def eigenspace_dims(n, s, r, q):
     return d0, ds
 
 
-def _quadratic_defect(m, s, zero):
+def _quadratic_defect(m, s):
     """M - s*I, and the first entry (row, col) in row-major order where
-    M (M - s*I) is nonzero, or None when the product vanishes."""
-    shifted = [[c - s if i == j else c for j, c in enumerate(row)]
-               for i, row in enumerate(m)]
-    for i, row in enumerate(_mm(m, shifted, zero)):
-        for j, c in enumerate(row):
-            if c:
-                return shifted, (i, j)
+    M (M - s*I) is nonzero, or None when the product vanishes; M and the
+    shifted matrix are sparse rows."""
+    shifted = []
+    for i, row in enumerate(m):
+        row = dict(row)
+        c = row.pop(i) - s if i in row else -s
+        if c:
+            row[i] = c
+        shifted.append(row)
+    for i, row in enumerate(matmul(m, shifted)):
+        if row:
+            return shifted, (i, min(row))
     return shifted, None
 
 
@@ -490,8 +501,8 @@ def spectrum_check(e, S):
     """
     n = e.cx.t.n
     ys = LinearForm.subset_sum(tuple(S), n)
-    for q, m in enumerate(e.mats):
-        _, bad = _quadratic_defect(m, ys, Quadratic())
+    for q, m in enumerate(e.rows):
+        _, bad = _quadratic_defect(m, ys)
         if bad is not None:
             return False, {"degree": q, "row": bad[0], "col": bad[1]}
     return True, None
@@ -516,12 +527,14 @@ def spectrum_report(S, r, lam, n, ell, e=None):
         }
     if e is None:
         e = omega_tilde_sum(S, r, n, ell)
-    mats = e.specialize(lam)
     degrees = []
-    for q, m in enumerate(mats):
+    for q in range(len(e.rows)):
         d0, ds = eigenspace_dims(n, len(S), r, q)
-        shifted, bad = _quadratic_defect(m, lam_s, Fraction(0))
-        ok = bad is None and rank(m) == ds and rank(shifted) == d0
+        m = e.specialize(lam, q)
+        size = len(m)
+        shifted, bad = _quadratic_defect(m, lam_s)
+        ok = (bad is None and rank(dense(m, size, Fraction(0))) == ds
+              and rank(dense(shifted, size, Fraction(0))) == d0)
         degrees.append({
             "degree": q,
             "lambda_S": format_rational(lam_s),

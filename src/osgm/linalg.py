@@ -1,9 +1,11 @@
 """Exact linear algebra over Fraction, row-vector convention.
 
-All matrices are lists of lists.  Linear maps act on row vectors,
-v -> v @ M, so the kernel of a map is the left null space of its matrix
-and images are spanned by rows.  Everything is done with rational
-Gaussian elimination; nothing here is numerical.
+Elimination works on dense matrices, lists of lists.  Products work on
+sparse rows: a matrix is a list of rows {col: entry} holding its nonzero
+entries only, and `dense` builds the list-of-lists view of one.  Linear
+maps act on row vectors, v -> v @ M, so the kernel of a map is the left
+null space of its matrix and images are spanned by rows.  Everything is
+done with rational Gaussian elimination; nothing here is numerical.
 """
 
 from fractions import Fraction
@@ -105,19 +107,6 @@ def echelon_reduce(v, rows, pivots):
     return v
 
 
-def coset_reduce(v, basis):
-    """Canonical representative of v modulo the row span of basis.
-
-    Reduces v so its entries vanish at every pivot column of the span;
-    two vectors reduce to the same result iff they differ by an element
-    of the span.
-    """
-    if not basis:
-        return list(v)
-    rows, pivots = rref(basis)
-    return echelon_reduce(v, rows, pivots)
-
-
 def solve_row_combination(rows, w):
     """Coefficients x with x @ rows == w, or None if w is not in the span.
 
@@ -141,37 +130,48 @@ def solve_row_combination(rows, w):
     return x
 
 
-def matmul(a, b, zero):
-    """Matrix product; `zero` is the additive identity of the products of
-    entries (`Quadratic()` when both matrices hold linear forms)."""
-    if not a or not b:
-        return []
-    ncols = len(b[0])
-    # nonzero entries of each row of b, collected the first time a row is used
-    support = [None] * len(b)
+def matmul(a, b):
+    """Product of two matrices given as sparse rows {col: entry}, as sparse
+    rows with zero sums dropped, so two products are equal exactly when
+    their row dicts are.
+
+    Only nonzero pairs are multiplied, so the cost follows the nonzeros,
+    not the shape.  Entries may be ints, Fractions or linear forms (the
+    product of two forms is a `Quadratic`); integer entries keep the whole
+    product in int arithmetic.
+    """
     out = []
     for row in a:
-        acc = [zero] * ncols
-        for k, x in enumerate(row):
-            if not x:
-                continue
-            nz = support[k]
-            if nz is None:
-                nz = support[k] = [(j, y) for j, y in enumerate(b[k]) if y]
-            for j, y in nz:
-                acc[j] = acc[j] + x * y
-        out.append(acc)
+        if not row:
+            out.append({})
+            continue
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                s = acc.get(j)
+                acc[j] = x * y if s is None else s + x * y
+        out.append({j: s for j, s in acc.items() if s})
     return out
 
 
-def mat_evaluate(m, lam):
-    """Specialize a matrix of linear forms at a rational weight vector."""
-    return [[entry.evaluate(lam) for entry in row] for row in m]
+def evaluate_rows(rows, lam):
+    """Specialize sparse rows of linear forms at a rational weight vector,
+    evaluating only the stored entries; zero values are dropped."""
+    out = []
+    for row in rows:
+        vals = {}
+        for j, f in row.items():
+            v = f.evaluate(lam)
+            if v:
+                vals[j] = v
+        out.append(vals)
+    return out
+
+
+def dense(rows, ncols, zero):
+    """The list-of-lists view of sparse rows, `zero` off their support."""
+    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
 
 
 def identity_matrix(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

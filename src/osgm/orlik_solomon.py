@@ -1,14 +1,13 @@
 """Exterior algebra modulo the relations of a combinatorial type.
 
 Elements are dicts {sorted index tuple: coefficient}; coefficients may be
-Fractions or linear forms in the weights, the code only adds them and
+ints, Fractions or linear forms in the weights, the code only adds them and
 scales them by integers.  The
 quotient has a monomial basis indexed by the subsets that contain no broken
 circuit and have a nonempty affine intersection, and os_reduce rewrites any
 element into that basis.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -125,35 +124,16 @@ def os_reduce(x, t):
     return out
 
 
-def multiply(x, y, t):
-    """Product in the quotient; degrees past ell truncate to zero."""
-    prod = {}
-    for S1, c1 in x.items():
-        for S2, c2 in y.items():
-            if len(S1) + len(S2) > t.ell:
-                continue
-            w = wedge(tuple(S1), tuple(S2))
-            if w is None:
-                continue
-            M, sgn = w
-            c = c1 * c2 * sgn
-            s = prod.get(M, 0) + c
-            if s:
-                prod[M] = s
-            else:
-                prod.pop(M, None)
-    return os_reduce(prod, t)
-
-
 def projection_matrix(t, q):
     """Matrix of the quotient map in degree q: rows run over all q-subsets
-    of [n] in lexicographic order, columns over the nbc basis."""
+    of [n] in lexicographic order, columns over the nbc basis.  The entries
+    are ints: the rewriting only adds relations with coefficients +-1."""
     basis = nbc_basis(t, q)
     col = {T: i for i, T in enumerate(basis)}
     rows = []
     for S in combinations(range(1, t.n + 1), q):
-        row = [Fraction(0)] * len(basis)
+        row = [0] * len(basis)
         for U, c in _reduce_monomial(S, t).items():
-            row[col[U]] = Fraction(c)
+            row[col[U]] = c
         rows.append(row)
     return rows

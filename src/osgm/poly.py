@@ -2,17 +2,22 @@
 
 Every matrix entry osgm builds (an Aomoto boundary, a basic endomorphism,
 a pencil or pair sum, an induced map) is a form c_1 y_1 + ... + c_n y_n
-with rational coefficients (stdlib Fraction) and no constant term: the
-differential multiplies by the weighted one-form sum y_j e_j, and every
-map built from it is linear in the weights too.  The weight of the
-projective extra hyperplane never appears as a variable: y_{n+1} is
-eliminated everywhere as -(y_1 + ... + y_n), see LinearForm.subset_sum.
+with rational coefficients and no constant term: the differential
+multiplies by the weighted one-form sum y_j e_j, and every map built from
+it is linear in the weights too.  The weight of the projective extra
+hyperplane never appears as a variable: y_{n+1} is eliminated everywhere
+as -(y_1 + ... + y_n), see LinearForm.subset_sum.
 
-A form stores {j: Fraction} for its nonzero coefficients only, so equality
-is dict equality and `bool(f)` tests nonzero.  Printing and serialization
-list the terms by ascending variable index, each serialized with its
-exponent vector.  The product of two forms is a `Quadratic`, kept only so
-that symbolic matrix products can be compared exactly.
+A form stores {j: c} for its nonzero coefficients only, so equality is
+dict equality and `bool(f)` tests nonzero.  A coefficient is a Python int
+when it is integral and a stdlib Fraction otherwise; every form the
+library builds has integer coefficients, so its sums and products run in
+int arithmetic until a rational scalar enters.  Since 1 == Fraction(1) and
+str(1) == str(Fraction(1)), equality, printing and serialization do not
+see the difference.  Printing and serialization list the terms by
+ascending variable index, each serialized with its exponent vector.  The
+product of two forms is a `Quadratic`, kept only so that symbolic matrix
+products can be compared exactly.
 """
 
 from fractions import Fraction
@@ -37,6 +42,11 @@ def format_rational(q):
     return str(q)
 
 
+def _exact(c):
+    """An int or Fraction as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _add_terms(terms, pairs):
     """A copy of the sparse coefficient map `terms` with each (key, c) of
     `pairs` added in, zero coefficients dropped."""
@@ -44,7 +54,7 @@ def _add_terms(terms, pairs):
     for key, c in pairs:
         s = out.get(key, 0) + c
         if s:
-            out[key] = s
+            out[key] = _exact(s)
         else:
             out.pop(key, None)
     return out
@@ -55,11 +65,11 @@ class LinearForm:
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {j: Fraction(c) for j, c in terms.items() if c} if terms else {}
+        self.terms = {j: _exact(Fraction(c)) for j, c in terms.items() if c} if terms else {}
 
     @classmethod
     def _of(cls, nvars, terms):
-        # trusted constructor: terms already Fractions, all nonzero
+        # trusted constructor: terms already exact (see _exact), all nonzero
         f = cls.__new__(cls)
         f.nvars = nvars
         f.terms = terms
@@ -76,7 +86,7 @@ class LinearForm:
         """The variable y_j, 1-based, 1 <= j <= nvars."""
         if not 1 <= j <= nvars:
             raise ValueError("variable index %d out of range 1..%d" % (j, nvars))
-        return cls._of(nvars, {j: Fraction(1)})
+        return cls._of(nvars, {j: 1})
 
     @classmethod
     def subset_sum(cls, S, nvars):
@@ -89,7 +99,7 @@ class LinearForm:
                     coeffs[k] -= 1
             else:
                 coeffs[j] += 1
-        return cls._of(nvars, {j: Fraction(c) for j, c in enumerate(coeffs) if c})
+        return cls._of(nvars, {j: c for j, c in enumerate(coeffs) if c})
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -117,10 +127,10 @@ class LinearForm:
             return Quadratic(_add_terms({}, (((j, k) if j <= k else (k, j), a * b)
                                              for j, a in self.terms.items()
                                              for k, b in other.terms.items())))
-        c = Fraction(other)
+        c = other if other.__class__ is int else _exact(Fraction(other))
         if not c:
             return LinearForm._of(self.nvars, {})
-        return LinearForm._of(self.nvars, {j: c * v for j, v in self.terms.items()})
+        return LinearForm._of(self.nvars, {j: _exact(c * v) for j, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -181,9 +191,9 @@ class Quadratic:
     """A quadratic form, sum of c y_j y_k over j <= k, stored as
     {(j, k): c} with nonzero coefficients only.
 
-    Only the product of two linear forms makes one; summed by `matmul`
-    from `Quadratic()`, it lets the chain and spectrum identities be
-    compared exactly.  It supports nothing beyond +, truthiness and ==.
+    Only the product of two linear forms makes one; summed by `matmul`,
+    it lets the chain and spectrum identities be compared exactly.  It
+    supports nothing beyond +, truthiness and ==.
     """
 
     __slots__ = ("terms",)

@@ -173,7 +173,9 @@ def leading_set_omega(k, n, ell):
     return mats
 
 
-def _product(a, b, zero):
+def dense_product(a, b, zero):
+    # a @ b for list-of-lists matrices, `zero` the additive identity of the
+    # products of entries
     out = []
     for row in a:
         acc = [zero] * (len(b[0]) if b else 0)
@@ -206,7 +208,7 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
     inv = act.inverse()
     zero = LinearForm.zero(n)
     return [
-        _product(_product(inv.mats[p], act.subst_mat(base[p]), zero), act.mats[p], zero)
+        dense_product(dense_product(inv.mats[p], act.subst_mat(base[p]), zero), act.mats[p], zero)
         for p in range(ell + 1)
     ]
 
@@ -324,7 +326,7 @@ def class_coords_by_solving(h, q, vec):
     """Class coordinates of vec by the solving route: reduce modulo the
     coboundaries with a fresh elimination, then solve for a combination of
     the representatives.  None when vec is not a cocycle."""
-    from osgm.linalg import coset_reduce, solve_row_combination
+    from osgm.linalg import solve_row_combination
 
     reduced = coset_reduce(list(vec), h.cobound[q])
     if not h.reps[q]:
@@ -399,8 +401,8 @@ def products_agree_by_evaluation(a, b, c, d, n):
     decided by comparing the specialized products at every probe point."""
     zero = Fraction(0)
     return all(
-        _product(_specialize(a, p), _specialize(b, p), zero)
-        == _product(_specialize(c, p), _specialize(d, p), zero)
+        dense_product(_specialize(a, p), _specialize(b, p), zero)
+        == dense_product(_specialize(c, p), _specialize(d, p), zero)
         for p in probe_points(n))
 
 
@@ -428,9 +430,179 @@ def spectrum_check_by_evaluation(e, S):
             spec = _specialize(m, p)
             shifted = [[x - ys if i == k else x for k, x in enumerate(row)]
                        for i, row in enumerate(spec)]
-            prod = _product(spec, shifted, zero)
+            prod = dense_product(spec, shifted, zero)
             bad.update((i, k) for i, row in enumerate(prod) for k, x in enumerate(row) if x)
         if bad:
             i, k = min(bad)
             return False, {"degree": q, "row": i, "col": k}
+    return True, None
+
+
+# ---- helpers that used to live in the library ---------------------------------
+# Only the tests use these, so they live here.
+
+
+def coset_reduce(v, basis):
+    """Canonical representative of v modulo the row span of basis.
+
+    Reduces v so its entries vanish at every pivot column of the span;
+    two vectors reduce to the same result iff they differ by an element
+    of the span.
+    """
+    from osgm.linalg import echelon_reduce, rref
+
+    if not basis:
+        return list(v)
+    rows, pivots = rref(basis)
+    return echelon_reduce(v, rows, pivots)
+
+
+def mat_evaluate(m, lam):
+    """Specialize a dense matrix of linear forms at a rational point,
+    zero entries included."""
+    return [[entry.evaluate(lam) for entry in row] for row in m]
+
+
+def multiply(x, y, t):
+    """Product in the Orlik-Solomon algebra of t; degrees past ell truncate
+    to zero."""
+    from osgm.orlik_solomon import os_reduce, wedge
+
+    prod = {}
+    for S1, c1 in x.items():
+        for S2, c2 in y.items():
+            if len(S1) + len(S2) > t.ell:
+                continue
+            w = wedge(tuple(S1), tuple(S2))
+            if w is None:
+                continue
+            M, sgn = w
+            c = c1 * c2 * sgn
+            s = prod.get(M, 0) + c
+            if s:
+                prod[M] = s
+            else:
+                prod.pop(M, None)
+    return os_reduce(prod, t)
+
+
+def multiplicity(S, a):
+    """|S| minus the rank of the rows of S in the realization a."""
+    if not S:
+        raise ValueError("multiplicity of the empty set is undefined")
+    return len(S) - a.subset_rank(S)
+
+
+# ---- the dense route for chain endomorphisms ---------------------------------
+# The library keeps every chain endomorphism and boundary as sparse rows.
+# The routes below are the dense list-of-lists construction it replaced:
+# every entry stored, zeros included, and every product taken entry by
+# entry over the full shape.
+
+
+def sparse(m):
+    """Sparse rows {col: entry} of a dense matrix, zero entries dropped."""
+    return [{j: c for j, c in enumerate(row) if c} for row in m]
+
+
+def sparse_rows(mats):
+    """Per-degree sparse rows of a list of dense matrices, the form
+    `ChainEndomorphism` takes."""
+    return [sparse(m) for m in mats]
+
+
+def dense_omega_tilde(S, n, ell):
+    """Dense matrices of the basic endomorphism of S, from the closed form
+    on the closure classes, with every zero entry stored."""
+    from osgm.aomoto import build_aomoto
+    from osgm.arrangement import generic_type
+    from osgm.gauss_manin import _closure_images, _rows_containing
+
+    S = tuple(sorted(S))
+    cx = build_aomoto(generic_type(n, ell))
+    zero = LinearForm.zero(n)
+    mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
+    index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
+    for U, image in _closure_images(S, n).items():
+        p = len(U)
+        if p > ell:
+            continue
+        for T, c in _rows_containing(U, n):
+            row = mats[p][index[p][T]]
+            for V, f in image.items():
+                j = index[p][V]
+                row[j] = row[j] + f * c
+    return mats
+
+
+def dense_weighted_sum(terms, n, ell):
+    """Dense matrices of sum of m * omega_K over the terms {K: m}."""
+    from osgm.aomoto import build_aomoto
+    from osgm.arrangement import generic_type
+
+    cx = build_aomoto(generic_type(n, ell))
+    zero = LinearForm.zero(n)
+    mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
+    for K in sorted(terms):
+        m = terms[K]
+        for acc, part in zip(mats, dense_omega_tilde(K, n, ell)):
+            for acc_row, row in zip(acc, part):
+                for j, c in enumerate(row):
+                    if c:
+                        acc_row[j] = acc_row[j] + (c if m == 1 else c * m)
+    return mats
+
+
+def dense_induce_on_type(mats, t):
+    """Dense matrices of a generic endomorphism pushed down to the type t,
+    raising `NotCovered` for the first degree whose relations it does not
+    send into the relation span."""
+    from osgm.aomoto import build_aomoto
+    from osgm.arrangement import generic_type
+    from osgm.gauss_manin import NotCovered
+    from osgm.linalg import kernel_basis
+    from osgm.orlik_solomon import projection_matrix
+
+    zero = LinearForm.zero(t.n)
+    gen_bases = build_aomoto(generic_type(t.n, t.ell)).bases
+    cx = build_aomoto(t)
+    out = []
+    for q in range(t.ell + 1):
+        proj = projection_matrix(t, q)
+        for v in kernel_basis(proj):
+            image = dense_product([v], mats[q], zero)[0]
+            if any(dense_product([image], proj, zero)[0]):
+                raise NotCovered("not a valid covering datum: degree-%d relations "
+                                 "are not preserved" % q)
+        index = {T: i for i, T in enumerate(gen_bases[q])}
+        out.append([dense_product([mats[q][index[T]]], proj, zero)[0] for T in cx.bases[q]])
+    return out
+
+
+def dense_chain_failure(cx, mats):
+    """First degree q where W_q D_q != D_q W_{q+1} as dense matrices of
+    quadratic forms, or None."""
+    from osgm.poly import Quadratic
+
+    boundary = cx.boundary
+    for q in range(len(mats) - 1):
+        d = boundary[q]
+        if dense_product(mats[q], d, Quadratic()) != dense_product(d, mats[q + 1], Quadratic()):
+            return q
+    return None
+
+
+def dense_spectrum_check(mats, S, n):
+    """`spectrum_check` on dense matrices: (True, None), or (False, the
+    first degree and row-major entry where M (M - y_S I) is nonzero)."""
+    from osgm.poly import Quadratic
+
+    ys = LinearForm.subset_sum(tuple(S), n)
+    for q, m in enumerate(mats):
+        shifted = [[c - ys if i == j else c for j, c in enumerate(row)]
+                   for i, row in enumerate(m)]
+        for i, row in enumerate(dense_product(m, shifted, Quadratic())):
+            for j, c in enumerate(row):
+                if c:
+                    return False, {"degree": q, "row": i, "col": j}
     return True, None

@@ -13,9 +13,15 @@ from osgm.aomoto import (
     nonresonance_conditions,
     weights_nonresonant,
 )
-from osgm.poly import LinearForm, Quadratic
-from osgm.linalg import matmul, mat_evaluate
-from oracles import class_coords_by_solving, cohomology_reps_by_elimination, frac_rank
+from osgm.poly import LinearForm
+from osgm.linalg import matmul
+from oracles import (
+    class_coords_by_solving,
+    cohomology_reps_by_elimination,
+    dense_product,
+    frac_rank,
+    mat_evaluate,
+)
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -104,9 +110,8 @@ def test_differential_squares_to_zero():
         done += 1
     for t in types:
         c = build_aomoto(t)
-        for q in range(len(c.boundary) - 1):
-            prod = matmul(c.boundary[q], c.boundary[q + 1], Quadratic())
-            assert all(not e for row in prod for e in row)
+        for q in range(len(c.rows) - 1):
+            assert not any(matmul(c.rows[q], c.rows[q + 1]))
 
 
 def test_specialized_chain_is_complex():
@@ -114,7 +119,7 @@ def test_specialized_chain_is_complex():
     lam = Weights(["1/2", "1/3", "1/5", "1/7", "1/11"])
     d0 = mat_evaluate(c.boundary[0], lam.values)
     d1 = mat_evaluate(c.boundary[1], lam.values)
-    prod = matmul(d0, d1, Fraction(0))
+    prod = dense_product(d0, d1, Fraction(0))
     assert all(e == 0 for row in prod for e in row)
 
 

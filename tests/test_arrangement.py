@@ -11,7 +11,6 @@ from osgm.arrangement import (
     CombinatorialType,
     dependent_subsets,
     dep_star,
-    multiplicity,
     multiplicity_pencil,
     pencil_starred,
     pencil_realization,
@@ -26,6 +25,7 @@ from oracles import (
     frac_rank,
     generic_type_by_rank,
     is_starred,
+    multiplicity,
     pencil_profile_by_walk,
 )
 from strategies import asserted_types, integer_arrangements, pencil_arrangements, realized_types

@@ -240,11 +240,13 @@ def test_resonance_degree_reads_the_computed_cohomology(capsys, monkeypatch):
                    "nonresonance test (sufficient condition): passed\n"
                    "degree 1 carries cohomology: no\n")
     assert len(calls) == 2
-    # an out-of-range degree keeps the library's message and exit code
+    # an out-of-range degree is refused as nbc, cohomology and gm refuse
+    # it, before any cohomology is computed
     code, out, err = run(capsys, "resonance", SELBERG, "--weights", RES,
                          "--degree", "3", "--json")
     assert code == 2 and out == ""
-    assert "need 0 <= q <= ell and m >= 1" in err
+    assert err == "error: degree must lie in 0..2\n"
+    assert len(calls) == 2
 
 
 def test_exit_code_follows_the_exception_type(tmp_path, monkeypatch, capsys):
@@ -418,7 +420,7 @@ def test_resonance_refuses_a_bad_degree_before_printing():
     for flags in ([], ["--json"]):
         code, out, err = run_quiet(["resonance", SELBERG, "--weights", RES,
                                     "--degree", "9"] + flags)
-        assert (code, out, err) == (2, "", "error: need 0 <= q <= ell and m >= 1\n")
+        assert (code, out, err) == (2, "", "error: degree must lie in 0..2\n")
 
 
 def test_weight_errors_name_the_weight():

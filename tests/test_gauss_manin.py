@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,8 +7,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osgm.arrangement import Arrangement, CombinatorialType, generic_type
-from osgm.aomoto import Weights, build_aomoto, os_cohomology, weights_nonresonant
+from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
+from osgm.aomoto import AomotoComplex, Weights, build_aomoto, os_cohomology, weights_nonresonant
 from osgm.gauss_manin import (
     ChainEndomorphism,
     NotCovered,
@@ -25,13 +26,21 @@ from osgm.gauss_manin import (
     spectrum_check,
     spectrum_report,
 )
-from osgm.linalg import identity_matrix, matmul, mat_sub, rank
+from osgm.linalg import dense, identity_matrix, rank
 from osgm.poly import LinearForm, Quadratic
 from oracles import (
     bareiss_rank,
     chain_failure_by_evaluation,
+    dense_chain_failure,
+    dense_induce_on_type,
+    dense_omega_tilde,
+    dense_product,
+    dense_spectrum_check,
+    dense_weighted_sum,
+    mat_evaluate,
     omega_tilde_by_conjugation,
     principal_dependence_by_walk,
+    sparse_rows,
     spectrum_check_by_evaluation,
 )
 from strategies import linear_forms, type_pairs
@@ -146,8 +155,8 @@ def test_sigma_inverse_composes_to_identity():
         inv = act.inverse()
         for p in range(3):
             size = comb(5, p)
-            assert matmul(act.mats[p], inv.mats[p], Fraction(0)) == identity_matrix(size)
-            assert matmul(inv.mats[p], act.mats[p], Fraction(0)) == identity_matrix(size)
+            assert dense_product(act.mats[p], inv.mats[p], Fraction(0)) == identity_matrix(size)
+            assert dense_product(inv.mats[p], act.mats[p], Fraction(0)) == identity_matrix(size)
 
 
 def test_sigma_preserves_weighted_one_form():
@@ -174,8 +183,8 @@ def test_sigma_twisted_chain_identity():
         act = SigmaAction(tuple(images), 5, 2)
         for p in range(2):
             twisted = [[act.substitute(c) for c in row] for row in cx.boundary[p]]
-            lhs = matmul(twisted, act.mats[p + 1], Z)
-            rhs = matmul(act.mats[p], cx.boundary[p], Z)
+            lhs = dense_product(twisted, act.mats[p + 1], Z)
+            rhs = dense_product(act.mats[p], cx.boundary[p], Z)
             assert lhs == rhs
 
 
@@ -280,7 +289,19 @@ def test_chain_check_rejects_a_flipped_sign():
             mats = [[list(row) for row in m] for m in e.mats]
             mats[q][i][j] = -mats[q][i][j]
             with pytest.raises(ValueError, match="commute"):
-                ChainEndomorphism(e.cx, mats)
+                ChainEndomorphism(e.cx, sparse_rows(mats))
+
+
+def test_chain_endomorphism_refuses_malformed_rows():
+    e = omega_tilde((3, 4), 5, 2)
+    past_width = [dict(row) for row in e.rows[2]]
+    past_width[0][10] = y(1)
+    for q, bad in [(1, e.rows[1][:-1]), (1, e.rows[1] + [{}]), (2, past_width),
+                   (2, e.mats[2])]:
+        rows = list(e.rows)
+        rows[q] = bad
+        with pytest.raises(ValueError, match="degree-%d rows are not" % q):
+            ChainEndomorphism(e.cx, rows, validate=False)
 
 
 # ---- weighted sums ----------------------------------------------------------
@@ -343,7 +364,7 @@ def test_induce_identity():
             [y(1) if i == j else Z for j in range(size)]
             for i in range(size)
         ])
-    e = ChainEndomorphism(cx, mats)
+    e = ChainEndomorphism(cx, sparse_rows(mats))
     ind = induce_on_type(e, selberg_type())
     for q, size in enumerate((1, 5, 6)):
         expected = [
@@ -374,7 +395,7 @@ def test_induce_rejects_map_that_breaks_relations():
         poly_zeros(10, 10),
     ]
     mats[2][0][1] = y(1)  # e_12 (a relation for the Selberg type) -> e_13
-    e = ChainEndomorphism(cx, mats, validate=False)
+    e = ChainEndomorphism(cx, sparse_rows(mats), validate=False)
     with pytest.raises(NotCovered, match="covering"):
         induce_on_type(e, selberg_type())
 
@@ -438,16 +459,16 @@ def test_gm_classes_are_representative_independent():
     lam = Weights(NONRES)
     h = os_cohomology(t, lam)
     cx = build_aomoto(t)
-    w2 = ind.specialize(lam)[2]
+    w2 = dense(ind.specialize(lam, 2), 6, Fraction(0))
     d1 = cx.boundary_at(lam, 1)
     rng = random.Random(5)
     for k in range(h.dims[2]):
         z = h.reps[2][k]
         v = [Fraction(rng.randint(-4, 4)) for _ in range(5)]
-        db = matmul([v], d1, Fraction(0))[0]
+        db = dense_product([v], d1, Fraction(0))[0]
         shifted = [a + b for a, b in zip(z, db)]
-        img1 = matmul([z], w2, Fraction(0))[0]
-        img2 = matmul([shifted], w2, Fraction(0))[0]
+        img1 = dense_product([z], w2, Fraction(0))[0]
+        img2 = dense_product([shifted], w2, Fraction(0))[0]
         assert h.class_coords(2, img1) == h.class_coords(2, img2)
 
 
@@ -518,15 +539,14 @@ def test_eigenspace_dims_match_specialized_ranks():
     e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
     lam = Weights(NONRES)
     lam_s = lam.subset_sum((3, 4, 5))
-    mats = e.specialize(lam)
     for q in range(3):
         d0, ds = eigenspace_dims(5, 3, 1, q)
-        m = mats[q]
-        assert rank(m) == ds
         size = comb(5, q)
+        m = dense(e.specialize(lam, q), size, Fraction(0))
+        assert rank(m) == ds
         shifted = [[m[i][j] - (lam_s if i == j else 0) for j in range(size)]
                    for i in range(size)]
-        product = matmul(m, shifted, Fraction(0))
+        product = dense_product(m, shifted, Fraction(0))
         assert all(not c for row in product for c in row)
 
 
@@ -540,7 +560,7 @@ def test_spectrum_check_symbolic_and_witness():
     assert ok and witness is None
     # doubling one degree breaks the quadratic relation
     broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
-    bad = ChainEndomorphism(e.cx, broken, validate=False)
+    bad = ChainEndomorphism(e.cx, sparse_rows(broken), validate=False)
     ok, witness = spectrum_check(bad, (3, 4, 5))
     assert not ok
     assert witness["degree"] == 1
@@ -552,12 +572,12 @@ def test_spectrum_witness_is_first_failing_entry_row_major():
     for q, (i, j) in ((1, (3, 2)), (2, (0, 0)), (2, (9, 4))):
         mats = [[list(row) for row in m] for m in e.mats]
         mats[q][i][j] = mats[q][i][j] + y(1)
-        ok, witness = spectrum_check(ChainEndomorphism(e.cx, mats, validate=False),
-                                     (3, 4, 5))
+        ok, witness = spectrum_check(ChainEndomorphism(e.cx, sparse_rows(mats),
+                                                       validate=False), (3, 4, 5))
         m = mats[q]
         shifted = [[c - ys if a == b else c for b, c in enumerate(row)]
                    for a, row in enumerate(m)]
-        product = matmul(m, shifted, Quadratic())
+        product = dense_product(m, shifted, Quadratic())
         first = next((a, b) for a, row in enumerate(product)
                      for b, c in enumerate(row) if c)
         assert not ok
@@ -585,11 +605,11 @@ def test_chain_and_spectrum_verdicts_match_evaluation(data):
             mats[q][i][j] = mats[q][i][j] + draw(linear_forms(n))
     failing = chain_failure_by_evaluation(e.cx, mats)
     if failing is None:
-        ChainEndomorphism(e.cx, mats)
+        ChainEndomorphism(e.cx, sparse_rows(mats))
     else:
         with pytest.raises(ValueError, match="in degree %d$" % failing):
-            ChainEndomorphism(e.cx, mats)
-    unchecked = ChainEndomorphism(e.cx, mats, validate=False)
+            ChainEndomorphism(e.cx, sparse_rows(mats))
+    unchecked = ChainEndomorphism(e.cx, sparse_rows(mats), validate=False)
     assert spectrum_check(unchecked, S) == spectrum_check_by_evaluation(unchecked, S)
 
 
@@ -601,7 +621,7 @@ def test_spectrum_report_flags_only_the_broken_degree():
     assert [d["verified"] for d in good["degrees"]] == [True, True, True]
     broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
     bad = spectrum_report((3, 4, 5), 1, lam, 5, 2,
-                          e=ChainEndomorphism(e.cx, broken, validate=False))
+                          e=ChainEndomorphism(e.cx, sparse_rows(broken), validate=False))
     assert [d["verified"] for d in bad["degrees"]] == [True, False, True]
     assert [{k: d[k] for k in ("degree", "lambda_S", "d0", "dS")}
             for d in bad["degrees"]] == [
@@ -625,3 +645,182 @@ def test_principal_dependence_failures_are_not_covered():
         Arrangement.from_json({"ell": 2, "n": 6, "rows": rows}))
     with pytest.raises(NotCovered, match="no single pencil"):
         principal_dependence(two, generic_type(6, 2))
+
+
+# ---- the sparse route against the dense one ----------------------------------
+
+SMALL = [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)]
+
+
+def _pencils(n, ell):
+    return [(S, r) for size in range(2, n + 2) for S in combinations(range(1, n + 2), size)
+            for r in range(1, min(ell, size - 1) + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pencil_type(n, ell, S, r):
+    """The type of the pencil (S, r), or the generic type where a rank-1
+    pencil through infinity has no affine realization."""
+    if n + 1 in S and r == 1:
+        return generic_type(n, ell)
+    return CombinatorialType.from_arrangement(pencil_realization(n, ell, S, r))
+
+
+def _induced(e, t):
+    """Dense induced matrices, or the error the sparse route raises."""
+    try:
+        return induce_on_type(e, t).mats
+    except ValueError as err:
+        return "%s: %s" % (type(err).__name__, err)
+
+
+def _dense_induced(mats, t):
+    """The same outcome by the dense route: the dense push-down, then the
+    dense chain check on the type's complex."""
+    try:
+        out = dense_induce_on_type(mats, t)
+    except NotCovered as err:
+        return "NotCovered: %s" % err
+    failing = dense_chain_failure(build_aomoto(t), out)
+    if failing is None:
+        return out
+    return ("ValueError: matrices do not commute with the differential in degree %d"
+            % failing)
+
+
+def _nonzeros_only(rows):
+    return all(f for m in rows for row in m for f in row.values())
+
+
+def test_every_omega_tilde_matches_the_dense_route():
+    # the closed form never writes an entry that cancels, so every stored
+    # entry is nonzero
+    for n, ell in SMALL:
+        assert _nonzeros_only(build_aomoto(generic_type(n, ell)).rows)
+        for size in range(2, n + 2):
+            for K in combinations(range(1, n + 2), size):
+                e = omega_tilde(K, n, ell)
+                assert e.mats == dense_omega_tilde(K, n, ell), (n, ell, K)
+                assert _nonzeros_only(e.rows), (n, ell, K)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_sums_and_induced_maps_match_the_dense_route(data):
+    # a pencil sum, induced on the generic type, on its own pencil type and
+    # on another pencil's type, where it need not descend
+    draw = data.draw
+    n, ell = draw(st.sampled_from(SMALL))
+    S, r = draw(st.sampled_from(_pencils(n, ell)))
+    e = omega_tilde_sum(S, r, n, ell)
+    assert e.mats == dense_weighted_sum(pencil_sum_terms(S, r, n, ell), n, ell)
+    assert _nonzeros_only(e.rows)
+    other = draw(st.sampled_from(_pencils(n, ell)))
+    for t in (generic_type(n, ell), _pencil_type(n, ell, S, r), _pencil_type(n, ell, *other)):
+        assert _induced(e, t) == _dense_induced(e.mats, t), (n, ell, S, r, other)
+        assert _nonzeros_only(build_aomoto(t).rows)
+
+
+@given(pair=type_pairs())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_pair_sums_match_the_dense_route(pair):
+    special, general = pair
+    try:
+        terms = relative_multiplicities(special, general)
+    except ValueError:
+        return
+    n, ell = general.n, general.ell
+    assert omega_tilde_pair(special, general).mats == dense_weighted_sum(terms, n, ell)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_sparse_checks_fail_exactly_where_the_dense_ones_do(data):
+    # one entry of a pencil sum flipped or moved: the chain check raises for
+    # the degree the dense check names, spectrum_check gives the dense
+    # witness, and inducing fails (or not) as the dense route does
+    draw = data.draw
+    n, ell = draw(st.sampled_from(SMALL))
+    S, r = draw(st.sampled_from(_pencils(n, ell)))
+    e = omega_tilde_sum(S, r, n, ell)
+    mats = [[list(row) for row in m] for m in e.mats]
+    spots = [(q, i, j) for q, m in enumerate(mats) for i, row in enumerate(m)
+             for j, c in enumerate(row) if c]
+    if spots and draw(st.booleans()):
+        q, i, j = draw(st.sampled_from(spots))
+    else:
+        q = draw(st.integers(0, ell))
+        i, j = (draw(st.integers(0, len(mats[q]) - 1)) for _ in range(2))
+    row = mats[q][i]
+    if draw(st.booleans()):
+        row[j] = -row[j]
+    else:
+        k = draw(st.integers(0, len(row) - 1))
+        if k != j:
+            row[k], row[j] = row[k] + row[j], LinearForm.zero(n)
+    failing = dense_chain_failure(e.cx, mats)
+    if failing is None:
+        ChainEndomorphism(e.cx, sparse_rows(mats))
+    else:
+        with pytest.raises(ValueError, match="in degree %d$" % failing):
+            ChainEndomorphism(e.cx, sparse_rows(mats))
+    unchecked = ChainEndomorphism(e.cx, sparse_rows(mats), validate=False)
+    assert spectrum_check(unchecked, S) == dense_spectrum_check(mats, S, n)
+    t = _pencil_type(n, ell, S, r)
+    assert _induced(unchecked, t) == _dense_induced(mats, t)
+
+
+# ---- coefficient types and the dense views ------------------------------------
+
+
+def _coefficients(rows):
+    return [c for m in rows for row in m for f in row.values() for c in f.terms.values()]
+
+
+def test_library_coefficients_are_ints():
+    selberg, collapsed = selberg_type(), collapsed_type()
+    cases = [(selberg, omega_tilde_sum((3, 4, 5), 1, 5, 2)),
+             (selberg, omega_tilde_pair(collapsed, selberg)),
+             (generic_type(6, 3), omega_tilde_sum((2, 4, 7), 2, 6, 3)),
+             (_pencil_type(6, 3, (1, 2, 3, 4), 2), omega_tilde_sum((1, 2, 3, 4), 2, 6, 3))]
+    for t, e in cases:
+        n, ell = t.n, t.ell
+        coeffs = _coefficients(build_aomoto(t).rows) + _coefficients(e.rows)
+        coeffs += _coefficients(induce_on_type(e, t).rows)
+        for K in pencil_sum_terms((1, 2, 3), 1, n, ell):
+            coeffs += _coefficients(omega_tilde(K, n, ell).rows)
+        assert coeffs and all(type(c) is int for c in coeffs), (n, ell)
+
+
+def test_specialize_matches_the_dense_route():
+    t = selberg_type()
+    lam = Weights(NONRES)
+    for e in (omega_tilde_sum((3, 4, 5), 1, 5, 2),
+              induce_on_type(omega_tilde_sum((3, 4, 5), 1, 5, 2), t)):
+        for q, m in enumerate(e.mats):
+            values = dense(e.specialize(lam, q), len(m), Fraction(0))
+            assert values == mat_evaluate(m, lam.values)
+            assert all(type(c) is Fraction for row in values for c in row)
+    cx = build_aomoto(t)
+    for q, m in enumerate(cx.boundary):
+        assert cx.boundary_at(lam, q) == mat_evaluate(m, lam.values)
+
+
+def test_library_route_builds_no_dense_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense view built")
+
+    monkeypatch.setattr(ChainEndomorphism, "mats", property(refuse))
+    monkeypatch.setattr(AomotoComplex, "boundary", property(refuse))
+    # start from a generic type no other test has built
+    generic_type.cache_clear()
+    t = selberg_type()
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    ind = induce_on_type(e, t)
+    for weights in (NONRES, RES):
+        lam = Weights(weights)
+        h = os_cohomology(t, lam)
+        for q in range(3):
+            gm_endomorphism(ind, lam, q, h=h)
+        spectrum_report((3, 4, 5), 1, lam, 5, 2, e=e)
+    assert spectrum_check(e, (3, 4, 5)) == (True, None)

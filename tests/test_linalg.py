@@ -8,15 +8,22 @@ from osgm.linalg import (
     rank,
     rref,
     kernel_basis,
-    coset_reduce,
     echelon_reduce,
     solve_row_combination,
     matmul,
-    mat_evaluate,
+    dense,
     identity_matrix,
 )
 from osgm.poly import LinearForm, Quadratic
-from oracles import dense_rref, products_agree_by_evaluation, quadratic_value
+from oracles import (
+    coset_reduce,
+    dense_product,
+    dense_rref,
+    mat_evaluate,
+    products_agree_by_evaluation,
+    quadratic_value,
+    sparse,
+)
 from strategies import linear_form_matrices, linear_forms, small_rationals
 
 
@@ -210,14 +217,15 @@ def test_matmul_and_polynomial_evaluation_commute():
     for _ in range(25):
         a = [[_random_form(rng, n) for _ in range(3)] for _ in range(2)]
         b = [[_random_form(rng, n) for _ in range(2)] for _ in range(3)]
-        ab = matmul(a, b, Quadratic())
+        ab = dense(matmul(sparse(a), sparse(b)), 2, Quadratic())
         left = [[quadratic_value(f, lam) for f in row] for row in ab]
-        right = matmul(mat_evaluate(a, lam), mat_evaluate(b, lam), Fraction(0))
-        assert left == right
+        right = matmul(sparse(mat_evaluate(a, lam)), sparse(mat_evaluate(b, lam)))
+        assert left == dense(right, 2, Fraction(0))
         # a rational factor keeps the entries linear forms
         r = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(3)]
-        ar = matmul(a, r, LinearForm.zero(n))
-        assert mat_evaluate(ar, lam) == matmul(mat_evaluate(a, lam), r, Fraction(0))
+        ar = dense(matmul(sparse(a), sparse(r)), 2, LinearForm.zero(n))
+        assert mat_evaluate(ar, lam) == dense(matmul(sparse(mat_evaluate(a, lam)), sparse(r)),
+                                              2, Fraction(0))
 
 
 @given(data=st.data())
@@ -240,20 +248,44 @@ def test_symbolic_products_agree_exactly_when_evaluations_do(data):
         f = draw(small_rationals())
         p, p_inv = identity_matrix(inner), identity_matrix(inner)
         p[i][j], p_inv[i][j] = f, -f
-        c = matmul(a, p, LinearForm.zero(n))
-        d = matmul(p_inv, b, LinearForm.zero(n))
+        c = dense_product(a, p, LinearForm.zero(n))
+        d = dense_product(p_inv, b, LinearForm.zero(n))
     else:
         c, d = a, b
     if draw(st.booleans()):
         d = [list(row) for row in d]
         i, j = draw(st.integers(0, inner - 1)), draw(st.integers(0, cols - 1))
         d[i][j] = d[i][j] + draw(linear_forms(n))
-    symbolic = matmul(a, b, Quadratic()) == matmul(c, d, Quadratic())
+    symbolic = matmul(sparse(a), sparse(b)) == matmul(sparse(c), sparse(d))
     assert symbolic == products_agree_by_evaluation(a, b, c, d, n)
 
 
 def test_identity_matrix():
     i3 = identity_matrix(3)
     m = frac_matrix([[1, 2, 3], [0, 1, 0], [5, 0, 1]])
-    assert matmul(i3, m, Fraction(0)) == m
-    assert matmul(m, i3, Fraction(0)) == m
+    assert matmul(sparse(i3), sparse(m)) == sparse(m)
+    assert matmul(sparse(m), sparse(i3)) == sparse(m)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_matmul_matches_the_dense_product(data):
+    # sparse rows against the entry-by-entry product over the full shape,
+    # for rational and linear-form entries; zero sums are never stored
+    draw = data.draw
+    # a dense matrix with no rows has no width, so the inner size is positive
+    rows, inner, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["rational", "forms", "mixed"]))
+    rational = st.one_of(st.just(Fraction(0)), small_rationals())
+
+    def matrix(entries, nrows, ncols):
+        return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+    a = matrix(rational if kind == "rational" else linear_forms(n), rows, inner)
+    b = matrix(linear_forms(n) if kind == "forms" else rational, inner, cols)
+    zero = Quadratic() if kind == "forms" else (Fraction(0) if kind == "rational"
+                                                 else LinearForm.zero(n))
+    product = matmul(sparse(a), sparse(b))
+    assert all(c for row in product for c in row.values())
+    assert dense(product, cols, zero) == dense_product(a, b, zero)

@@ -11,12 +11,11 @@ from osgm.orlik_solomon import (
     nbc_basis,
     betti_numbers,
     os_reduce,
-    multiply,
     wedge,
     projection_matrix,
 )
 from osgm.poly import LinearForm
-from oracles import frac_rank, ideal_span_rows, exterior_quotient_dims
+from oracles import exterior_quotient_dims, frac_rank, ideal_span_rows, multiply
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],

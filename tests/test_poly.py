@@ -159,3 +159,31 @@ def test_linear_form_arithmetic_matches_evaluation(a, b, c, point, images):
     assert bool(a) == any(a.evaluate(u) for u in units)
     moved = [ev(images[j]) if j in images else point[j - 1] for j in range(1, N + 1)]
     assert ev(a.substitute(images)) == a.evaluate(moved)
+
+
+def _exact_type(c):
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    f = LinearForm(3, {1: Fraction(4, 2), 2: Fraction(1, 2), 3: 0})
+    assert f.terms == {1: 2, 2: Fraction(1, 2)}
+    assert type(f.terms[1]) is int and type(f.terms[2]) is Fraction
+    assert type(LinearForm.variable(2, 3).terms[2]) is int
+    assert all(type(c) is int for c in LinearForm.subset_sum((1, 4), 3).terms.values())
+    # a rational scalar that cancels leaves an int; one that does not stays
+    assert type((f * Fraction(2)).terms[2]) is int
+    assert type((f * Fraction(1, 3)).terms[1]) is Fraction
+    assert type((f + f).terms[2]) is int
+    # printing and serialization cannot tell an int from an integral Fraction
+    g = LinearForm._of(3, {1: Fraction(2), 2: Fraction(1, 2)})
+    assert f == g and str(f) == str(g) and f.to_json() == g.to_json()
+
+
+@given(f=linear_forms(3), g=linear_forms(3), c=small_rationals())
+@PROPERTY
+def test_arithmetic_keeps_coefficients_exact(f, g, c):
+    # every coefficient is an int exactly when it is integral
+    for h in (f, f + g, f - g, -f, f * c, c * f, f * 3):
+        assert all(_exact_type(x) for x in h.terms.values())
+    assert all(_exact_type(x) for x in (f * g).terms.values())
