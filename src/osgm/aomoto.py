@@ -10,14 +10,7 @@ whose cohomology is computed here, together with resonance queries.
 from fractions import Fraction
 
 from .arrangement import dep_star
-from .linalg import (
-    dense,
-    echelon_reduce,
-    evaluate_rows,
-    identity_matrix,
-    kernel_basis,
-    rref,
-)
+from .linalg import dense, echelon_reduce, evaluate_rows, image_and_kernel, rref
 from .orlik_solomon import nbc_basis, os_reduce, wedge
 from .poly import LinearForm, parse_rational
 
@@ -34,7 +27,7 @@ class Weights:
                 except ValueError as e:
                     raise ValueError("weight %d: %s" % (i, e)) from None
                 continue
-            if isinstance(x, bool):
+            if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
                 raise ValueError("weight %d is not a rational number: %r" % (i, x))
             try:
                 vals.append(Fraction(x))
@@ -84,13 +77,12 @@ class AomotoComplex:
         return [dense(r, len(self.bases[q + 1]), zero) for q, r in enumerate(self.rows)]
 
     def boundary_at(self, lam, q):
-        """Specialized differential leaving degree q as a dense rational
-        matrix, for elimination (zero-width at the top); only its nonzero
-        entries are evaluated."""
+        """Specialized differential leaving degree q as sparse rows of
+        Fractions (empty rows at the top); only its nonzero entries are
+        evaluated."""
         if q >= len(self.rows):
-            return [[] for _ in self.bases[q]]
-        return dense(evaluate_rows(self.rows[q], lam.values), len(self.bases[q + 1]),
-                     Fraction(0))
+            return [{} for _ in self.bases[q]]
+        return evaluate_rows(self.rows[q], lam.values)
 
 
 def build_aomoto(t):
@@ -121,7 +113,7 @@ def _build_aomoto(t):
 class CohomologyData:
     """Per-degree dimensions and echelon-canonical representative cocycles
     of the specialized complex, plus the reduced coboundary spaces needed to
-    compare classes, each with its pivot columns."""
+    compare classes, each as sparse rows with its pivot columns."""
 
     def __init__(self, dims, reps, rep_pivots, cobound, cob_pivots, bases):
         self.dims = dims
@@ -133,51 +125,47 @@ class CohomologyData:
 
     def class_coords(self, q, vec):
         """Coordinates of a cocycle's class in the representative basis,
-        or None when the vector is not in the cocycle-plus-coboundary span.
+        or None when the sparse vector is not in the cocycle-plus-coboundary
+        span.
 
         After reduction by the coboundaries each coordinate is the entry at
         its representative's pivot; the vector is a member exactly when
         nothing is left once the representatives are taken off as well.
         """
         reduced = echelon_reduce(vec, self.cobound[q], self.cob_pivots[q])
-        coords = [reduced[p] for p in self.rep_pivots[q]]
-        if any(echelon_reduce(reduced, self.reps[q], self.rep_pivots[q])):
+        zero = Fraction(0)
+        coords = [reduced.get(p, zero) for p in self.rep_pivots[q]]
+        if echelon_reduce(reduced, self.reps[q], self.rep_pivots[q]):
             return None
         return coords
 
     def element(self, q, k):
         """The k-th representative as {monomial: coefficient}."""
-        return {
-            T: c for T, c in zip(self.bases[q], self.reps[q][k]) if c
-        }
+        return {self.bases[q][j]: c for j, c in sorted(self.reps[q][k].items())}
 
 
 def os_cohomology(t, lam):
     c = build_aomoto(t)
-    # each specialized differential serves as the outgoing map of degree q
-    # and, echelonized, as the coboundary space of degree q+1
-    maps = [c.boundary_at(lam, q) for q in range(t.ell + 1)]
     dims, reps, rep_pivots, cobound, cob_pivots = [], [], [], [], []
+    cob_rows, cob_piv = [], []
     for q in range(t.ell + 1):
-        out_mat = maps[q]
-        cob_rows, cob_piv = rref(maps[q - 1]) if q else ([], [])
-        cob_rows = cob_rows[:len(cob_piv)]
-        if not out_mat or not out_mat[0]:
+        cobound.append(cob_rows)
+        cob_pivots.append(cob_piv)
+        if q < t.ell:
+            # one elimination of the differential leaving degree q gives the
+            # closed cochains of degree q and the coboundaries of degree q+1
+            img, img_piv, closed = image_and_kernel(c.boundary_at(lam, q))
+            canon, piv = rref([echelon_reduce(z, cob_rows, cob_piv) for z in closed])
+            cob_rows, cob_piv = img, img_piv
+        else:
             # every cochain is closed, and reducing the unit vectors by the
             # coboundaries spans exactly the coordinates off their pivots
             taken = set(cob_piv)
             piv = [j for j in range(len(c.bases[q])) if j not in taken]
-            unit = identity_matrix(len(c.bases[q]))
-            canon = [unit[j] for j in piv]
-        else:
-            canon, piv = rref([echelon_reduce(z, cob_rows, cob_piv)
-                               for z in kernel_basis(out_mat)])
-            canon = canon[:len(piv)]
+            canon = [{j: 1} for j in piv]
         dims.append(len(canon))
         reps.append(canon)
         rep_pivots.append(piv)
-        cobound.append(cob_rows)
-        cob_pivots.append(cob_piv)
     return CohomologyData(dims, reps, rep_pivots, cobound, cob_pivots, c.bases)
 
 

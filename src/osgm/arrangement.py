@@ -34,14 +34,22 @@ def _whole_number(data, key):
     return int(x)
 
 
+def _coefficients(rows):
+    """Sparse closure rows without their constant terms."""
+    return [{k: x for k, x in r.items() if k} for r in rows]
+
+
 class Arrangement:
 
-    __slots__ = ("n", "ell", "rows")
+    __slots__ = ("n", "ell", "rows", "_sparse")
 
     def __init__(self, ell, n, rows):
         self.ell = ell
         self.n = n
         self.rows = rows
+        # the closure rows, infinity last, wrapped once as sparse rows for `rank`
+        self._sparse = ([{k: x for k, x in enumerate(r) if x} for r in rows]
+                        + [{0: Fraction(1)}])
 
     @classmethod
     def from_json(cls, data):
@@ -74,7 +82,7 @@ class Arrangement:
                 raise ValueError("row %d: coefficient part is zero, not a hyperplane" % i)
             rows.append(row)
         arr = cls(ell, n, rows)
-        if rank([r[1:] for r in rows]) < ell:
+        if rank(_coefficients(arr._sparse[:n])) < ell:
             raise ValueError("arrangement is not essential: coefficient rank < ell")
         return arr
 
@@ -99,15 +107,15 @@ class Arrangement:
         return self.rows[j - 1]
 
     def subset_rank(self, S):
-        return rank([self.row(j) for j in S])
+        return rank([self._sparse[j - 1] for j in S])
 
     def is_dependent(self, S):
         return self.subset_rank(S) < len(S)
 
     def affine_nonempty(self, S):
         """Whether the hyperplanes of S (subset of [n]) share an affine point."""
-        full = [self.row(j) for j in S]
-        return rank([r[1:] for r in full]) == rank(full)
+        full = [self._sparse[j - 1] for j in S]
+        return rank(_coefficients(full)) == rank(full)
 
 
 def dependent_subsets(a, q):

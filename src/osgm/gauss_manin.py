@@ -27,14 +27,7 @@ from .arrangement import (
     pencil_profile,
     pencil_starred,
 )
-from .linalg import (
-    dense,
-    evaluate_rows,
-    identity_matrix,
-    kernel_basis,
-    matmul,
-    rank,
-)
+from .linalg import dense, evaluate_rows, image_and_kernel, matmul, rank
 from .orlik_solomon import projection_matrix, wedge
 from .poly import LinearForm, format_rational
 
@@ -106,7 +99,7 @@ class SigmaAction:
 
     def _degree_matrix(self, p):
         if p == 0:
-            return identity_matrix(1)
+            return [[Fraction(1)]]
         n = self.n
         subsets = list(combinations(range(1, n + 1), p))
         index = {T: k for k, T in enumerate(subsets)}
@@ -389,14 +382,13 @@ def induce_on_type(e, t):
     rows = []
     for q in range(t.ell + 1):
         proj = projection_matrix(t, q)
-        proj_rows = [{j: c for j, c in enumerate(row) if c} for row in proj]
-        relations = [{i: c for i, c in enumerate(v) if c} for v in kernel_basis(proj)]
-        if any(matmul(matmul(relations, e.rows[q]), proj_rows)):
+        relations = image_and_kernel(proj)[2]
+        if any(matmul(matmul(relations, e.rows[q]), proj)):
             raise NotCovered(
                 "not a valid covering datum: degree-%d relations "
                 "are not preserved" % q)
         index = {T: i for i, T in enumerate(e.cx.bases[q])}
-        rows.append(matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj_rows))
+        rows.append(matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj))
     return ChainEndomorphism(cx, rows, validate=True)
 
 
@@ -410,10 +402,8 @@ def gm_endomorphism(e, lam, q, h=None):
         raise ValueError("degree out of range")
     if h is None:
         h = os_cohomology(e.cx.t, lam)
-    w = e.specialize(lam, q)
     out = []
-    for z in h.reps[q]:
-        img = dense(matmul([{i: x for i, x in enumerate(z) if x}], w), len(w), Fraction(0))[0]
+    for img in matmul(h.reps[q], e.specialize(lam, q)):
         coords = h.class_coords(q, img)
         if coords is None:
             raise NotCovered("image of a closed class is not closed in degree %d" % q)
@@ -531,10 +521,8 @@ def spectrum_report(S, r, lam, n, ell, e=None):
     for q in range(len(e.rows)):
         d0, ds = eigenspace_dims(n, len(S), r, q)
         m = e.specialize(lam, q)
-        size = len(m)
         shifted, bad = _quadratic_defect(m, lam_s)
-        ok = (bad is None and rank(dense(m, size, Fraction(0))) == ds
-              and rank(dense(shifted, size, Fraction(0))) == d0)
+        ok = bad is None and rank(m) == ds and rank(shifted) == d0
         degrees.append({
             "degree": q,
             "lambda_S": format_rational(lam_s),

@@ -1,132 +1,142 @@
 """Exact linear algebra over Fraction, row-vector convention.
 
-Elimination works on dense matrices, lists of lists.  Products work on
-sparse rows: a matrix is a list of rows {col: entry} holding its nonzero
-entries only, and `dense` builds the list-of-lists view of one.  Linear
-maps act on row vectors, v -> v @ M, so the kernel of a map is the left
-null space of its matrix and images are spanned by rows.  Everything is
-done with rational Gaussian elimination; nothing here is numerical.
+A matrix is a list of sparse rows {col: entry} holding its nonzero
+entries only; elimination and products both work on that form, and
+`dense` builds the list-of-lists view of one for printing.  Linear maps
+act on row vectors, v -> v @ M, so the kernel of a map is the left null
+space of its matrix and images are spanned by rows.  Everything is done
+with rational Gaussian elimination; nothing here is numerical.
 """
 
 from fractions import Fraction
 
+_ONE = Fraction(1)
+
 
 def rref(m):
-    """Reduced row echelon form.
+    """Reduced row echelon form of sparse rows.
 
-    Returns (rows, pivot_columns).  The input is not modified.  Zero rows
-    are kept at the bottom so the output has the same shape as the input.
-    Row operations touch only the nonzero entries of the pivot row: the
-    entries it would add zero to are left as they are.
+    Returns (rows, pivot_columns): the nonzero rows of the reduced form,
+    in pivot order, each holding its pivot entry 1.  The form is unique,
+    so equal row spaces give equal results.  The input is not modified.
+    Row operations touch only the nonzero entries of the pivot row, and
+    never its pivot column, which is set rather than computed.
     """
-    rows = [list(r) for r in m]
-    if not rows:
-        return [], []
-    nrows, ncols = len(rows), len(rows[0])
+    rows = [dict(r) for r in m if r]
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = None
+    for c in sorted(set().union(*rows)):
         for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
+            if c in rows[i]:
                 break
-        if piv is None:
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
         # left of c the pivot row is zero: earlier columns are cleared or
         # had no nonzero entry in the rows not yet used as pivots
-        inv = Fraction(1) / prow[c]
-        support = []
-        for j in range(c + 1, ncols):
-            if prow[j]:
-                prow[j] = prow[j] * inv
-                support.append((j, prow[j]))
-        prow[c] = Fraction(1)
-        for i in range(nrows):
-            row = rows[i]
-            f = row[c]
-            if i != r and f:
+        inv = _ONE / prow.pop(c)
+        support = [(j, b * inv) for j, b in prow.items()]
+        prow.update(support)
+        prow[c] = _ONE
+        for row in rows:
+            if c in row and row is not prow:
+                f = row.pop(c)
                 for j, b in support:
-                    row[j] = row[j] - f * b
-                row[c] = Fraction(0)
+                    if j in row:
+                        s = row[j] - f * b
+                        if s:
+                            row[j] = s
+                        else:
+                            del row[j]
+                    else:
+                        row[j] = -f * b
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return rows[:r], pivots
 
 
 def rank(m):
     return len(rref(m)[1])
 
 
-def kernel_basis(m):
-    """Basis of {v : v @ m = 0}, echelonized, leading entries 1.
+def image_and_kernel(m):
+    """One elimination of [M | I]: (rows, pivots, kernel).
 
-    The result is canonical: it is the reduced row echelon form of the
-    left null space, so equal subspaces give equal bases.
+    `rows` and `pivots` are the reduced row echelon form of M, as `rref`
+    gives them; `kernel` is the reduced row echelon basis of the left null
+    space {v : v @ M = 0}.  Row i of M carries the unit vector e_i in a
+    block right of M's columns, so each reduced row records the
+    combination of M's rows it is; the rows whose pivot falls in that
+    block are zero on M, and they are the kernel.
     """
-    nrows = len(m)
-    if nrows == 0:
-        return []
-    # left null space of m = standard null space of transpose(m)
-    t = [[m[i][j] for i in range(nrows)] for j in range(len(m[0]))]
-    rows, pivots = rref(t)
-    pivset = set(pivots)
-    basis = []
-    for free in range(nrows):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * nrows
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][free]
-        basis.append(v)
-    rows, pivots = rref(basis)
-    return rows[:len(pivots)]
+    width = 1 + max((max(row) for row in m if row), default=-1)
+    aug = []
+    for i, row in enumerate(m):
+        row = dict(row)
+        row[width + i] = 1
+        aug.append(row)
+    red, piv = rref(aug)
+    r = sum(p < width for p in piv)
+    rows = [{j: x for j, x in row.items() if j < width} for row in red[:r]]
+    kernel = [{j - width: x for j, x in row.items()} for row in red[r:]]
+    return rows, piv[:r], kernel
 
 
 def echelon_reduce(v, rows, pivots):
-    """v minus the combination of rows that clears every pivot column.
+    """The sparse vector v minus the combination of rows that clears every
+    pivot column.
 
     `rows` and `pivots` are the nonzero rows of a reduced row echelon form
     and their pivot columns, as `rref` returns them; the coefficient of
     row i is the entry of v at its pivot, since no other row touches that
-    column.  The result is zero exactly when v lies in the row span.
+    column.  The result is empty exactly when v lies in the row span.
     """
-    v = list(v)
+    v = dict(v)
     for row, p in zip(rows, pivots):
-        f = v[p]
+        f = v.pop(p, None)
         if f:
-            for j in range(p, len(v)):
-                b = row[j]
-                if b:
-                    v[j] = v[j] - f * b
+            for j, b in row.items():
+                if j == p:
+                    continue
+                if j in v:
+                    s = v[j] - f * b
+                    if s:
+                        v[j] = s
+                    else:
+                        del v[j]
+                else:
+                    v[j] = -f * b
     return v
 
 
 def solve_row_combination(rows, w):
     """Coefficients x with x @ rows == w, or None if w is not in the span.
 
-    Free coefficients are set to zero, so the answer is deterministic.
-    The library reads class coordinates off pivots instead; the test suite
-    solves through this as a cross-check, and the benchmark tracer in
-    perfbench/child.py looks it up here by name.
+    `rows` are sparse rows and `w` a sparse vector; x is a list with one
+    coefficient per row.  Free coefficients are set to zero, so the answer
+    is deterministic.  The library reads class coordinates off pivots
+    instead; the test suite solves through this as a cross-check, and the
+    benchmark tracer in perfbench/child.py looks it up here by name.
     """
     k = len(rows)
-    if k == 0:
-        return [] if not any(w) else None
-    ncols = len(rows[0])
     # solve transpose(rows) @ x = w by augmented elimination
-    aug = [[rows[i][j] for i in range(k)] + [w[j]] for j in range(ncols)]
-    red, pivots = rref(aug)
+    aug = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            aug.setdefault(j, {})[i] = x
+    for j, x in w.items():
+        aug.setdefault(j, {})[k] = x
+    red, pivots = rref(list(aug.values()))
     if k in pivots:
         return None
     x = [Fraction(0)] * k
-    for i, p in enumerate(pivots):
-        x[p] = red[i][k]
+    for row, p in zip(red, pivots):
+        x[p] = row.get(k, Fraction(0))
     return x
 
 
@@ -171,7 +181,3 @@ def evaluate_rows(rows, lam):
 def dense(rows, ncols, zero):
     """The list-of-lists view of sparse rows, `zero` off their support."""
     return [[row.get(j, zero) for j in range(ncols)] for row in rows]
-
-
-def identity_matrix(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]

@@ -125,15 +125,10 @@ def os_reduce(x, t):
 
 
 def projection_matrix(t, q):
-    """Matrix of the quotient map in degree q: rows run over all q-subsets
-    of [n] in lexicographic order, columns over the nbc basis.  The entries
-    are ints: the rewriting only adds relations with coefficients +-1."""
-    basis = nbc_basis(t, q)
-    col = {T: i for i, T in enumerate(basis)}
-    rows = []
-    for S in combinations(range(1, t.n + 1), q):
-        row = [0] * len(basis)
-        for U, c in _reduce_monomial(S, t).items():
-            row[col[U]] = c
-        rows.append(row)
-    return rows
+    """Matrix of the quotient map in degree q as sparse rows {col: entry}:
+    rows run over all q-subsets of [n] in lexicographic order, columns over
+    the nbc basis.  The entries are ints: the rewriting only adds relations
+    with coefficients +-1."""
+    col = {T: i for i, T in enumerate(nbc_basis(t, q))}
+    return [{col[U]: c for U, c in _reduce_monomial(S, t).items()}
+            for S in combinations(range(1, t.n + 1), q)]

@@ -322,23 +322,38 @@ def dense_rref(m):
     return rows, pivots
 
 
-def class_coords_by_solving(h, q, vec):
-    """Class coordinates of vec by the solving route: reduce modulo the
-    coboundaries with a fresh elimination, then solve for a combination of
-    the representatives.  None when vec is not a cocycle."""
-    from osgm.linalg import solve_row_combination
+def dense_left_null_space(m):
+    """A basis of {v : v @ m = 0} for a dense matrix, one vector per free
+    column of `dense_rref` of the transpose; a matrix of zero width is
+    killed by every vector."""
+    nrows = len(m)
+    red, piv = dense_rref([list(col) for col in zip(*m)])
+    basis = []
+    for free in (j for j in range(nrows) if j not in piv):
+        v = [Fraction(int(j == free)) for j in range(nrows)]
+        for row, p in zip(red, piv):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
 
-    reduced = coset_reduce(list(vec), h.cobound[q])
-    if not h.reps[q]:
-        return [] if not any(reduced) else None
-    return solve_row_combination(h.reps[q], reduced)
+
+def class_coords_by_solving(h, q, vec):
+    """Class coordinates of the sparse vector vec by the solving route:
+    reduce modulo the coboundaries with a fresh elimination, then solve for
+    a combination of the representatives.  None when vec is not a
+    cocycle."""
+    from osgm.linalg import echelon_reduce, rref, solve_row_combination
+
+    rows, pivots = rref(h.cobound[q])
+    return solve_row_combination(h.reps[q], echelon_reduce(vec, rows, pivots))
 
 
 def cohomology_reps_by_elimination(t, lam):
     """Representative classes of the specialized Aomoto complex and their
     pivots, per degree, by dense elimination throughout: closed cochains
     from the null space of the transposed differential, reduced modulo
-    the echelonized coboundaries, then echelonized."""
+    the echelonized coboundaries, then echelonized.  The representatives
+    are dense rows."""
     from osgm.aomoto import build_aomoto
 
     c = build_aomoto(t)
@@ -346,15 +361,9 @@ def cohomology_reps_by_elimination(t, lam):
     for q in range(t.ell + 1):
         size = len(c.bases[q])
         closed = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-        if q < t.ell and size:
-            d = [[e.evaluate(lam.values) for e in row] for row in c.boundary[q]]
-            red, piv = dense_rref([list(col) for col in zip(*d)])
-            closed = []
-            for free in (j for j in range(size) if j not in piv):
-                v = [Fraction(int(j == free)) for j in range(size)]
-                for row, p in zip(red, piv):
-                    v[p] = -row[free]
-                closed.append(v)
+        if q < t.ell:
+            closed = dense_left_null_space(
+                [[e.evaluate(lam.values) for e in row] for row in c.boundary[q]])
         cob, cob_piv = [], []
         if q:
             d = [[e.evaluate(lam.values) for e in row] for row in c.boundary[q - 1]]
@@ -443,18 +452,27 @@ def spectrum_check_by_evaluation(e, S):
 
 
 def coset_reduce(v, basis):
-    """Canonical representative of v modulo the row span of basis.
+    """Canonical representative of the dense vector v modulo the row span
+    of the dense matrix basis, by `dense_rref`.
 
     Reduces v so its entries vanish at every pivot column of the span;
     two vectors reduce to the same result iff they differ by an element
     of the span.
     """
-    from osgm.linalg import echelon_reduce, rref
-
+    v = list(v)
     if not basis:
-        return list(v)
-    rows, pivots = rref(basis)
-    return echelon_reduce(v, rows, pivots)
+        return v
+    rows, pivots = dense_rref(basis)
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def identity_matrix(n):
+    """The dense n x n identity over Fraction."""
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_evaluate(m, lam):
@@ -500,9 +518,14 @@ def multiplicity(S, a):
 # entry over the full shape.
 
 
+def sparse_vector(v):
+    """The sparse row {col: entry} of a dense vector, zero entries dropped."""
+    return {j: c for j, c in enumerate(v) if c}
+
+
 def sparse(m):
     """Sparse rows {col: entry} of a dense matrix, zero entries dropped."""
-    return [{j: c for j, c in enumerate(row) if c} for row in m]
+    return [sparse_vector(row) for row in m]
 
 
 def sparse_rows(mats):
@@ -560,7 +583,6 @@ def dense_induce_on_type(mats, t):
     from osgm.aomoto import build_aomoto
     from osgm.arrangement import generic_type
     from osgm.gauss_manin import NotCovered
-    from osgm.linalg import kernel_basis
     from osgm.orlik_solomon import projection_matrix
 
     zero = LinearForm.zero(t.n)
@@ -568,8 +590,9 @@ def dense_induce_on_type(mats, t):
     cx = build_aomoto(t)
     out = []
     for q in range(t.ell + 1):
-        proj = projection_matrix(t, q)
-        for v in kernel_basis(proj):
+        width = len(cx.bases[q])
+        proj = [[row.get(j, 0) for j in range(width)] for row in projection_matrix(t, q)]
+        for v in dense_left_null_space(proj):
             image = dense_product([v], mats[q], zero)[0]
             if any(dense_product([image], proj, zero)[0]):
                 raise NotCovered("not a valid covering datum: degree-%d relations "

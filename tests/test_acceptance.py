@@ -28,7 +28,7 @@ from osgm.linalg import dense, matmul, rank
 from osgm.orlik_solomon import betti_numbers, nbc_basis, os_reduce
 from osgm.poly import LinearForm
 from conftest import record
-from oracles import dense_product, exterior_quotient_dims
+from oracles import dense_product, exterior_quotient_dims, sparse, sparse_vector
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SELBERG_FILE = str(DATA / "selberg.json")
@@ -175,9 +175,9 @@ def test_criterion_5():
     # the surviving degree-1 class
     v = [Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), Fraction(0)]
     cx = build_aomoto(t)
-    image = dense_product([v], cx.boundary_at(lam, 1), Fraction(0))[0]
+    image = dense_product([v], dense(cx.boundary_at(lam, 1), 6, Fraction(0)), Fraction(0))[0]
     assert not any(image)
-    coords = h.class_coords(1, v)
+    coords = h.class_coords(1, sparse_vector(v))
     assert coords is not None and any(coords)
     ind = induce_on_type(omega_tilde_sum((3, 4, 5), 1, 5, 2), t)
     assert gm_endomorphism(ind, lam, 1, h=h) == [[Fraction(0)]]
@@ -212,13 +212,13 @@ def test_criterion_6():
                             d0, ds = eigenspace_dims(n, s, r, q)
                             size = comb(n, q)
                             m = dense(e.specialize(lam, q), size, Fraction(0))
-                            assert rank(m) == ds, (n, ell, s, r, q)
+                            assert rank(sparse(m)) == ds, (n, ell, s, r, q)
                             shifted = [
                                 [m[i][j] - (lam_s if i == j else Fraction(0))
                                  for j in range(size)]
                                 for i in range(size)
                             ]
-                            assert rank(shifted) == d0, (n, ell, s, r, q)
+                            assert rank(sparse(shifted)) == d0, (n, ell, s, r, q)
 
 
 @criterion(7, "oracle-backed property suites")

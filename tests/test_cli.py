@@ -272,6 +272,8 @@ def test_malformed_weights_file_exits_2_naming_the_entry(tmp_path, capsys):
                              ([1, 2, [3], 4, 5], "weight 3 is not a rational number"),
                              ([True, 2, 3, 4, 5], "weight 1 is not a rational number: True"),
                              ([1, 2, 3, 4, False], "weight 5 is not a rational number: False"),
+                             ([0.1, 2, 3, 4, 5], "weight 1 is not a rational number: 0.1"),
+                             ([1, 1.5, 3, 4, 5], "weight 2 is not a rational number: 1.5"),
                              (5, 'weights file needs a "weights" list')]:
         wfile.write_text(json.dumps({"weights": weights}))
         code, out, err = run(capsys, "cohomology", SELBERG, "--weights", str(wfile))

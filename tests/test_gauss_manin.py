@@ -26,7 +26,7 @@ from osgm.gauss_manin import (
     spectrum_check,
     spectrum_report,
 )
-from osgm.linalg import dense, identity_matrix, rank
+from osgm.linalg import dense, rank
 from osgm.poly import LinearForm, Quadratic
 from oracles import (
     bareiss_rank,
@@ -37,10 +37,13 @@ from oracles import (
     dense_product,
     dense_spectrum_check,
     dense_weighted_sum,
+    identity_matrix,
     mat_evaluate,
     omega_tilde_by_conjugation,
     principal_dependence_by_walk,
+    sparse,
     sparse_rows,
+    sparse_vector,
     spectrum_check_by_evaluation,
 )
 from strategies import linear_forms, type_pairs
@@ -460,16 +463,15 @@ def test_gm_classes_are_representative_independent():
     h = os_cohomology(t, lam)
     cx = build_aomoto(t)
     w2 = dense(ind.specialize(lam, 2), 6, Fraction(0))
-    d1 = cx.boundary_at(lam, 1)
+    d1 = dense(cx.boundary_at(lam, 1), 6, Fraction(0))
     rng = random.Random(5)
-    for k in range(h.dims[2]):
-        z = h.reps[2][k]
+    for z in dense(h.reps[2], 6, Fraction(0)):
         v = [Fraction(rng.randint(-4, 4)) for _ in range(5)]
         db = dense_product([v], d1, Fraction(0))[0]
         shifted = [a + b for a, b in zip(z, db)]
         img1 = dense_product([z], w2, Fraction(0))[0]
         img2 = dense_product([shifted], w2, Fraction(0))[0]
-        assert h.class_coords(2, img1) == h.class_coords(2, img2)
+        assert h.class_coords(2, sparse_vector(img1)) == h.class_coords(2, sparse_vector(img2))
 
 
 # ---- principal dependence ----------------------------------------------------
@@ -543,7 +545,7 @@ def test_eigenspace_dims_match_specialized_ranks():
         d0, ds = eigenspace_dims(5, 3, 1, q)
         size = comb(5, q)
         m = dense(e.specialize(lam, q), size, Fraction(0))
-        assert rank(m) == ds
+        assert rank(sparse(m)) == ds
         shifted = [[m[i][j] - (lam_s if i == j else 0) for j in range(size)]
                    for i in range(size)]
         product = dense_product(m, shifted, Fraction(0))
@@ -803,15 +805,22 @@ def test_specialize_matches_the_dense_route():
             assert all(type(c) is Fraction for row in values for c in row)
     cx = build_aomoto(t)
     for q, m in enumerate(cx.boundary):
-        assert cx.boundary_at(lam, q) == mat_evaluate(m, lam.values)
+        assert cx.boundary_at(lam, q) == sparse(mat_evaluate(m, lam.values))
 
 
 def test_library_route_builds_no_dense_view(monkeypatch):
-    def refuse(self):
+    import osgm.aomoto
+    import osgm.gauss_manin
+    import osgm.linalg
+
+    def refuse(*args):
         raise AssertionError("dense view built")
 
     monkeypatch.setattr(ChainEndomorphism, "mats", property(refuse))
     monkeypatch.setattr(AomotoComplex, "boundary", property(refuse))
+    # every module that binds `dense`, so no computation goes through it
+    for module in (osgm.linalg, osgm.aomoto, osgm.gauss_manin):
+        monkeypatch.setattr(module, "dense", refuse)
     # start from a generic type no other test has built
     generic_type.cache_clear()
     t = selberg_type()

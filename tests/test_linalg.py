@@ -7,22 +7,24 @@ from hypothesis import given, settings, strategies as st
 from osgm.linalg import (
     rank,
     rref,
-    kernel_basis,
+    image_and_kernel,
     echelon_reduce,
     solve_row_combination,
     matmul,
     dense,
-    identity_matrix,
 )
 from osgm.poly import LinearForm, Quadratic
 from oracles import (
     coset_reduce,
+    dense_left_null_space,
     dense_product,
     dense_rref,
+    identity_matrix,
     mat_evaluate,
     products_agree_by_evaluation,
     quadratic_value,
     sparse,
+    sparse_vector,
 )
 from strategies import linear_form_matrices, linear_forms, small_rationals
 
@@ -74,7 +76,7 @@ def test_rank_against_bareiss_oracle():
         nrows = rng.randint(1, 7)
         ncols = rng.randint(1, 7)
         m = random_int_matrix(rng, nrows, ncols)
-        assert rank(frac_matrix(m)) == bareiss_rank(m)
+        assert rank(sparse(frac_matrix(m))) == bareiss_rank(m)
 
 
 def test_rank_selberg_boundary_specialized():
@@ -90,13 +92,13 @@ def test_rank_selberg_boundary_specialized():
             [-2, 0, 3, 0, -1, 3],
         ]
     )
-    assert rank(m) == 3
+    assert rank(sparse(m)) == 3
     assert bareiss_rank([[-2, -1, 3, 0, 0, 0], [0, 0, 0, -2, -1, 3], [-2, 0, 3, 2, 0, 0], [0, 1, 0, 0, -1, 3], [-2, 0, 3, 0, -1, 3]]) == 3
-    ker = kernel_basis(m)
+    _, _, ker = image_and_kernel(sparse(m))
     assert len(ker) == 2
     # the cocycle e1 - e2 - e3 + e4 lies in the kernel span
     v = [Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), Fraction(0)]
-    assert coset_reduce(v, ker) == [Fraction(0)] * 5
+    assert coset_reduce(v, dense(ker, 5, Fraction(0))) == [Fraction(0)] * 5
 
 
 def test_kernel_vectors_annihilate_and_are_normalized():
@@ -104,14 +106,12 @@ def test_kernel_vectors_annihilate_and_are_normalized():
     for _ in range(150):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
-        m = frac_matrix(random_int_matrix(rng, nrows, ncols))
-        ker = kernel_basis(m)
+        m = sparse(frac_matrix(random_int_matrix(rng, nrows, ncols)))
+        _, _, ker = image_and_kernel(m)
         assert len(ker) == nrows - rank(m)
         for v in ker:
-            prod = [sum((v[i] * m[i][j] for i in range(nrows)), Fraction(0)) for j in range(ncols)]
-            assert all(x == 0 for x in prod)
-            lead = next(x for x in v if x != 0)
-            assert lead == 1
+            assert matmul([v], m) == [{}]
+            assert v[min(v)] == 1
         # basis vectors are independent
         if ker:
             assert rank(ker) == len(ker)
@@ -119,9 +119,9 @@ def test_kernel_vectors_annihilate_and_are_normalized():
 
 def test_rref_pivots_are_canonical():
     m = frac_matrix([[2, 4, 0], [1, 2, 1]])
-    rows, pivots = rref(m)
+    rows, pivots = rref(sparse(m))
     assert pivots == [0, 2]
-    assert rows == frac_matrix([[1, 2, 0], [0, 0, 1]])
+    assert rows == sparse(frac_matrix([[1, 2, 0], [0, 0, 1]]))
 
 
 def test_coset_reduce_properties():
@@ -136,7 +136,7 @@ def test_coset_reduce_properties():
         # difference lies in the subspace
         diff = [a - b for a, b in zip(v, red)]
         if base:
-            assert rank(base + [diff]) == rank(base)
+            assert rank(sparse(base + [diff])) == rank(sparse(base))
         else:
             assert red == v
         # coset invariance: shifting v by any basis row does not change it
@@ -166,8 +166,10 @@ def _sparse_matrices(draw):
 @given(m=_sparse_matrices())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_rref_matches_dense_elimination(m):
-    rows, pivots = rref(m)
-    assert (rows, pivots) == dense_rref(m)
+    rows, pivots = rref(sparse(m))
+    dense_rows, dense_pivots = dense_rref(m)
+    assert (rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
+    assert not any(map(any, dense_rows[len(dense_pivots):]))
     # clearing denominators row by row keeps the rank
     ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
     assert len(pivots) == bareiss_rank(ints)
@@ -178,15 +180,17 @@ def test_echelon_reduce_agrees_with_coset_reduce():
     for _ in range(100):
         dim = rng.randint(1, 7)
         base = frac_matrix(random_int_matrix(rng, rng.randint(1, dim), dim))
-        rows, pivots = rref(base)
+        rows, pivots = rref(sparse(base))
         v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
-        red = echelon_reduce(v, rows[:len(pivots)], pivots)
-        assert red == coset_reduce(v, base)
-        assert all(red[p] == 0 for p in pivots)
+        red = echelon_reduce(sparse_vector(v), rows, pivots)
+        assert red == sparse_vector(coset_reduce(v, base))
+        assert not any(p in red for p in pivots)
         # members of the span reduce to zero
-        member = [sum((Fraction(k) * r[j] for k, r in enumerate(rows, start=1)), Fraction(0))
-                  for j in range(dim)]
-        assert not any(echelon_reduce(member, rows[:len(pivots)], pivots))
+        member = {}
+        for k, r in enumerate(rows, start=1):
+            for j, x in r.items():
+                member[j] = member.get(j, 0) + k * x
+        assert echelon_reduce({j: x for j, x in member.items() if x}, rows, pivots) == {}
 
 
 def test_solve_row_combination():
@@ -197,12 +201,14 @@ def test_solve_row_combination():
         rows = frac_matrix(random_int_matrix(rng, k, dim))
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
         w = [sum((coeffs[i] * rows[i][j] for i in range(k)), Fraction(0)) for j in range(dim)]
-        x = solve_row_combination(rows, w)
+        x = solve_row_combination(sparse(rows), sparse_vector(w))
         assert x is not None
         for j in range(dim):
             assert sum((x[i] * rows[i][j] for i in range(k)), Fraction(0)) == w[j]
     # inconsistent system reports None
-    assert solve_row_combination(frac_matrix([[1, 0]]), [Fraction(0), Fraction(1)]) is None
+    assert solve_row_combination(sparse(frac_matrix([[1, 0]])), {1: Fraction(1)}) is None
+    assert solve_row_combination([], {}) == []
+    assert solve_row_combination([], {0: Fraction(1)}) is None
 
 
 def _random_form(rng, n):
@@ -289,3 +295,26 @@ def test_matmul_matches_the_dense_product(data):
     product = matmul(sparse(a), sparse(b))
     assert all(c for row in product for c in row.values())
     assert dense(product, cols, zero) == dense_product(a, b, zero)
+
+
+# rational rows with some rows zero, down to no columns and no rows
+@st.composite
+def _matrices_with_zero_rows(draw):
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = draw(st.sampled_from([st.integers(-5, 5), _sparse_entry]))
+    return [[Fraction(x) for x in draw(st.lists(entries, min_size=ncols, max_size=ncols))]
+            if draw(st.integers(0, 3)) else [Fraction(0)] * ncols
+            for _ in range(nrows)]
+
+
+@given(m=_matrices_with_zero_rows())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_image_and_kernel_match_the_dense_oracles(m):
+    rows, pivots, kernel = image_and_kernel(sparse(m))
+    dense_rows, dense_pivots = dense_rref(m)
+    assert (rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
+    null_rows, null_pivots = dense_rref(dense_left_null_space(m))
+    assert kernel == sparse(null_rows[:len(null_pivots)])
+    assert len(kernel) + len(rows) == len(m)
+    ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
+    assert rank(sparse(m)) == len(pivots) == bareiss_rank(ints)
