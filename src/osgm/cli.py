@@ -25,7 +25,6 @@ from .gauss_manin import (
     eigenspace_dims,
     gm_endomorphism,
     induce_on_type,
-    omega_tilde_pair,
     omega_tilde_sum,
     principal_dependence,
     spectrum_check,
@@ -245,19 +244,15 @@ def cmd_gm(args):
     if (args.file2 is None) == (args.pencil is None):
         raise ValueError("supply either a second arrangement file or --pencil S r")
     lam = _parse_weights(args.weights, n)
-    if args.pencil is not None:
-        S, r = _parse_pencil(args.pencil, n)
-        e = pencil_e = omega_tilde_sum(S, r, n, ell)
-    else:
-        t2 = _load_type(args.file2)
-        S, r = principal_dependence(t2, t)
-        e = omega_tilde_pair(t2, t)
-        pencil_e = None
+    # a pair of files is recovered to its pencil; then both forms run one route
+    S, r = (_parse_pencil(args.pencil, n) if args.pencil is not None
+            else principal_dependence(_load_type(args.file2), t))
+    e = omega_tilde_sum(S, r, n, ell)
     ind = induce_on_type(e, t)
     h = os_cohomology(t, lam)
     degrees = _degree_list(args, ell)
     gm = {q: gm_endomorphism(ind, lam, q, h=h) for q in degrees}
-    report = spectrum_report(S, r, lam, n, ell, e=pencil_e)
+    report = spectrum_report(e, S, r, lam)
     mats = ind.mats
     if args.json:
         print(json.dumps({
@@ -295,13 +290,17 @@ def cmd_spectrum(args):
     if args.pencil is None:
         raise ValueError("spectrum needs --pencil S r")
     S, r = _parse_pencil(args.pencil, n)
+    if S == tuple(range(1, n + 2)):
+        # y_{n+1} = -(y_1 + ... + y_n), so y_S = 0; refused before the sum is built
+        raise ValueError("spectrum theorem inapplicable: --pencil S holds all %d "
+                         "hyperplanes, so y_S = 0" % (n + 1))
     e = omega_tilde_sum(S, r, n, ell)
     ok, witness = spectrum_check(e, S)
     dims = {q: eigenspace_dims(n, len(S), r, q) for q in range(ell + 1)}
     report = None
     if args.weights is not None:
         lam = _parse_weights(args.weights, n)
-        report = spectrum_report(S, r, lam, n, ell, e=e)
+        report = spectrum_report(e, S, r, lam)
     if args.json:
         data = {
             "S": list(S),

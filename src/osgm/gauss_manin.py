@@ -27,7 +27,7 @@ from .arrangement import (
     pencil_profile,
     pencil_starred,
 )
-from .linalg import dense, evaluate_rows, image_and_kernel, matmul, rank
+from .linalg import dense, evaluate_rows, matmul, rank
 from .orlik_solomon import projection_matrix, wedge
 from .poly import LinearForm, format_rational
 
@@ -37,18 +37,10 @@ class NotCovered(ValueError):
     type, a closed class sent off the closed classes, or no unique pencil."""
 
 
-# The relabeling action below is not used by the library: the test suite
+# The relabeling action below is not used by the library: tests/oracles.py
 # conjugates leading-set endomorphisms through it to cross-check the closed
 # form of omega_tilde.  It stays here because the benchmark tracer in
 # perfbench/child.py looks up `SigmaAction.__init__` in this module by name.
-
-
-def sigma_for(S, n):
-    """Order-preserving relabeling of [n+1] carrying 1..|S| onto sorted S."""
-    S = tuple(sorted(S))
-    inside = set(S)
-    rest = tuple(j for j in range(1, n + 2) if j not in inside)
-    return S + rest
 
 
 class SigmaAction:
@@ -371,10 +363,11 @@ def induce_on_type(e, t):
     """Push an endomorphism of the generic complex down to a type's complex.
 
     The generic monomials map onto the type's basis by rewriting modulo its
-    relations; the map descends exactly when it sends every relation back
-    into the relation span, which is checked coefficient by coefficient
-    (the variables just ride along, so the check is rational linear
-    algebra) and reported as an invalid covering when it fails.
+    relations, the projection P.  P sends each nbc monomial to itself, so
+    the induced map is M = W_nbc P, with W_nbc the rows of W at the nbc
+    monomials, and W descends exactly when it sends every relation into the
+    relation span, that is when W P = P M.  That identity is checked degree
+    by degree and reported as an invalid covering when it fails.
     """
     if (t.n, t.ell) != (e.cx.t.n, e.cx.t.ell):
         raise ValueError("type does not live on the endomorphism's (n, ell)")
@@ -382,13 +375,13 @@ def induce_on_type(e, t):
     rows = []
     for q in range(t.ell + 1):
         proj = projection_matrix(t, q)
-        relations = image_and_kernel(proj)[2]
-        if any(matmul(matmul(relations, e.rows[q]), proj)):
+        index = {T: i for i, T in enumerate(e.cx.bases[q])}
+        induced = matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj)
+        if matmul(e.rows[q], proj) != matmul(proj, induced):
             raise NotCovered(
                 "not a valid covering datum: degree-%d relations "
                 "are not preserved" % q)
-        index = {T: i for i, T in enumerate(e.cx.bases[q])}
-        rows.append(matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj))
+        rows.append(induced)
     return ChainEndomorphism(cx, rows, validate=True)
 
 
@@ -466,9 +459,8 @@ def eigenspace_dims(n, s, r, q):
 
 
 def _quadratic_defect(m, s):
-    """M - s*I, and the first entry (row, col) in row-major order where
-    M (M - s*I) is nonzero, or None when the product vanishes; M and the
-    shifted matrix are sparse rows."""
+    """The first entry (row, col) in row-major order where M (M - s*I) is
+    nonzero, or None when the product vanishes; M is sparse rows."""
     shifted = []
     for i, row in enumerate(m):
         row = dict(row)
@@ -478,8 +470,8 @@ def _quadratic_defect(m, s):
         shifted.append(row)
     for i, row in enumerate(matmul(m, shifted)):
         if row:
-            return shifted, (i, min(row))
-    return shifted, None
+            return i, min(row)
+    return None
 
 
 def spectrum_check(e, S):
@@ -492,21 +484,24 @@ def spectrum_check(e, S):
     n = e.cx.t.n
     ys = LinearForm.subset_sum(tuple(S), n)
     for q, m in enumerate(e.rows):
-        _, bad = _quadratic_defect(m, ys)
+        bad = _quadratic_defect(m, ys)
         if bad is not None:
             return False, {"degree": q, "row": bad[0], "col": bad[1]}
     return True, None
 
 
-def spectrum_report(S, r, lam, n, ell, e=None):
-    """Specialized eigenvalue summary of the pencil endomorphism at lam.
+def spectrum_report(e, S, r, lam):
+    """Specialized eigenvalue summary at lam of the pencil endomorphism
+    e = `omega_tilde_sum(S, r, n, ell)`.
 
     Per degree: the two predicted multiplicities and whether the
-    specialized matrix actually satisfies the quadratic relation with the
-    predicted ranks.  A weight sum of zero collapses the two eigenvalues
-    and the prediction does not apply.  Pass the pencil endomorphism
-    `omega_tilde_sum(S, r, n, ell)` as `e` when it is already built.
+    specialized M satisfies M (M - lambda_S I) = 0 with rank M = dS and
+    rank (M - lambda_S I) = d0.  Once the relation holds with lambda_S
+    nonzero, the second rank is size - rank M: the image of M lies in the
+    kernel of M - lambda_S I, and the two differ by -lambda_S I.  A zero
+    lambda_S collapses the two eigenvalues and the prediction does not apply.
     """
+    n = e.cx.t.n
     S = _clean_subset(S, n)
     lam_s = lam.subset_sum(S)
     if lam_s == 0:
@@ -515,14 +510,14 @@ def spectrum_report(S, r, lam, n, ell, e=None):
             "message": "spectrum theorem inapplicable: lambda_S = 0",
             "degrees": [],
         }
-    if e is None:
-        e = omega_tilde_sum(S, r, n, ell)
     degrees = []
     for q in range(len(e.rows)):
         d0, ds = eigenspace_dims(n, len(S), r, q)
         m = e.specialize(lam, q)
-        shifted, bad = _quadratic_defect(m, lam_s)
-        ok = bad is None and rank(m) == ds and rank(shifted) == d0
+        ok = _quadratic_defect(m, lam_s) is None
+        if ok:
+            rk = rank(m)
+            ok = rk == ds and len(m) - rk == d0
         degrees.append({
             "degree": q,
             "lambda_S": format_rational(lam_s),

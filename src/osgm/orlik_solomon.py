@@ -32,12 +32,14 @@ def circuits(t):
 
 
 def _circuits(t):
+    # the stored dependent sets inside [n], smallest first, lexicographic;
+    # a set listed twice in an asserted type contains itself, so counts once
     out = []
     for size in range(2, min(t.ell + 1, t.n) + 1):
-        for S in combinations(range(1, t.n + 1), size):
-            if not t.is_dependent(S) or t.has_empty_intersection(S):
+        for S in t.dep[size]:
+            if S[-1] > t.n or t.has_empty_intersection(S):
                 continue
-            if any(set(C) < set(S) for C in out):
+            if any(set(C) <= set(S) for C in out):
                 continue
             out.append(S)
     return sorted(out)

@@ -188,6 +188,14 @@ def dense_product(a, b, zero):
     return out
 
 
+def sigma_for(S, n):
+    """Order-preserving relabeling of [n+1] carrying 1..|S| onto sorted S."""
+    S = tuple(sorted(S))
+    inside = set(S)
+    rest = tuple(j for j in range(1, n + 2) if j not in inside)
+    return S + rest
+
+
 def omega_tilde_by_conjugation(S, n, ell, sigma=None):
     """Matrices of the basic endomorphism of S by the relabeling route.
 
@@ -197,7 +205,7 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
     substitution, then the action.  Any such sigma must give the same
     matrices.
     """
-    from osgm.gauss_manin import SigmaAction, sigma_for
+    from osgm.gauss_manin import SigmaAction
 
     S = tuple(sorted(S))
     images = tuple(sigma) if sigma is not None else sigma_for(S, n)
@@ -258,6 +266,20 @@ def is_starred(t, S):
     if len(S) <= t.ell + 1:
         return t.is_dependent(S)
     return all(t.is_dependent(J) for J in combinations(S, t.ell + 1))
+
+
+def circuits_by_walk(t):
+    """Minimal dependent subsets of [n] with a common affine point, by
+    testing every subset of [n] of size at most ell+1."""
+    out = []
+    for size in range(2, min(t.ell + 1, t.n) + 1):
+        for S in combinations(range(1, t.n + 1), size):
+            if not t.is_dependent(S) or t.has_empty_intersection(S):
+                continue
+            if any(set(C) < set(S) for C in out):
+                continue
+            out.append(S)
+    return sorted(out)
 
 
 def dep_star_by_walk(t):

@@ -162,6 +162,26 @@ def type_pairs(draw):
             CombinatorialType.from_arrangement(general))
 
 
+@st.composite
+def infinity_pencil_pairs(draw):
+    """(special, general): a pencil through the hyperplane at infinity
+    against the generic type."""
+    ell = draw(st.integers(2, 3))
+    n = draw(st.integers(3, 6))
+    S = draw(st.lists(st.integers(1, n), min_size=2, max_size=4, unique=True))
+    S = tuple(sorted(S)) + (n + 1,)
+    r = draw(st.integers(2, min(ell, len(S) - 1)))
+    return (CombinatorialType.from_arrangement(pencil_realization(n, ell, S, r)),
+            generic_type(n, ell))
+
+
+def realized_type_pairs():
+    """The pairs of `type_pairs` built from realizations, and pencils
+    through infinity."""
+    return st.one_of(type_pairs().filter(lambda pair: pair[0].backed_by_realization),
+                     infinity_pencil_pairs())
+
+
 def small_rationals():
     return st.fractions(min_value=-5, max_value=5, max_denominator=4)
 

@@ -153,6 +153,61 @@ def test_spectrum_symbolic_and_inapplicable(capsys):
 
 
 
+def test_spectrum_refuses_a_pencil_on_every_hyperplane_before_the_sum(capsys, monkeypatch):
+    import osgm.cli
+
+    # a repeated or out-of-range index keeps its message
+    code, out, err = run(capsys, "spectrum", SELBERG, "--pencil", "1,2,3,4,5,6,6", "1")
+    assert (code, out, err) == (2, "", "error: repeated index in (1, 2, 3, 4, 5, 6, 6)\n")
+    code, out, err = run(capsys, "spectrum", SELBERG, "--pencil", "1,2,3,4,5,7", "1")
+    assert (code, out, err) == (2, "", "error: indices must lie in 1..6\n")
+    # gm reports the collapsed eigenvalues and succeeds
+    code, out, _ = run(capsys, "gm", SELBERG, "--pencil", "1,2,3,4,5,6", "1",
+                       "--weights", NONRES)
+    assert code == 0 and "spectrum theorem inapplicable: lambda_S = 0" in out
+
+    def refuse(*args):
+        raise AssertionError("pencil sum built")
+
+    monkeypatch.setattr(osgm.cli, "omega_tilde_sum", refuse)
+    for extra in ([], ["--weights", NONRES], ["--json"]):
+        code, out, err = run(capsys, "spectrum", SELBERG, "--pencil", "1,2,3,4,5,6", "1",
+                             *extra)
+        assert (code, out) == (2, "")
+        assert err == ("error: spectrum theorem inapplicable: --pencil S holds all 6 "
+                       "hyperplanes, so y_S = 0\n")
+
+
+def test_gm_pair_route_builds_one_sum_through_the_pencil(capsys, monkeypatch):
+    # the pair is recovered to (S, r), then the pencil route runs: one sum
+    # per run, shared by the induced map and the spectrum report
+    import osgm.cli
+    import osgm.gauss_manin
+
+    sums = []
+    real = osgm.gauss_manin._weighted_sum
+
+    def counted(terms, n, ell):
+        sums.append(sorted(terms))
+        return real(terms, n, ell)
+
+    def refuse(*args):
+        raise AssertionError("pair sum built")
+
+    monkeypatch.setattr(osgm.gauss_manin, "_weighted_sum", counted)
+    for module in (osgm.gauss_manin, osgm.cli):
+        monkeypatch.setattr(module, "omega_tilde_pair", refuse, raising=False)
+    for extra in ([], ["--json"]):
+        sums.clear()
+        code, by_pair, _ = run(capsys, "gm", SELBERG, DEGENERATE, "--weights", NONRES, *extra)
+        assert code == 0
+        assert sums == [sorted(osgm.gauss_manin.pencil_sum_terms((3, 4, 5), 1, 5, 2))]
+        code, by_pencil, _ = run(capsys, "gm", SELBERG, "--pencil", "3,4,5", "1",
+                                 "--weights", NONRES, *extra)
+        assert code == 0 and by_pair == by_pencil
+        assert len(sums) == 2
+
+
 def test_repeated_hyperplanes_read_as_a_collision(tmp_path, capsys):
     # identical rows 2 and 4 are valid input: the dependent pair {2,4}, the
     # rank-1 pencil on two hyperplanes

@@ -22,7 +22,6 @@ from osgm.gauss_manin import (
     pencil_sum_terms,
     principal_dependence,
     relative_multiplicities,
-    sigma_for,
     spectrum_check,
     spectrum_report,
 )
@@ -37,16 +36,18 @@ from oracles import (
     dense_product,
     dense_spectrum_check,
     dense_weighted_sum,
+    frac_rank,
     identity_matrix,
     mat_evaluate,
     omega_tilde_by_conjugation,
     principal_dependence_by_walk,
+    sigma_for,
     sparse,
     sparse_rows,
     sparse_vector,
     spectrum_check_by_evaluation,
 )
-from strategies import linear_forms, type_pairs
+from strategies import linear_forms, realized_type_pairs, type_pairs
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -403,6 +404,28 @@ def test_induce_rejects_map_that_breaks_relations():
         induce_on_type(e, selberg_type())
 
 
+def test_induce_on_type_runs_no_elimination(monkeypatch):
+    # descent is the identity W P = P M on the projection, so neither the
+    # induced map nor the refusal of one that breaks the relations row-reduces
+    import osgm.linalg
+
+    t = selberg_type()
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    expected = dense_induce_on_type(e.mats, t)
+    broken = [[[Z]], poly_zeros(5, 5), poly_zeros(10, 10)]
+    broken[2][0][1] = y(1)
+    broken = ChainEndomorphism(e.cx, sparse_rows(broken), validate=False)
+    build_aomoto(t)
+
+    def refuse(*args):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(osgm.linalg, "rref", refuse)
+    assert induce_on_type(e, t).mats == expected
+    with pytest.raises(NotCovered, match="degree-2 relations"):
+        induce_on_type(broken, t)
+
+
 # ---- action on cohomology ---------------------------------------------------
 
 
@@ -618,16 +641,68 @@ def test_chain_and_spectrum_verdicts_match_evaluation(data):
 def test_spectrum_report_flags_only_the_broken_degree():
     e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
     lam = Weights(NONRES)
-    good = spectrum_report((3, 4, 5), 1, lam, 5, 2)
-    assert good == spectrum_report((3, 4, 5), 1, lam, 5, 2, e=e)
+    good = spectrum_report(e, (3, 4, 5), 1, lam)
+    assert good == spectrum_report(omega_tilde_sum((3, 4, 5), 1, 5, 2), (3, 4, 5), 1, lam)
     assert [d["verified"] for d in good["degrees"]] == [True, True, True]
     broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
-    bad = spectrum_report((3, 4, 5), 1, lam, 5, 2,
-                          e=ChainEndomorphism(e.cx, sparse_rows(broken), validate=False))
+    bad = spectrum_report(ChainEndomorphism(e.cx, sparse_rows(broken), validate=False),
+                          (3, 4, 5), 1, lam)
     assert [d["verified"] for d in bad["degrees"]] == [True, False, True]
     assert [{k: d[k] for k in ("degree", "lambda_S", "d0", "dS")}
             for d in bad["degrees"]] == [
         {k: d[k] for k in ("degree", "lambda_S", "d0", "dS")} for d in good["degrees"]]
+
+
+def _two_rank_verdicts(e, S, r, lam):
+    """`verified` per degree with both ranks taken, by dense Fraction
+    elimination."""
+    n = e.cx.t.n
+    lam_s = lam.subset_sum(tuple(sorted(S)))
+    out = []
+    for q, mat in enumerate(e.mats):
+        m = mat_evaluate(mat, lam.values)
+        shifted = [[c - lam_s * (i == j) for j, c in enumerate(row)]
+                   for i, row in enumerate(m)]
+        d0, ds = eigenspace_dims(n, len(S), r, q)
+        vanishes = not any(any(row) for row in dense_product(m, shifted, Fraction(0)))
+        out.append(vanishes and frac_rank(m) == ds and frac_rank(shifted) == d0)
+    return out
+
+
+def test_spectrum_report_ranks_each_degree_once(monkeypatch):
+    # once M (M - lambda_S I) = 0 with lambda_S != 0, rank (M - lambda_S I)
+    # is size - rank M, so one rank per degree gives the two-rank verdict
+    import osgm.gauss_manin
+
+    calls = []
+    real = osgm.gauss_manin.rank
+    monkeypatch.setattr(osgm.gauss_manin, "rank", lambda m: calls.append(len(m)) or real(m))
+    six = ["1/2", "1/3", "1/5", "1/7", "1/11", "1/13"]
+    cases = [((3, 4, 5), 1, 5, 2, NONRES), ((3, 4, 5), 1, 5, 2, ["1", "2", "2", "1", "-2"]),
+             ((1, 2, 6), 1, 5, 2, NONRES), ((1, 2, 4, 7), 2, 6, 3, six),
+             ((2, 3, 5, 6), 1, 6, 3, ["1", "2", "-1", "1", "3", "-2"])]
+    for S, r, n, ell, weights in cases:
+        e = omega_tilde_sum(S, r, n, ell)
+        lam = Weights(weights)
+        calls.clear()
+        report = spectrum_report(e, S, r, lam)
+        assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(e, S, r, lam)
+        assert calls == [len(m) for m in e.rows], (S, r, n, ell)
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
+    broken = ChainEndomorphism(e.cx, sparse_rows(broken), validate=False)
+    lam = Weights(NONRES)
+    report = spectrum_report(broken, (3, 4, 5), 1, lam)
+    assert [d["verified"] for d in report["degrees"]] == [True, False, True]
+    assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(broken, (3, 4, 5), 1, lam)
+    # on a smaller complex d0 + dS need not be the size, so rank M = dS alone
+    # does not verify a degree: here y1 + y2 on four of six degree-2 rows
+    ys = LinearForm.subset_sum((1, 2), 5)
+    rows = [[{}], [{}] * 5, [{i: ys} if i < 4 else {} for i in range(6)]]
+    diagonal = ChainEndomorphism(build_aomoto(selberg_type()), rows, validate=False)
+    report = spectrum_report(diagonal, (1, 2), 1, lam)
+    assert [d["verified"] for d in report["degrees"]] == [True, False, False]
+    assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(diagonal, (1, 2), 1, lam)
 
 
 def test_gm_endomorphism_refuses_classes_of_other_weights():
@@ -735,6 +810,21 @@ def test_pair_sums_match_the_dense_route(pair):
     assert omega_tilde_pair(special, general).mats == dense_weighted_sum(terms, n, ell)
 
 
+@given(pair=realized_type_pairs())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_pair_sum_and_recovered_pencil_sum_induce_the_same_map(pair):
+    # `osgm gm FILE FILE2` recovers (S, r) and runs the pencil route: on
+    # realized types the pencil sum adds to the pair sum only sets already
+    # dependent in the general type, whose maps induce zero there
+    special, general = pair
+    try:
+        S, r = principal_dependence(special, general)
+    except ValueError:
+        return
+    pencil = omega_tilde_sum(S, r, general.n, general.ell)
+    assert _induced(omega_tilde_pair(special, general), general) == _induced(pencil, general)
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_sparse_checks_fail_exactly_where_the_dense_ones_do(data):
@@ -831,5 +921,5 @@ def test_library_route_builds_no_dense_view(monkeypatch):
         h = os_cohomology(t, lam)
         for q in range(3):
             gm_endomorphism(ind, lam, q, h=h)
-        spectrum_report((3, 4, 5), 1, lam, 5, 2, e=e)
+        spectrum_report(e, (3, 4, 5), 1, lam)
     assert spectrum_check(e, (3, 4, 5)) == (True, None)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type
 from osgm.orlik_solomon import (
@@ -15,7 +16,8 @@ from osgm.orlik_solomon import (
     projection_matrix,
 )
 from osgm.poly import LinearForm
-from oracles import exterior_quotient_dims, frac_rank, ideal_span_rows, multiply
+from oracles import circuits_by_walk, exterior_quotient_dims, frac_rank, ideal_span_rows, multiply
+from strategies import asserted_types, realized_types
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -78,6 +80,20 @@ def test_circuits_skip_empty_intersections():
     t = CombinatorialType.from_arrangement(b)
     assert t.is_dependent((1, 2, 3)) and t.has_empty_intersection((1, 2, 3))
     assert circuits(t) == []
+
+
+@given(t=st.one_of(realized_types(), asserted_types()))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_circuits_match_the_walk_over_all_subsets(t):
+    # the stored dependent sets inside [n] are the walk's candidates, in order
+    assert circuits(t) == circuits_by_walk(t)
+
+
+def test_circuits_of_a_set_listed_twice():
+    # an asserted type may list a dependent set twice; it is one circuit
+    t = CombinatorialType(4, 2, {2: [(1, 2), (1, 2)], 3: [(1, 2, 3), (1, 2, 4), (1, 2, 5)]}, [])
+    assert t.dep[2] == [(1, 2), (1, 2)]
+    assert circuits(t) == circuits_by_walk(t) == [(1, 2)]
 
 
 def test_broken_circuits():
