@@ -104,7 +104,7 @@ def _build_aomoto(t):
                 if w is None:
                     continue
                 M, sgn = w
-                x[M] = x.get(M, LinearForm.zero(n)) + LinearForm.variable(j, n) * sgn
+                x[M] = LinearForm.variable(j, n) * sgn  # one j per M
             mat.append({cols[U]: c for U, c in os_reduce(x, t).items()})
         rows.append(mat)
     return AomotoComplex(t, bases, rows)

@@ -139,11 +139,12 @@ class CombinatorialType:
     def __init__(self, n, ell, dep, affine_empty, realization=None):
         self.n = n
         self.ell = ell
-        # sizes >= ell+2 are dependent outright, so only 2..ell+1 is stored
+        # sizes >= ell+2 are dependent outright, so only 2..ell+1 is stored;
+        # a set listed twice is stored once
         self.dep = {}
         for q in range(2, min(ell + 1, n + 1) + 1):
-            self.dep[q] = sorted(tuple(sorted(S)) for S in dep.get(q, []))
-        self.affine_empty = sorted(tuple(sorted(S)) for S in affine_empty)
+            self.dep[q] = sorted({tuple(sorted(S)) for S in dep.get(q, [])})
+        self.affine_empty = sorted({tuple(sorted(S)) for S in affine_empty})
         self.realization = realization
         self._validate()
         # membership tables; dep and affine_empty are never reassigned

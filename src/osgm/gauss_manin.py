@@ -27,7 +27,7 @@ from .arrangement import (
     pencil_profile,
     pencil_starred,
 )
-from .linalg import dense, evaluate_rows, matmul, rank
+from .linalg import add_scaled, dense, evaluate_rows, matmul, rank
 from .orlik_solomon import projection_matrix, wedge
 from .poly import LinearForm, format_rational
 
@@ -144,9 +144,10 @@ class SigmaAction:
 
 
 class ChainEndomorphism:
-    """Degreewise square matrices of linear forms in the weights commuting
-    with the differential; the identity W_q D_q = D_q W_{q+1} is checked
-    exactly, as a product of sparse matrices of quadratic forms.
+    """Degreewise square matrices of linear forms in the weights that
+    commute with the differential.  With `validate` the identity
+    W_q D_q = D_q W_{q+1} is checked exactly: both sides are sparse
+    products of matrices of linear forms, with quadratic forms as entries.
 
     Each degree is kept as sparse rows, rows[q][i] = {col: nonzero form},
     so building, summing, checking and specializing cost in proportion to
@@ -215,7 +216,6 @@ def _closure_images(K, n):
     Keyed by closure monomial U; each image is {affine monomial: entry},
     already stripped of the closure monomials that contain n+1.
     """
-    zero = LinearForm.zero(n)
     bnd = [(V, s) for V, s in _boundary_terms(K) if n + 1 not in V]
     images = {}
     for j in K:
@@ -224,12 +224,10 @@ def _closure_images(K, n):
         yj = LinearForm.subset_sum((j,), n) * sgn
         images[U] = {V: yj * s for V, s in bnd}
     top = {}
-    for V, s in bnd:
-        for j in range(1, n + 1):
-            w = wedge((j,), V)
-            if w is not None:
-                W, sgn = w
-                top[W] = top.get(W, zero) + LinearForm.variable(j, n) * (s * sgn)
+    for j in range(1, n + 1):
+        # omega wedge the boundary, one term y_j e_j at a time
+        wedged = [(wedge((j,), V), s) for V, s in bnd if j not in V]
+        add_scaled(top, {W: s * sgn for (W, sgn), s in wedged}, LinearForm.variable(j, n))
     images[K] = top
     return images
 
@@ -279,8 +277,9 @@ def omega_tilde(S, n, ell):
         p = len(U)
         if p > ell:
             continue
+        image = {index[p][V]: f for V, f in image.items()}
         for T, c in _rows_containing(U, n):
-            _add_row(rows[p][index[p][T]], ((index[p][V], f) for V, f in image.items()), c)
+            add_scaled(rows[p][index[p][T]], image, c)
     built[S] = ChainEndomorphism(cx, rows, validate=True)
     return built[S]
 
@@ -298,25 +297,14 @@ def pencil_sum_terms(S, r, n, ell):
     return {K: multiplicity_pencil(K, S, r, ell, n) for K in forced}
 
 
-def _add_row(acc, entries, m):
-    """Add m times each (col, entry) into the sparse row acc, in place."""
-    for j, c in entries:
-        v = c if m == 1 else c * m
-        s = acc.get(j)
-        acc[j] = v if s is None else s + v
-
-
 def _weighted_sum(terms, n, ell):
     cx = build_aomoto(generic_type(n, ell))
     rows = [[{} for _ in b] for b in cx.bases]
-    for K in sorted(terms):
-        m = terms[K]
+    for K, m in sorted(terms.items()):
         for acc, part in zip(rows, omega_tilde(K, n, ell).rows):
             for acc_row, row in zip(acc, part):
                 if row:
-                    _add_row(acc_row, row.items(), m)
-    # terms of different K cancel; keep the nonzero entries only
-    rows = [[{j: c for j, c in row.items() if c} if row else row for row in m] for m in rows]
+                    add_scaled(acc_row, row, m)
     return ChainEndomorphism(cx, rows, validate=True)
 
 
@@ -461,13 +449,10 @@ def eigenspace_dims(n, s, r, q):
 def _quadratic_defect(m, s):
     """The first entry (row, col) in row-major order where M (M - s*I) is
     nonzero, or None when the product vanishes; M is sparse rows."""
-    shifted = []
-    for i, row in enumerate(m):
-        row = dict(row)
-        c = row.pop(i) - s if i in row else -s
-        if c:
-            row[i] = c
-        shifted.append(row)
+    shifted = [dict(row) for row in m]
+    if s:
+        for i, row in enumerate(shifted):
+            add_scaled(row, {i: s}, -1)
     for i, row in enumerate(matmul(m, shifted)):
         if row:
             return i, min(row)

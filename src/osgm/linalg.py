@@ -1,8 +1,10 @@
 """Exact linear algebra over Fraction, row-vector convention.
 
 A matrix is a list of sparse rows {col: entry} holding its nonzero
-entries only; elimination and products both work on that form, and
-`dense` builds the list-of-lists view of one for printing.  Linear maps
+entries only, so two rows are equal exactly when their dicts are.
+Elimination and products both work on that form, and every sum of scaled
+rows goes through `add_scaled`, which is where that invariant is kept;
+`dense` builds the list-of-lists view of a matrix for printing.  Linear maps
 act on row vectors, v -> v @ M, so the kernel of a map is the left null
 space of its matrix and images are spanned by rows.  Everything is done
 with rational Gaussian elimination; nothing here is numerical.
@@ -11,6 +13,25 @@ with rational Gaussian elimination; nothing here is numerical.
 from fractions import Fraction
 
 _ONE = Fraction(1)
+
+
+def add_scaled(acc, row, f):
+    """Add f times the sparse row `row` into the sparse row `acc`, in place.
+
+    f must be nonzero.  Entries that cancel are deleted and a product of
+    nonzero ints, Fractions or linear forms is never zero, so `acc` stores
+    no zero as long as `row` stores none.
+    """
+    for j, b in row.items():
+        s = acc.get(j)
+        if s is None:
+            acc[j] = f * b
+        else:
+            s = s + f * b
+            if s:
+                acc[j] = s
+            else:
+                del acc[j]
 
 
 def rref(m):
@@ -38,21 +59,12 @@ def rref(m):
         # left of c the pivot row is zero: earlier columns are cleared or
         # had no nonzero entry in the rows not yet used as pivots
         inv = _ONE / prow.pop(c)
-        support = [(j, b * inv) for j, b in prow.items()]
+        support = {j: b * inv for j, b in prow.items()}
         prow.update(support)
         prow[c] = _ONE
         for row in rows:
             if c in row and row is not prow:
-                f = row.pop(c)
-                for j, b in support:
-                    if j in row:
-                        s = row[j] - f * b
-                        if s:
-                            row[j] = s
-                        else:
-                            del row[j]
-                    else:
-                        row[j] = -f * b
+                add_scaled(row, support, -row.pop(c))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -98,19 +110,10 @@ def echelon_reduce(v, rows, pivots):
     """
     v = dict(v)
     for row, p in zip(rows, pivots):
-        f = v.pop(p, None)
+        f = v.get(p)
         if f:
-            for j, b in row.items():
-                if j == p:
-                    continue
-                if j in v:
-                    s = v[j] - f * b
-                    if s:
-                        v[j] = s
-                    else:
-                        del v[j]
-                else:
-                    v[j] = -f * b
+            # row[p] is 1, so this also clears the pivot entry of v
+            add_scaled(v, row, -f)
     return v
 
 
@@ -152,15 +155,10 @@ def matmul(a, b):
     """
     out = []
     for row in a:
-        if not row:
-            out.append({})
-            continue
         acc = {}
         for k, x in row.items():
-            for j, y in b[k].items():
-                s = acc.get(j)
-                acc[j] = x * y if s is None else s + x * y
-        out.append({j: s for j, s in acc.items() if s})
+            add_scaled(acc, b[k], x)
+        out.append(acc)
     return out
 
 

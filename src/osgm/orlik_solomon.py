@@ -10,6 +10,8 @@ element into that basis.
 
 from itertools import combinations
 
+from .linalg import add_scaled
+
 
 def wedge(t1, t2):
     """Concatenate two strictly increasing tuples: (sorted tuple, sign),
@@ -32,8 +34,7 @@ def circuits(t):
 
 
 def _circuits(t):
-    # the stored dependent sets inside [n], smallest first, lexicographic;
-    # a set listed twice in an asserted type contains itself, so counts once
+    # the stored dependent sets inside [n], smallest first, lexicographic
     out = []
     for size in range(2, min(t.ell + 1, t.n) + 1):
         for S in t.dep[size]:
@@ -100,13 +101,7 @@ def _reduce_monomial(S, t):
         if w is None:
             continue
         M, inner = w
-        sgn = (-1) ** (i + 1) * outer * inner
-        for U, c in _reduce_monomial(M, t).items():
-            s = out.get(U, 0) + sgn * c
-            if s:
-                out[U] = s
-            else:
-                out.pop(U, None)
+        add_scaled(out, _reduce_monomial(M, t), (-1) ** (i + 1) * outer * inner)
     cache[S] = out
     return out
 
@@ -115,14 +110,8 @@ def os_reduce(x, t):
     """Rewrite an element of the free exterior algebra into the nbc basis."""
     out = {}
     for S, coeff in x.items():
-        if not coeff:
-            continue
-        for U, c in _reduce_monomial(tuple(S), t).items():
-            s = out.get(U, 0) + coeff * c
-            if s:
-                out[U] = s
-            else:
-                out.pop(U, None)
+        if coeff:
+            add_scaled(out, _reduce_monomial(tuple(S), t), coeff)
     return out
 
 

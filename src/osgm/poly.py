@@ -128,6 +128,8 @@ class LinearForm:
                                              for j, a in self.terms.items()
                                              for k, b in other.terms.items())))
         c = other if other.__class__ is int else _exact(Fraction(other))
+        if c == 1:
+            return self
         if not c:
             return LinearForm._of(self.nvars, {})
         return LinearForm._of(self.nvars, {j: _exact(c * v) for j, v in self.terms.items()})

@@ -314,6 +314,22 @@ def test_type_json_round_trip():
     assert t2.affine_empty == t.affine_empty
 
 
+def test_sets_listed_twice_are_stored_once():
+    # an asserted type may repeat a dependent or an affine-empty set, also
+    # out of order; every reader sees each set once
+    t = CombinatorialType(4, 2, {2: [(1, 2), (2, 1)], 3: [(1, 2, 3), (1, 2, 4), (1, 2, 5)]},
+                          [(3, 4), (4, 3)])
+    assert t.dep == {2: [(1, 2)], 3: [(1, 2, 3), (1, 2, 4), (1, 2, 5)]}
+    assert dep_star(t)[2] == [(1, 2)]
+    assert t.affine_empty == [(3, 4)]
+    data = t.to_json()
+    assert data["dep"]["2"] == [[1, 2]]
+    assert data["affine_empty"] == [[3, 4]]
+    t2 = CombinatorialType.from_json(json.loads(json.dumps(data)))
+    assert (t2.dep, t2.affine_empty) == (t.dep, t.affine_empty)
+    assert t2.to_json() == data
+
+
 def test_generic_type_closed_form_matches_rank_oracle():
     for n in range(1, 12):
         for ell in range(1, 5):

@@ -770,7 +770,7 @@ def _nonzeros_only(rows):
 
 
 def test_every_omega_tilde_matches_the_dense_route():
-    # the closed form never writes an entry that cancels, so every stored
+    # terms of the closed form that cancel are dropped, so every stored
     # entry is nonzero
     for n, ell in SMALL:
         assert _nonzeros_only(build_aomoto(generic_type(n, ell)).rows)
@@ -860,6 +860,27 @@ def test_sparse_checks_fail_exactly_where_the_dense_ones_do(data):
     assert spectrum_check(unchecked, S) == dense_spectrum_check(mats, S, n)
     t = _pencil_type(n, ell, S, r)
     assert _induced(unchecked, t) == _dense_induced(mats, t)
+
+
+def test_no_stored_entry_is_zero():
+    # every omega_tilde up to n = 7, ell = n included, where terms of the
+    # closed form cancel in a few rows; the complexes they live on; and maps
+    # induced on the Selberg type and on the generic (7,3) type
+    for n in range(1, 8):
+        for ell in range(1, min(3, n) + 1):
+            assert _nonzeros_only(build_aomoto(generic_type(n, ell)).rows), (n, ell)
+            for size in range(2, n + 2):
+                for K in combinations(range(1, n + 2), size):
+                    assert _nonzeros_only(omega_tilde(K, n, ell).rows), (n, ell, K)
+    selberg = selberg_type()
+    cases = [(selberg, omega_tilde_sum((3, 4, 5), 1, 5, 2)),
+             (selberg, omega_tilde_pair(collapsed_type(), selberg)),
+             (generic_type(7, 3), omega_tilde_sum((1, 2, 3), 1, 7, 3)),
+             (generic_type(7, 3), omega_tilde_sum((2, 4, 6, 8), 2, 7, 3))]
+    for t, e in cases:
+        assert _nonzeros_only(build_aomoto(t).rows)
+        assert _nonzeros_only(e.rows)
+        assert _nonzeros_only(induce_on_type(e, t).rows)
 
 
 # ---- coefficient types and the dense views ------------------------------------

@@ -5,6 +5,7 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from osgm.linalg import (
+    add_scaled,
     rank,
     rref,
     image_and_kernel,
@@ -295,6 +296,40 @@ def test_matmul_matches_the_dense_product(data):
     product = matmul(sparse(a), sparse(b))
     assert all(c for row in product for c in row.values())
     assert dense(product, cols, zero) == dense_product(a, b, zero)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_add_scaled_matches_the_dense_sum(data):
+    # acc + f * row on sparse rows against the entry-by-entry sum over the
+    # full width, for each kind of entry the library accumulates, f nonzero;
+    # some entries of acc are chosen to cancel f * row exactly
+    draw = data.draw
+    width, n = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    ints, forms = st.integers(-3, 3), linear_forms(n)
+    entries, coefficients, zero = draw(st.sampled_from([
+        (ints, ints, 0),
+        (small_rationals(), small_rationals(), Fraction(0)),
+        (forms, st.one_of(ints, small_rationals()), LinearForm.zero(n)),
+        (ints, forms, LinearForm.zero(n)),
+        (forms, forms, Quadratic()),
+    ]))
+    f = draw(coefficients.filter(bool))
+    row = [draw(entries) for _ in range(width)]
+    acc = []
+    for b in row:
+        how = draw(st.sampled_from(["cancel", "zero", "other"]))
+        if how == "cancel":
+            acc.append((-f) * b)
+        else:
+            acc.append(zero if how == "zero" else draw(coefficients) * draw(entries))
+    expected = sparse_vector([a + f * b for a, b in zip(acc, row)])
+    acc, row = sparse_vector(acc), sparse_vector(row)
+    before = dict(row)
+    add_scaled(acc, row, f)
+    assert acc == expected
+    assert all(acc.values())
+    assert row == before
 
 
 # rational rows with some rows zero, down to no columns and no rows

@@ -92,7 +92,7 @@ def test_circuits_match_the_walk_over_all_subsets(t):
 def test_circuits_of_a_set_listed_twice():
     # an asserted type may list a dependent set twice; it is one circuit
     t = CombinatorialType(4, 2, {2: [(1, 2), (1, 2)], 3: [(1, 2, 3), (1, 2, 4), (1, 2, 5)]}, [])
-    assert t.dep[2] == [(1, 2), (1, 2)]
+    assert t.dep[2] == [(1, 2)]
     assert circuits(t) == circuits_by_walk(t) == [(1, 2)]
 
 
