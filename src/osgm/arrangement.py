@@ -17,6 +17,7 @@ pencil on two hyperplanes: the type of a collision, which `osgm gm` can
 recover from a pair of files or take as `--pencil i,j 1`.
 """
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -32,6 +33,16 @@ def _whole_number(data, key):
     if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
         raise ValueError("%s must be an integer, not %r" % (key, x))
     return int(x)
+
+
+def read_json(path):
+    """The JSON document in a file; nesting too deep for the parser is a
+    ValueError naming the file, not a RecursionError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply to parse" % path) from None
 
 
 def _coefficients(rows):
@@ -88,10 +99,7 @@ class Arrangement:
 
     @classmethod
     def from_file(cls, path):
-        import json
-
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
     def to_json(self):
         return {

@@ -19,7 +19,7 @@ from .aomoto import (
     os_cohomology,
     weights_nonresonant,
 )
-from .arrangement import Arrangement, CombinatorialType, dep_star
+from .arrangement import Arrangement, CombinatorialType, dep_star, read_json
 from .gauss_manin import (
     NotCovered,
     eigenspace_dims,
@@ -40,8 +40,7 @@ def _load_type(path):
 
 def _parse_weights(text, n):
     if os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
+        data = read_json(text)
         if not isinstance(data, dict) or not isinstance(data.get("weights"), list):
             raise ValueError('weights file needs a "weights" list')
         values = data["weights"]
@@ -247,10 +246,10 @@ def cmd_gm(args):
     # a pair of files is recovered to its pencil; then both forms run one route
     S, r = (_parse_pencil(args.pencil, n) if args.pencil is not None
             else principal_dependence(_load_type(args.file2), t))
+    degrees = _degree_list(args, ell)  # refused before the sum is built
     e = omega_tilde_sum(S, r, n, ell)
     ind = induce_on_type(e, t)
     h = os_cohomology(t, lam)
-    degrees = _degree_list(args, ell)
     gm = {q: gm_endomorphism(ind, lam, q, h=h) for q in degrees}
     report = spectrum_report(e, S, r, lam)
     mats = ind.mats
@@ -294,13 +293,11 @@ def cmd_spectrum(args):
         # y_{n+1} = -(y_1 + ... + y_n), so y_S = 0; refused before the sum is built
         raise ValueError("spectrum theorem inapplicable: --pencil S holds all %d "
                          "hyperplanes, so y_S = 0" % (n + 1))
+    lam = None if args.weights is None else _parse_weights(args.weights, n)
     e = omega_tilde_sum(S, r, n, ell)
     ok, witness = spectrum_check(e, S)
     dims = {q: eigenspace_dims(n, len(S), r, q) for q in range(ell + 1)}
-    report = None
-    if args.weights is not None:
-        lam = _parse_weights(args.weights, n)
-        report = spectrum_report(e, S, r, lam)
+    report = None if lam is None else spectrum_report(e, S, r, lam)
     if args.json:
         data = {
             "S": list(S),

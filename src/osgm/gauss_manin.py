@@ -156,7 +156,7 @@ class ChainEndomorphism:
     demand for printing.
 
     Instances are treated as immutable once built; sums and induced maps
-    always allocate fresh rows, so cached copies can be shared freely.
+    always allocate fresh rows.
     """
 
     def __init__(self, cx, rows, validate=True):
@@ -257,31 +257,12 @@ def omega_tilde(S, n, ell):
     (affine e_j = f_j - f_{n+1}, weighted form omega = sum y_j f_j with
     y_{n+1} = -(y_1 + ... + y_n)): f_{S minus j} goes to the sign of
     (j, S minus j) times y_j times the boundary of f_S, f_S goes to omega
-    wedge the boundary of f_S, and every other closure monomial dies.  An
-    affine row e_T is expanded into closure monomials, mapped, and read
-    back by dropping the monomials that contain n+1, so only rows whose
-    expansion meets S or S minus j are nonzero.  The result is kept in the
-    store of `generic_type(n, ell)` and re-checked against the differential
-    on construction; `tests/oracles.py` keeps the older route, conjugating
-    the leading-set endomorphism through a relabeling, as a cross-check.
+    wedge the boundary of f_S, and every other closure monomial dies.  It is
+    the one-term sum, built fresh and checked against the differential once
+    on each call; `tests/oracles.py` keeps the older route, conjugating the
+    leading-set endomorphism through a relabeling, as a cross-check.
     """
-    S = _clean_subset(S, n)
-    g = generic_type(n, ell)
-    built = g.derived("omega_tilde", lambda _: {})
-    if S in built:
-        return built[S]
-    cx = build_aomoto(g)
-    rows = [[{} for _ in b] for b in cx.bases]
-    index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
-    for U, image in _closure_images(S, n).items():
-        p = len(U)
-        if p > ell:
-            continue
-        image = {index[p][V]: f for V, f in image.items()}
-        for T, c in _rows_containing(U, n):
-            add_scaled(rows[p][index[p][T]], image, c)
-    built[S] = ChainEndomorphism(cx, rows, validate=True)
-    return built[S]
+    return _weighted_sum({_clean_subset(S, n): 1}, n, ell)
 
 
 def pencil_sum_terms(S, r, n, ell):
@@ -298,13 +279,23 @@ def pencil_sum_terms(S, r, n, ell):
 
 
 def _weighted_sum(terms, n, ell):
+    """Sum of m times omega_K over the terms {K: m}, written in one pass.
+
+    Each closed-form image of a closure monomial is added, scaled by m,
+    straight into the affine rows whose closure expansion holds that
+    monomial; only the finished sum is checked against the differential.
+    """
     cx = build_aomoto(generic_type(n, ell))
     rows = [[{} for _ in b] for b in cx.bases]
+    index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
     for K, m in sorted(terms.items()):
-        for acc, part in zip(rows, omega_tilde(K, n, ell).rows):
-            for acc_row, row in zip(acc, part):
-                if row:
-                    add_scaled(acc_row, row, m)
+        for U, image in _closure_images(K, n).items():
+            p = len(U)
+            if p > ell:
+                continue
+            image = {index[p][V]: f for V, f in image.items()}
+            for T, c in _rows_containing(U, n):
+                add_scaled(rows[p][index[p][T]], image, m * c)
     return ChainEndomorphism(cx, rows, validate=True)
 
 

@@ -598,6 +598,25 @@ def dense_weighted_sum(terms, n, ell):
     return mats
 
 
+def checked_term_sum(terms, n, ell):
+    """Sparse rows of sum of m * omega_K over the terms {K: m}, by the
+    two-stage route: each omega_K is built on its own and checked against
+    the differential, then m times its rows are added in."""
+    from osgm.aomoto import build_aomoto
+    from osgm.arrangement import generic_type
+    from osgm.gauss_manin import omega_tilde
+
+    rows = [[{} for _ in b] for b in build_aomoto(generic_type(n, ell)).bases]
+    for K in sorted(terms):
+        for acc, part in zip(rows, omega_tilde(K, n, ell).rows):
+            for acc_row, row in zip(acc, part):
+                for j, c in row.items():
+                    s = acc_row.pop(j, 0) + terms[K] * c
+                    if s:
+                        acc_row[j] = s
+    return rows
+
+
 def dense_induce_on_type(mats, t):
     """Dense matrices of a generic endomorphism pushed down to the type t,
     raising `NotCovered` for the first degree whose relations it does not

@@ -573,3 +573,67 @@ def test_malformed_arguments_exit_2(argv):
     assert (code, out) == (2, "")
     assert err.startswith(("error: ", "usage: "))
     assert "Traceback" not in err
+
+
+def test_bad_degree_and_weights_are_refused_before_the_sum(tmp_path, capsys, monkeypatch):
+    import osgm.cli
+
+    def refuse(*args):
+        raise AssertionError("pencil sum built")
+
+    monkeypatch.setattr(osgm.cli, "omega_tilde_sum", refuse)
+    for argv, message in [
+            (["gm", SELBERG, "--pencil", "3,4,5", "1", "--weights", NONRES, "--degree", "9"],
+             "degree must lie in 0..2"),
+            (["gm", SELBERG, DEGENERATE, "--weights", NONRES, "--degree", "-1"],
+             "degree must lie in 0..2"),
+            (["spectrum", SELBERG, "--pencil", "3,4,5", "1", "--weights", "1,2"],
+             "expected 5 weights, found 2"),
+            (["spectrum", SELBERG, "--pencil", "3,4,5", "1", "--weights", "1,2,x,4,5"],
+             "weight 3: not a rational literal: 'x'")]:
+        for extra in ([], ["--json"]):
+            assert run(capsys, *argv, *extra) == (2, "", "error: %s\n" % message)
+    # (S, r) is recovered first, so a pair with no single pencil still exits 3
+    general = tmp_path / "general.json"
+    general.write_text(json.dumps({"ell": 2, "n": 4, "rows": [
+        ["1", str(j), str(j * j)] for j in range(1, 5)]}))
+    special = tmp_path / "special.json"
+    special.write_text(json.dumps({"ell": 2, "n": 4, "rows": [
+        ["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"], ["0", "0", "1"]]}))
+    code, out, err = run(capsys, "gm", str(general), str(special),
+                         "--weights", "1,1,1,1", "--degree", "9")
+    assert code == 3 and out == "" and "pencil" in err
+
+
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    rows = tmp_path / "rows.json"
+    rows.write_text('{"ell": 2, "n": 5, "rows": %s}' % ("[" * 100000 + "]" * 100000))
+    for argv, path in [(["betti", str(deep)], deep),
+                       (["betti", str(rows)], rows),
+                       (["cohomology", SELBERG, "--weights", str(deep)], deep)]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: %s: JSON nested too deeply to parse\n" % path
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/child.py wraps library functions by (module, name); a move or
+    # rename in osgm would make `perfbench/run.py --trace 1` fail
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    names = list(child.SPANNED) + [("arrangement", "pencil_starred")]
+    for module, attr in names:
+        assert module in child.MODULES
+        owner = importlib.import_module("osgm." + module)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        # Tracer.install reads methods from the class's own namespace
+        assert name in vars(owner), (module, attr)

@@ -30,6 +30,7 @@ from osgm.poly import LinearForm, Quadratic
 from oracles import (
     bareiss_rank,
     chain_failure_by_evaluation,
+    checked_term_sum,
     dense_chain_failure,
     dense_induce_on_type,
     dense_omega_tilde,
@@ -779,6 +780,9 @@ def test_every_omega_tilde_matches_the_dense_route():
                 e = omega_tilde(K, n, ell)
                 assert e.mats == dense_omega_tilde(K, n, ell), (n, ell, K)
                 assert _nonzeros_only(e.rows), (n, ell, K)
+    # and every term of an (8,3) pencil sum; the sum checks only itself
+    for K in pencil_sum_terms((1, 2, 3, 4), 1, 8, 3):
+        assert omega_tilde(K, 8, 3).mats == dense_omega_tilde(K, 8, 3), K
 
 
 @given(data=st.data())
@@ -944,3 +948,42 @@ def test_library_route_builds_no_dense_view(monkeypatch):
             gm_endomorphism(ind, lam, q, h=h)
         spectrum_report(e, (3, 4, 5), 1, lam)
     assert spectrum_check(e, (3, 4, 5)) == (True, None)
+
+
+# ---- one pass per sum -----------------------------------------------------------
+
+
+def test_one_pass_sums_match_the_checked_term_sums():
+    # a sum checks only itself; the oracle builds every omega_K of it through
+    # the validating omega_tilde, so each term still passes the chain check
+    cases = [((1, 2, 3, 4), 1, 8, 3, 121), ((1, 2, 3, 4), 1, 10, 4, 508),
+             ((1, 2, 3, 4, 5), 2, 10, 4, None)]
+    for S, r, n, ell, size in cases:
+        terms = pencil_sum_terms(S, r, n, ell)
+        assert size is None or len(terms) == size
+        assert omega_tilde_sum(S, r, n, ell).rows == checked_term_sum(terms, n, ell), (S, r)
+    selberg, collapsed = selberg_type(), collapsed_type()
+    terms = relative_multiplicities(collapsed, selberg)
+    assert omega_tilde_pair(collapsed, selberg).rows == checked_term_sum(terms, 5, 2)
+
+
+def test_each_returned_map_is_checked_once_and_no_term_is_stored(monkeypatch):
+    checks = []
+    real = ChainEndomorphism._check_chain
+
+    def counted(self):
+        checks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ChainEndomorphism, "_check_chain", counted)
+    # start from generic types no other test has built
+    generic_type.cache_clear()
+    selberg, collapsed = selberg_type(), collapsed_type()
+    for build in (lambda: omega_tilde_sum((1, 2, 3, 4), 1, 6, 2),
+                  lambda: omega_tilde_pair(collapsed, selberg),
+                  lambda: omega_tilde((1, 2, 3), 6, 2)):
+        checks.clear()
+        e = build()
+        assert checks == [e]
+    for n in (5, 6):
+        assert "omega_tilde" not in generic_type(n, 2)._store
