@@ -10,7 +10,14 @@ whose cohomology is computed here, together with resonance queries.
 from fractions import Fraction
 
 from .arrangement import dep_star
-from .linalg import dense, echelon_reduce, evaluate_rows, image_and_kernel, rref
+from .linalg import (
+    clear_denominators,
+    dense,
+    echelon_reduce,
+    evaluate_rows,
+    image_and_kernel,
+    rref,
+)
 from .orlik_solomon import nbc_basis, os_reduce, wedge
 from .poly import LinearForm, parse_rational
 
@@ -190,8 +197,14 @@ def nonresonance_conditions(t):
 
 
 def weights_nonresonant(t, lam):
+    """Whether no condition of `nonresonance_conditions` sums to a
+    nonnegative integer.  Over the weights' common denominator D, with
+    N = D * lam, the sum over S is s / D for the int s = sum of N_j over S,
+    and it is a nonnegative integer exactly when s >= 0 and D divides s."""
+    d, nums = clear_denominators(lam.values)
+    nums.append(-sum(nums))
     for S in nonresonance_conditions(t):
-        s = lam.subset_sum(S)
-        if s.denominator == 1 and s >= 0:
+        s = sum(nums[j - 1] for j in S)
+        if s >= 0 and s % d == 0:
             return False
     return True

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .linalg import rank
+from .linalg import clear_denominators, rank
 from .poly import parse_rational, format_rational
 
 
@@ -58,9 +58,11 @@ class Arrangement:
         self.ell = ell
         self.n = n
         self.rows = rows
-        # the closure rows, infinity last, wrapped once as sparse rows for `rank`
-        self._sparse = ([{k: x for k, x in enumerate(r) if x} for r in rows]
-                        + [{0: Fraction(1)}])
+        # the closure rows, infinity last, wrapped once as sparse rows for
+        # `rank`, each times the common denominator of its entries: an int
+        # row with the same span
+        self._sparse = ([{k: x for k, x in enumerate(clear_denominators(r)[1]) if x}
+                         for r in rows] + [{0: 1}])
 
     @classmethod
     def from_json(cls, data):

@@ -2,9 +2,10 @@
 
 Loads arrangement files, dispatches one operation, and prints either an
 aligned human-readable table or the JSON records the library defines.
-Exit codes: 0 on success, 2 for input/validation problems, 3 when a
-mathematical precondition fails and the library raises `NotCovered` (a map
-that does not descend, or a degeneration with no unique pencil behind it).
+Exit codes: 0 on success, 1 when stdout is closed before the output is
+written, 2 for input/validation problems, 3 when a mathematical
+precondition fails and the library raises `NotCovered` (a map that does
+not descend, or a degeneration with no unique pencil behind it).
 """
 
 import argparse
@@ -375,6 +376,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3 if isinstance(e, NotCovered) else 2

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction, row-vector convention.
+"""Exact linear algebra over the rationals, row-vector convention.
 
 A matrix is a list of sparse rows {col: entry} holding its nonzero
 entries only, so two rows are equal exactly when their dicts are.
@@ -6,13 +6,24 @@ Elimination and products both work on that form, and every sum of scaled
 rows goes through `add_scaled`, which is where that invariant is kept;
 `dense` builds the list-of-lists view of a matrix for printing.  Linear maps
 act on row vectors, v -> v @ M, so the kernel of a map is the left null
-space of its matrix and images are spanned by rows.  Everything is done
-with rational Gaussian elimination; nothing here is numerical.
+space of its matrix and images are spanned by rows.  Elimination clears
+each row's denominators once and then runs fraction-free over int
+(`_integer_echelon`); only the reduced rows `rref` returns are Fractions
+again.  Specializing a matrix of linear forms clears the weights'
+denominators once (`clear_denominators`).  Nothing here is numerical,
+modular or probabilistic.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-_ONE = Fraction(1)
+
+def clear_denominators(xs):
+    """(D, [D*x for x in xs]) for a sequence of ints and Fractions: D is
+    the least common multiple of their denominators (1 when there are
+    none), so every D*x is an int."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def add_scaled(acc, row, f):
@@ -34,16 +45,21 @@ def add_scaled(acc, row, f):
                 del acc[j]
 
 
-def rref(m):
-    """Reduced row echelon form of sparse rows.
-
-    Returns (rows, pivot_columns): the nonzero rows of the reduced form,
-    in pivot order, each holding its pivot entry 1.  The form is unique,
-    so equal row spaces give equal results.  The input is not modified.
-    Row operations touch only the nonzero entries of the pivot row, and
-    never its pivot column, which is set rather than computed.
+def _integer_echelon(m):
+    """Gauss-Jordan elimination of sparse rows over int: (rows, pivots),
+    one int row per pivot column, in pivot order, each zero at every other
+    pivot.  Each row is first scaled to a primitive int row, which changes
+    neither its span nor its reduced form; a pivot a clears the entry b of
+    a row as (a/g) row - (b/g) prow with g = gcd(a, b), and the row is
+    divided by its content again, so its entries stay small.  The input is
+    not modified.
     """
-    rows = [dict(r) for r in m if r]
+    rows = []
+    for row in m:
+        if row:
+            ints = clear_denominators(row.values())[1]
+            g = gcd(*ints)
+            rows.append(dict(zip(row, [x // g for x in ints])))
     nrows = len(rows)
     pivots = []
     r = 0
@@ -56,15 +72,23 @@ def rref(m):
         prow = rows[i]
         rows[i] = rows[r]
         rows[r] = prow
-        # left of c the pivot row is zero: earlier columns are cleared or
-        # had no nonzero entry in the rows not yet used as pivots
-        inv = _ONE / prow.pop(c)
-        support = {j: b * inv for j, b in prow.items()}
-        prow.update(support)
-        prow[c] = _ONE
+        # the pivot column is cleared by deleting it, not by computing zeros
+        a = prow.pop(c)
         for row in rows:
-            if c in row and row is not prow:
-                add_scaled(row, support, -row.pop(c))
+            b = row.pop(c, None)
+            if b is None or row is prow:
+                continue
+            g = gcd(a, b)
+            f = a // g
+            if f != 1:
+                for j in row:
+                    row[j] *= f
+            add_scaled(row, prow, -(b // g))
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        prow[c] = a
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -72,8 +96,21 @@ def rref(m):
     return rows[:r], pivots
 
 
+def rref(m):
+    """Reduced row echelon form of sparse rows: (rows, pivot_columns),
+    the nonzero rows of the reduced form as Fractions, in pivot order, each
+    with pivot entry Fraction(1).  The form is unique, so equal row spaces
+    give equal results, and each row is an integer echelon row divided by
+    its pivot.  The input is not modified.
+    """
+    rows, pivots = _integer_echelon(m)
+    return [{j: Fraction(x, row[p]) for j, x in row.items()}
+            for row, p in zip(rows, pivots)], pivots
+
+
 def rank(m):
-    return len(rref(m)[1])
+    """The number of pivots of the integer echelon form of sparse rows."""
+    return len(_integer_echelon(m)[1])
 
 
 def image_and_kernel(m):
@@ -164,14 +201,22 @@ def matmul(a, b):
 
 def evaluate_rows(rows, lam):
     """Specialize sparse rows of linear forms at a rational weight vector,
-    evaluating only the stored entries; zero values are dropped."""
+    evaluating only the stored entries; zero values are dropped.  With
+    N = D * lam over the common denominator D, a form takes the value
+    (sum c_j N_j) / D, an int sum for int coefficients c_j."""
+    if not any(rows):
+        return [{} for _ in rows]  # a zero map, as induced maps often are
+    d, nums = clear_denominators(lam)
+    nvars = len(nums)
     out = []
     for row in rows:
         vals = {}
         for j, f in row.items():
-            v = f.evaluate(lam)
+            if f.nvars != nvars:
+                raise ValueError("expected %d values, got %d" % (f.nvars, nvars))
+            v = sum(c * nums[k - 1] for k, c in f.terms.items())
             if v:
-                vals[j] = v
+                vals[j] = Fraction(v, d)
         out.append(vals)
     return out
 

@@ -5,15 +5,18 @@ Run from the repository root with the library on the path:
     PYTHONPATH=src python tests/golden/make_golden.py
 
 Each case in CASES is run through `osgm.cli.main` in-process; its stdout
-goes to `<name>.out` and its argv and exit code to `cases.json`.  Only
-regenerate when an output change is intended: `tests/test_golden.py`
-compares the current outputs with these files byte for byte.
+goes to `<name>.out` and its argv and exit code to `cases.json`.  Each
+script in demos/ is run in a fresh interpreter, and its stdout goes to
+`demos/<script>.out`.  Only regenerate when an output change is intended:
+`tests/test_golden.py` compares the current outputs with these files byte
+for byte.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +41,14 @@ GEN5 = INPUTS + "generic-5-2.json"
 # at infinity gives multi-term forms over all ten of them
 GEN10 = INPUTS + "generic-10-2.json"
 NONRES10 = "1/2,1/3,1/5,1/7,1/11,1/13,1/17,1/19,1/23,1/29"
+# pencil_realization(8, 2, (1,2,3,4), 2): lines 1..4 through one point,
+# the shape the benchmark's weight scan runs on
+FOUR = INPUTS + "four-fold-8-2.json"
+K1009 = "1/1009,2/1009,3/1009,5/1009,7/1009,11/1009,13/1009,17/1009"
+# 1/p for the eight primes from 999961 up: a common denominator near 10^48
+P6 = "1/999961,1/999979,1/999983,1/1000003,1/1000033,1/1000037,1/1000039,1/1000081"
+# zero off S = {1,2,3,4} and summing to zero on it: resonant in degree 1
+RES4 = "1/1009,-1/1009,2/999983,-2/999983,0,0,0,0"
 
 CASES = [
     ("deps", ["deps", SEL]),
@@ -105,6 +116,11 @@ CASES = [
     ("gm-pencil-generic10-json",
      ["gm", GEN10, "--pencil", "2,10,11", "1", "--weights", NONRES10, "--json"]),
     ("spectrum-generic10", ["spectrum", GEN10, "--pencil", "2,10,11", "1"]),
+    ("cohomology-four-fold-json", ["cohomology", FOUR, "--weights", K1009, "--json"]),
+    ("gm-pencil-four-fold-json",
+     ["gm", FOUR, "--pencil", "1,2,3,4", "2", "--weights", P6, "--json"]),
+    ("spectrum-four-fold", ["spectrum", FOUR, "--pencil", "1,2,3,4", "2", "--weights", P6]),
+    ("resonance-four-fold-json", ["resonance", FOUR, "--weights", RES4, "--json"]),
 ]
 
 
@@ -126,7 +142,13 @@ def main():
         (HERE / (name + ".out")).write_text(out)
         manifest.append({"name": name, "argv": argv, "exit": code})
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    print("wrote %d cases" % len(manifest), file=sys.stderr)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    for demo in demos:
+        out = subprocess.run([sys.executable, str(demo)], env=env, check=True,
+                             stdout=subprocess.PIPE).stdout
+        (HERE / "demos" / (demo.stem + ".out")).write_bytes(out)
+    print("wrote %d cases and %d demos" % (len(manifest), len(demos)), file=sys.stderr)
 
 
 if __name__ == "__main__":

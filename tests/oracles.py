@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from osgm.linalg import add_scaled
 from osgm.poly import LinearForm
 
 
@@ -342,6 +343,57 @@ def dense_rref(m):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def fraction_rref(m):
+    """Reduced row echelon form of sparse rows, every step in Fraction
+    arithmetic: the sparse kernel `osgm.linalg.rref` used before it
+    eliminated over int, kept as the reference it must reproduce.
+
+    Returns (rows, pivot_columns): the nonzero rows of the reduced form,
+    in pivot order, each holding its pivot entry 1.  The input is not
+    modified.
+    """
+    rows = [dict(r) for r in m if r]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in sorted(set().union(*rows)):
+        for i in range(r, nrows):
+            if c in rows[i]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
+        # left of c the pivot row is zero: earlier columns are cleared or
+        # had no nonzero entry in the rows not yet used as pivots
+        inv = Fraction(1) / prow.pop(c)
+        support = {j: b * inv for j, b in prow.items()}
+        prow.update(support)
+        prow[c] = Fraction(1)
+        for row in rows:
+            if c in row and row is not prow:
+                add_scaled(row, support, -row.pop(c))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+def weights_nonresonant_by_subset_sums(t, lam):
+    """The sufficient nonresonance test with each condition's weight sum
+    taken as a Fraction: no singleton or starred dependent set may sum to
+    a nonnegative integer."""
+    from osgm.aomoto import nonresonance_conditions
+
+    for S in nonresonance_conditions(t):
+        s = lam.subset_sum(S)
+        if s.denominator == 1 and s >= 0:
+            return False
+    return True
 
 
 def dense_left_null_space(m):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
 from osgm.orlik_solomon import betti_numbers, nbc_basis
@@ -23,6 +24,7 @@ from oracles import (
     mat_evaluate,
     sparse,
     sparse_vector,
+    weights_nonresonant_by_subset_sums,
 )
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
@@ -253,15 +255,21 @@ def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
 
     monkeypatch.setattr(osgm.linalg, "rref", recording)
     monkeypatch.setattr(osgm.aomoto, "rref", recording)
+    # every elimination, through rref or rank, runs the integer kernel
+    eliminated = []
+    kernel = osgm.linalg._integer_echelon
+    monkeypatch.setattr(osgm.linalg, "_integer_echelon",
+                        lambda m: eliminated.append(m) or kernel(m))
     os_cohomology(t, lam)
-    counts = []
-    for q in range(t.ell):
-        d, width = evaluate_rows(c.rows[q], lam.values), len(c.bases[q + 1])
-        transpose = [{i: row[j] for i, row in enumerate(d) if j in row} for j in range(width)]
-        counts.append(sum(
-            m == transpose or [{j: x for j, x in row.items() if j < width} for row in m] == d
-            for m in seen))
-    assert counts == [1] * t.ell
+    for inputs in (seen, eliminated):
+        counts = []
+        for q in range(t.ell):
+            d, width = evaluate_rows(c.rows[q], lam.values), len(c.bases[q + 1])
+            transpose = [{i: row[j] for i, row in enumerate(d) if j in row} for j in range(width)]
+            counts.append(sum(
+                m == transpose or [{j: x for j, x in row.items() if j < width} for row in m] == d
+                for m in inputs))
+        assert counts == [1] * t.ell
 
 
 def test_euler_characteristic_invariant():
@@ -300,6 +308,49 @@ def test_nonresonance_conditions_selberg():
     # other listed sum stays out of the nonnegative integers
     bad2 = Weights(["1/3", "1/3", "1/3", "1/3", "-4/3"])
     assert not weights_nonresonant(t, bad2)
+
+
+_NONRES_TYPES = ["selberg", "generic-5-2", "four-fold-8-2"]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_weights_nonresonant_matches_the_subset_sum_route(data):
+    # the common-denominator test against each condition's Fraction sum,
+    # with one condition steered to sum to exactly 0 (resonant) or -1 (not)
+    t = _coord_type(data.draw(st.sampled_from(_NONRES_TYPES)))
+    n = t.n
+    den = data.draw(st.sampled_from([1, 2, 1009, 999983, 2 ** 61 - 1]))
+    vals = [Fraction(data.draw(st.integers(-3 * den, 3 * den)), den) for _ in range(n)]
+    target = data.draw(st.sampled_from([None, 0, -1]))
+    if target is not None:
+        S = data.draw(st.sampled_from(nonresonance_conditions(t)))
+        # lambda_{n+1} = -(lambda_1 + ... + lambda_n): a sum through n+1
+        # moves against the weights outside S
+        free = [j for j in range(1, n + 1) if (j in S) != (n + 1 in S)]
+        j = data.draw(st.sampled_from(free))
+        sign = -1 if n + 1 in S else 1
+        vals[j - 1] += sign * (target - Weights(vals).subset_sum(S))
+        assert Weights(vals).subset_sum(S) == target
+    lam = Weights(vals)
+    assert weights_nonresonant(t, lam) == weights_nonresonant_by_subset_sums(t, lam)
+    if target == 0:
+        assert not weights_nonresonant(t, lam)
+
+
+def test_weights_nonresonant_at_the_boundary_sums():
+    t = selberg_type()
+    # lambda_135 = 0 exactly, with no weight an integer: resonant
+    p, q = Fraction(1, 1009), Fraction(1, 999983)
+    zero = Weights([p, Fraction(1, 5), q, Fraction(1, 7), -p - q])
+    assert zero.subset_sum((1, 3, 5)) == 0
+    assert not weights_nonresonant(t, zero)
+    # lambda_135 = -1, and no other condition sums to an integer
+    minus = Weights([-p, Fraction(1, 5), -q, Fraction(1, 7), p + q - 1])
+    assert minus.subset_sum((1, 3, 5)) == -1
+    assert weights_nonresonant(t, minus)
+    for lam in (zero, minus):
+        assert weights_nonresonant(t, lam) == weights_nonresonant_by_subset_sums(t, lam)
 
 
 def test_nonresonant_weights_concentrate_cohomology():

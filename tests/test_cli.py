@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from osgm.aomoto import build_aomoto
 from osgm.arrangement import Arrangement, CombinatorialType
 from osgm.cli import main
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
 SELBERG = str(DATA / "selberg.json")
 DEGENERATE = str(DATA / "selberg-degenerate.json")
 NONRES = "1/2,1/3,1/5,1/7,1/11"
@@ -637,3 +642,22 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
             owner = getattr(owner, cls[0])
         # Tracer.install reads methods from the class's own namespace
         assert name in vars(owner), (module, attr)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # the reader goes away before anything is written, as `head` can;
+    # exit 2 would claim malformed input, and Python's own report of the
+    # failed flush at exit would land on stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "osgm.cli", "cohomology", SELBERG, "--weights", NONRES],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

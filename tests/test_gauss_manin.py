@@ -419,9 +419,10 @@ def test_induce_on_type_runs_no_elimination(monkeypatch):
     build_aomoto(t)
 
     def refuse(*args):
-        raise AssertionError("rref called")
+        raise AssertionError("elimination called")
 
     monkeypatch.setattr(osgm.linalg, "rref", refuse)
+    monkeypatch.setattr(osgm.linalg, "_integer_echelon", refuse)
     assert induce_on_type(e, t).mats == expected
     with pytest.raises(NotCovered, match="degree-2 relations"):
         induce_on_type(broken, t)

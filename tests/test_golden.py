@@ -1,11 +1,15 @@
-"""Byte-for-byte CLI outputs on the bundled data files.
+"""Byte-for-byte CLI and demo outputs on the bundled data files.
 
-The expected stdout and exit codes in tests/golden/ were recorded with
+The expected stdout and exit codes in tests/golden/, and each demo's
+stdout in tests/golden/demos/, were recorded with
 `tests/golden/make_golden.py`; a refactoring that keeps outputs unchanged
 must keep every case here passing without regenerating them.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +24,16 @@ def test_golden_output(case, monkeypatch):
     code, out = run_case(case["argv"])
     assert code == case["exit"]
     assert out == (HERE / (case["name"] + ".out")).read_text()
+
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output(demo):
+    # each demo runs as a user runs it, in a fresh interpreter from the repo root
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (HERE / "demos" / (demo.stem + ".out")).read_bytes()

@@ -1,15 +1,19 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from osgm.linalg import (
     add_scaled,
+    clear_denominators,
     rank,
     rref,
     image_and_kernel,
     echelon_reduce,
+    evaluate_rows,
     solve_row_combination,
     matmul,
     dense,
@@ -20,6 +24,7 @@ from oracles import (
     dense_left_null_space,
     dense_product,
     dense_rref,
+    fraction_rref,
     identity_matrix,
     mat_evaluate,
     products_agree_by_evaluation,
@@ -353,3 +358,120 @@ def test_image_and_kernel_match_the_dense_oracles(m):
     assert len(kernel) + len(rows) == len(m)
     ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
     assert rank(sparse(m)) == len(pivots) == bareiss_rank(ints)
+
+
+# Large rationals, so that clearing denominators, content removal and the
+# gcd of pivot and entry all act: numerators up to 10^30 over primes whose
+# products run far past a machine word.  Some rows are int only, some are
+# zero, and some repeat or combine earlier rows with large rational factors.
+_BIG = 10 ** 30
+_BIG_DENOMINATORS = (1009, 999983, 1000003, 2 ** 61 - 1)
+_big_ints = st.integers(-_BIG, _BIG)
+_big_fractions = st.builds(Fraction, _big_ints, st.sampled_from(_BIG_DENOMINATORS))
+_big_factors = st.builds(Fraction, _big_ints.filter(bool),
+                         st.sampled_from(_BIG_DENOMINATORS))
+
+
+@st.composite
+def _big_rational_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["int", "int", "rational", "sparse", "zero"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+            continue
+        entries = {"int": _big_ints, "rational": st.one_of(_big_ints, _big_fractions),
+                   "sparse": st.one_of(st.just(0), st.just(0), _big_fractions)}[kind]
+        rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    for _ in range(draw(st.integers(0, 3))):
+        i, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(_big_factors), draw(st.sampled_from([0, 1, -1]) | _big_factors)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [a * x + b * y for x, y in zip(rows[i], rows[k])])
+    # integral Fractions become ints, as the library's own rows hold them
+    return [[x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+             for x in row] for row in rows]
+
+
+@given(m=_big_rational_matrices())
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+def test_integer_elimination_matches_the_fraction_route(m):
+    sm = sparse(m)
+    before = [dict(row) for row in sm]
+    rows, pivots = rref(sm)
+    assert sm == before
+    assert (rows, pivots) == fraction_rref(sm)
+    assert sm == before
+    dense_rows, dense_pivots = dense_rref(m)
+    assert (rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
+    assert all(type(x) is Fraction for row in rows for x in row.values())
+    assert all(type(row[p]) is Fraction and row[p] == 1 for row, p in zip(rows, pivots))
+    ints = [[int(x * lcm(*(Fraction(y).denominator for y in row))) for x in row] for row in m]
+    assert rank(sm) == len(pivots) == bareiss_rank(ints)
+    img, img_pivots, kernel = image_and_kernel(sm)
+    assert sm == before
+    assert (img, img_pivots) == (rows, pivots)
+    null_rows, null_pivots = dense_rref(dense_left_null_space(m))
+    assert kernel == sparse(null_rows[:len(null_pivots)])
+    assert all(type(x) is Fraction for row in img + kernel for x in row.values())
+
+
+def test_clear_denominators():
+    assert clear_denominators([]) == (1, [])
+    assert clear_denominators([3, -4]) == (1, [3, -4])
+    xs = [Fraction(1, 6), Fraction(-3, 4), 5, Fraction(0), Fraction(7, 2 ** 61 - 1)]
+    d, nums = clear_denominators(xs)
+    assert d == 12 * (2 ** 61 - 1)
+    assert all(type(v) is int for v in nums)
+    assert [Fraction(v, d) for v in nums] == xs
+
+
+_large_primes = [1009, 999983, 1000003, 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 9 + 7]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_evaluate_rows_matches_entrywise_evaluation(data):
+    nvars = data.draw(st.integers(1, 6))
+    coeffs = data.draw(st.sampled_from([
+        st.integers(-10 ** 12, 10 ** 12),
+        st.one_of(st.integers(-9, 9), st.fractions(max_denominator=10 ** 6))]))
+    kind = data.draw(st.sampled_from(["zero", "negative", "integer", "primes", "mixed"]))
+    if kind == "zero":
+        lam = [Fraction(0)] * nvars
+    elif kind == "negative":
+        lam = [Fraction(-data.draw(st.integers(1, 10 ** 6)), data.draw(st.integers(1, 50)))
+               for _ in range(nvars)]
+    elif kind == "integer":
+        lam = [Fraction(data.draw(st.integers(-10 ** 20, 10 ** 20))) for _ in range(nvars)]
+    elif kind == "primes":
+        ps = data.draw(st.permutations(_large_primes))[:nvars]
+        lam = [Fraction(data.draw(st.integers(-10 ** 9, 10 ** 9)), p) for p in ps]
+    else:
+        lam = [data.draw(st.fractions(max_denominator=10 ** 9)) for _ in range(nvars)]
+    rows = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        row = {}
+        for j in data.draw(st.sets(st.integers(0, 5), max_size=4)):
+            terms = data.draw(st.dictionaries(st.integers(1, nvars), coeffs, max_size=nvars))
+            f = LinearForm(nvars, terms)
+            if f:
+                row[j] = f
+        rows.append(row)
+    expected = [{j: v for j, f in row.items() if (v := f.evaluate(lam))} for row in rows]
+    got = evaluate_rows(rows, tuple(lam))
+    assert got == expected
+    assert all(type(v) is Fraction for row in got for v in row.values())
+
+
+def test_evaluate_rows_refuses_a_weight_vector_of_the_wrong_length():
+    rows = [{0: LinearForm(3, {1: 1, 3: -2})}]
+    for lam in ([Fraction(1), Fraction(2)], [Fraction(1)] * 4):
+        with pytest.raises(ValueError) as exc:
+            rows[0][0].evaluate(lam)
+        with pytest.raises(ValueError, match=re.escape(str(exc.value))):
+            evaluate_rows(rows, lam)
+    assert str(exc.value) == "expected 3 values, got 4"
+    # no stored entry, nothing to evaluate
+    assert evaluate_rows([{}], [Fraction(1)]) == [{}]
