@@ -5,6 +5,8 @@ The differential in degree q sends a basis monomial a_T to the reduction of
 convention (row = image of the basis vector, maps act by v |-> v M).
 Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
+`os_cohomology` specializes each differential straight to int rows over
+the weights' common denominator and eliminates it once.
 """
 
 from fractions import Fraction
@@ -14,9 +16,8 @@ from .linalg import (
     clear_denominators,
     dense,
     echelon_reduce,
-    evaluate_rows,
+    evaluate_int,
     image_and_kernel,
-    rref,
 )
 from .orlik_solomon import nbc_basis, os_reduce, wedge
 from .poly import LinearForm, parse_rational
@@ -83,14 +84,6 @@ class AomotoComplex:
         zero = LinearForm.zero(self.t.n)
         return [dense(r, len(self.bases[q + 1]), zero) for q, r in enumerate(self.rows)]
 
-    def boundary_at(self, lam, q):
-        """Specialized differential leaving degree q as sparse rows of
-        Fractions (empty rows at the top); only its nonzero entries are
-        evaluated."""
-        if q >= len(self.rows):
-            return [{} for _ in self.bases[q]]
-        return evaluate_rows(self.rows[q], lam.values)
-
 
 def build_aomoto(t):
     """The weighted complex of a type, built once per type object."""
@@ -152,22 +145,45 @@ class CohomologyData:
 
 
 def os_cohomology(t, lam):
+    """Cohomology of the Aomoto complex of t at the weights lam, with one
+    integer elimination per differential.
+
+    With D the common denominator of lam and N = D * lam, the differential
+    D_q evaluated at N is the int matrix D * D_q(lam), and
+    `image_and_kernel` eliminates D * [D_q(lam) | I] once.  Its image rows
+    are the coboundaries of degree q+1, its kernel rows the closed cochains
+    of degree q.  The representatives of degree q are the kernel rows whose
+    pivot is not a coboundary pivot.  Proof: im D_{q-1} lies in ker D_q, so
+    every coboundary pivot is a kernel pivot; a reduced kernel row is zero
+    at every other kernel pivot, so the rows kept are zero at every
+    coboundary pivot, and there are dim ker - dim im of them, which makes
+    them the reduced basis of the closed cochains modulo the coboundaries.
+    The pivot inclusion is checked, and a complex whose differentials do
+    not compose to zero is refused.
+    """
     c = build_aomoto(t)
+    d, nums = clear_denominators(lam.values)
     dims, reps, rep_pivots, cobound, cob_pivots = [], [], [], [], []
     cob_rows, cob_piv = [], []
     for q in range(t.ell + 1):
         cobound.append(cob_rows)
         cob_pivots.append(cob_piv)
+        taken = set(cob_piv)
         if q < t.ell:
-            # one elimination of the differential leaving degree q gives the
-            # closed cochains of degree q and the coboundaries of degree q+1
-            img, img_piv, closed = image_and_kernel(c.boundary_at(lam, q))
-            canon, piv = rref([echelon_reduce(z, cob_rows, cob_piv) for z in closed])
+            img, img_piv, closed, closed_piv = image_and_kernel(
+                evaluate_int(c.rows[q], nums), d)
+            if not taken <= set(closed_piv):
+                raise ValueError("the differentials entering and leaving degree %d "
+                                 "do not compose to zero" % q)
+            canon, piv = [], []
+            for z, p in zip(closed, closed_piv):
+                if p not in taken:
+                    canon.append(z)
+                    piv.append(p)
             cob_rows, cob_piv = img, img_piv
         else:
             # every cochain is closed, and reducing the unit vectors by the
             # coboundaries spans exactly the coordinates off their pivots
-            taken = set(cob_piv)
             piv = [j for j in range(len(c.bases[q])) if j not in taken]
             canon = [{j: 1} for j in piv]
         dims.append(len(canon))

@@ -346,10 +346,17 @@ def pencil_profile(S, r, n, ell, top=None):
                     yield tuple(sorted(A + B))
 
 
+def check_pencil_rank(S, r, ell):
+    """Refuse a pencil rank r outside 1..min(ell, |S| - 1), naming r and
+    that range."""
+    top = min(ell, len(S) - 1)
+    if not 1 <= r <= top:
+        raise ValueError("pencil rank %d out of range 1..%d" % (r, top))
+
+
 def multiplicity_pencil(K, S, r, ell, n):
     """Multiplicity |K| - rank of K in the pencil type on (S, r)."""
-    if not 1 <= r <= min(ell, len(S) - 1):
-        raise ValueError("pencil rank r out of range")
+    check_pencil_rank(S, r, ell)
     if not set(K) <= set(range(1, n + 2)):
         raise ValueError("K must be a subset of [n+1]")
     return len(K) - pencil_rank(K, S, r, ell)
@@ -366,8 +373,7 @@ def pencil_realization(n, ell, S, r):
     and needs r >= 2 to keep the members honest affine hyperplanes.
     """
     S = tuple(sorted(S))
-    if not 1 <= r <= min(ell, len(S) - 1):
-        raise ValueError("pencil rank r out of range")
+    check_pencil_rank(S, r, ell)
     if not set(S) <= set(range(1, n + 2)):
         raise ValueError("S must be a subset of [n+1]")
     if n + 1 in S and r == 1:

@@ -20,6 +20,7 @@ from math import comb
 
 from .aomoto import build_aomoto, os_cohomology
 from .arrangement import (
+    check_pencil_rank,
     compare_types,
     dep_star,
     generic_type,
@@ -272,8 +273,7 @@ def pencil_sum_terms(S, r, n, ell):
     forces to be dependent; the value is how far the subset's rank drops.
     """
     S = _clean_subset(S, n)
-    if not 1 <= r <= min(ell, len(S) - 1):
-        raise ValueError("pencil rank r out of range")
+    check_pencil_rank(S, r, ell)
     forced = sorted(pencil_profile(S, r, n, ell, top=ell + 1), key=lambda K: (len(K), K))
     return {K: multiplicity_pencil(K, S, r, ell, n) for K in forced}
 
@@ -371,7 +371,7 @@ def gm_endomorphism(e, lam, q, h=None):
     precomputed cohomology object to avoid recomputing it per degree.
     """
     if not 0 <= q < len(e.rows):
-        raise ValueError("degree out of range")
+        raise ValueError("degree %d out of range 0..%d" % (q, len(e.rows) - 1))
     if h is None:
         h = os_cohomology(e.cx.t, lam)
     out = []

@@ -8,10 +8,11 @@ rows goes through `add_scaled`, which is where that invariant is kept;
 act on row vectors, v -> v @ M, so the kernel of a map is the left null
 space of its matrix and images are spanned by rows.  Elimination clears
 each row's denominators once and then runs fraction-free over int
-(`_integer_echelon`); only the reduced rows `rref` returns are Fractions
-again.  Specializing a matrix of linear forms clears the weights'
-denominators once (`clear_denominators`).  Nothing here is numerical,
-modular or probabilistic.
+(`_integer_echelon`); only the reduced rows `rref` and `image_and_kernel`
+return are Fractions again.  Specializing a matrix of linear forms clears
+the weights' denominators once (`clear_denominators`): `evaluate_int`
+evaluates at the int point N = D * lam, and `evaluate_rows` divides by D.
+Nothing here is numerical, modular or probabilistic.
 """
 
 from fractions import Fraction
@@ -57,7 +58,9 @@ def _integer_echelon(m):
     rows = []
     for row in m:
         if row:
-            ints = clear_denominators(row.values())[1]
+            ints = list(row.values())
+            if set(map(type, ints)) != {int}:
+                ints = clear_denominators(ints)[1]
             g = gcd(*ints)
             rows.append(dict(zip(row, [x // g for x in ints])))
     nrows = len(rows)
@@ -113,27 +116,38 @@ def rank(m):
     return len(_integer_echelon(m)[1])
 
 
-def image_and_kernel(m):
-    """One elimination of [M | I]: (rows, pivots, kernel).
+def image_and_kernel(m, d=1):
+    """One integer elimination of d * [M | I], where m holds the rows of
+    d * M: (rows, pivots, kernel, kernel_pivots).
 
     `rows` and `pivots` are the reduced row echelon form of M, as `rref`
     gives them; `kernel` is the reduced row echelon basis of the left null
-    space {v : v @ M = 0}.  Row i of M carries the unit vector e_i in a
-    block right of M's columns, so each reduced row records the
-    combination of M's rows it is; the rows whose pivot falls in that
-    block are zero on M, and they are the kernel.
+    space {v : v @ M = 0}, with its pivot columns.  Row i of m carries d
+    times the unit vector e_i in a block right of M's columns, so each
+    reduced row records the combination of M's rows it is; the rows whose
+    pivot falls in that block are zero on M, and they are the kernel.
+
+    The results do not depend on d.  For a rational M, pass its common
+    denominator d and the int rows d * M: row i is then d * [M_i | e_i],
+    and `_integer_echelon` divides it by its content to the same primitive
+    row it makes of [M_i | e_i], so the elimination runs as from the
+    rational rows.  A block of 1 would leave d * M_i | e_i, whose content
+    is 1, up to d times larger than that row.
     """
     width = 1 + max((max(row) for row in m if row), default=-1)
     aug = []
     for i, row in enumerate(m):
         row = dict(row)
-        row[width + i] = 1
+        row[width + i] = d
         aug.append(row)
-    red, piv = rref(aug)
+    red, piv = _integer_echelon(aug)
     r = sum(p < width for p in piv)
-    rows = [{j: x for j, x in row.items() if j < width} for row in red[:r]]
-    kernel = [{j - width: x for j, x in row.items()} for row in red[r:]]
-    return rows, piv[:r], kernel
+    # as in rref, each returned entry is divided by its row's pivot
+    rows = [{j: Fraction(x, row[p]) for j, x in row.items() if j < width}
+            for row, p in zip(red[:r], piv)]
+    kernel = [{j - width: Fraction(x, row[p]) for j, x in row.items()}
+              for row, p in zip(red[r:], piv[r:])]
+    return rows, piv[:r], kernel, [p - width for p in piv[r:]]
 
 
 def echelon_reduce(v, rows, pivots):
@@ -199,14 +213,10 @@ def matmul(a, b):
     return out
 
 
-def evaluate_rows(rows, lam):
-    """Specialize sparse rows of linear forms at a rational weight vector,
-    evaluating only the stored entries; zero values are dropped.  With
-    N = D * lam over the common denominator D, a form takes the value
-    (sum c_j N_j) / D, an int sum for int coefficients c_j."""
-    if not any(rows):
-        return [{} for _ in rows]  # a zero map, as induced maps often are
-    d, nums = clear_denominators(lam)
+def evaluate_int(rows, nums):
+    """Sparse rows of linear forms at the point nums, evaluating only the
+    stored entries; zero values are dropped.  A form takes the value
+    sum c_j nums_j, an int for int coefficients c_j and int nums."""
     nvars = len(nums)
     out = []
     for row in rows:
@@ -214,11 +224,24 @@ def evaluate_rows(rows, lam):
         for j, f in row.items():
             if f.nvars != nvars:
                 raise ValueError("expected %d values, got %d" % (f.nvars, nvars))
-            v = sum(c * nums[k - 1] for k, c in f.terms.items())
+            v = 0
+            for k, c in f.terms.items():
+                v += c * nums[k - 1]
             if v:
-                vals[j] = Fraction(v, d)
+                vals[j] = v
         out.append(vals)
     return out
+
+
+def evaluate_rows(rows, lam):
+    """Specialize sparse rows of linear forms at a rational weight vector,
+    as sparse rows of Fractions.  With N = D * lam over the common
+    denominator D, a form takes the value (sum c_j N_j) / D: `evaluate_int`
+    sums at N, and each nonzero sum is divided by D once."""
+    if not any(rows):
+        return [{} for _ in rows]  # a zero map, as induced maps often are
+    d, nums = clear_denominators(lam)
+    return [{j: Fraction(v, d) for j, v in row.items()} for row in evaluate_int(rows, nums)]
 
 
 def dense(rows, ncols, zero):

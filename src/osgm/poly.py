@@ -144,16 +144,7 @@ class LinearForm:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    # ---- evaluation / substitution -------------------------------------
-
-    def evaluate(self, lam):
-        """Evaluate at a point, lam a sequence of nvars Fractions."""
-        if len(lam) != self.nvars:
-            raise ValueError("expected %d values, got %d" % (self.nvars, len(lam)))
-        total = Fraction(0)
-        for j, c in self.terms.items():
-            total += c * lam[j - 1]
-        return total
+    # ---- substitution ---------------------------------------------------
 
     def substitute(self, mapping):
         """Image under y_j -> mapping[j] (a LinearForm); variables not in

@@ -422,6 +422,45 @@ def class_coords_by_solving(h, q, vec):
     return solve_row_combination(h.reps[q], echelon_reduce(vec, rows, pivots))
 
 
+def boundary_at(cx, lam, q):
+    """The differential of the complex cx leaving degree q at the weights
+    lam, as sparse rows of Fractions (empty rows at the top)."""
+    from osgm.linalg import evaluate_rows
+
+    if q >= len(cx.rows):
+        return [{} for _ in cx.bases[q]]
+    return evaluate_rows(cx.rows[q], lam.values)
+
+
+def cohomology_by_two_eliminations(t, lam):
+    """(dims, reps, rep_pivots, cobound, cob_pivots) of `os_cohomology` by
+    two eliminations per degree: the Fraction differential through
+    `image_and_kernel`, then the closed cochains reduced by the coboundaries
+    of the degree below with `echelon_reduce` and echelonized by a second
+    `rref`."""
+    from osgm.aomoto import build_aomoto
+    from osgm.linalg import echelon_reduce, image_and_kernel, rref
+
+    c = build_aomoto(t)
+    dims, reps, rep_pivots, cobound, cob_pivots = [], [], [], [], []
+    cob_rows, cob_piv = [], []
+    for q in range(t.ell + 1):
+        cobound.append(cob_rows)
+        cob_pivots.append(cob_piv)
+        if q < t.ell:
+            img, img_piv, closed, _ = image_and_kernel(boundary_at(c, lam, q))
+            canon, piv = rref([echelon_reduce(z, cob_rows, cob_piv) for z in closed])
+            cob_rows, cob_piv = img, img_piv
+        else:
+            taken = set(cob_piv)
+            piv = [j for j in range(len(c.bases[q])) if j not in taken]
+            canon = [{j: 1} for j in piv]
+        dims.append(len(canon))
+        reps.append(canon)
+        rep_pivots.append(piv)
+    return dims, reps, rep_pivots, cobound, cob_pivots
+
+
 def cohomology_reps_by_elimination(t, lam):
     """Representative classes of the specialized Aomoto complex and their
     pivots, per degree, by dense elimination throughout: closed cochains
@@ -437,10 +476,10 @@ def cohomology_reps_by_elimination(t, lam):
         closed = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
         if q < t.ell:
             closed = dense_left_null_space(
-                [[e.evaluate(lam.values) for e in row] for row in c.boundary[q]])
+                [[form_value(e, lam.values) for e in row] for row in c.boundary[q]])
         cob, cob_piv = [], []
         if q:
-            d = [[e.evaluate(lam.values) for e in row] for row in c.boundary[q - 1]]
+            d = [[form_value(e, lam.values) for e in row] for row in c.boundary[q - 1]]
             cob, cob_piv = dense_rref(d)
         reduced = []
         for v in closed:
@@ -476,7 +515,7 @@ def probe_points(n):
 
 
 def _specialize(m, point):
-    return [[f.evaluate(point) for f in row] for row in m]
+    return [[form_value(f, point) for f in row] for row in m]
 
 
 def products_agree_by_evaluation(a, b, c, d, n):
@@ -549,10 +588,18 @@ def identity_matrix(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def form_value(f, lam):
+    """Value of a `LinearForm` at a point, lam a sequence of nvars
+    Fractions."""
+    if len(lam) != f.nvars:
+        raise ValueError("expected %d values, got %d" % (f.nvars, len(lam)))
+    return sum((c * lam[j - 1] for j, c in f.terms.items()), Fraction(0))
+
+
 def mat_evaluate(m, lam):
     """Specialize a dense matrix of linear forms at a rational point,
     zero entries included."""
-    return [[entry.evaluate(lam) for entry in row] for row in m]
+    return [[form_value(entry, lam) for entry in row] for row in m]
 
 
 def multiply(x, y, t):

@@ -28,7 +28,7 @@ from osgm.linalg import dense, matmul, rank
 from osgm.orlik_solomon import betti_numbers, nbc_basis, os_reduce
 from osgm.poly import LinearForm
 from conftest import record
-from oracles import dense_product, exterior_quotient_dims, sparse, sparse_vector
+from oracles import boundary_at, dense_product, exterior_quotient_dims, sparse, sparse_vector
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SELBERG_FILE = str(DATA / "selberg.json")
@@ -175,7 +175,7 @@ def test_criterion_5():
     # the surviving degree-1 class
     v = [Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), Fraction(0)]
     cx = build_aomoto(t)
-    image = dense_product([v], dense(cx.boundary_at(lam, 1), 6, Fraction(0)), Fraction(0))[0]
+    image = dense_product([v], dense(boundary_at(cx, lam, 1), 6, Fraction(0)), Fraction(0))[0]
     assert not any(image)
     coords = h.class_coords(1, sparse_vector(v))
     assert coords is not None and any(coords)

@@ -15,9 +15,11 @@ from osgm.aomoto import (
     weights_nonresonant,
 )
 from osgm.poly import LinearForm
-from osgm.linalg import dense, evaluate_rows, matmul
+from osgm.linalg import clear_denominators, dense, evaluate_rows, matmul
 from oracles import (
+    boundary_at,
     class_coords_by_solving,
+    cohomology_by_two_eliminations,
     cohomology_reps_by_elimination,
     dense_product,
     frac_rank,
@@ -212,7 +214,7 @@ def test_class_coords_match_the_solving_oracle(name, weights):
     rng = random.Random("%s:%s" % (name, weights))
     for q in range(t.ell + 1):
         size = len(c.bases[q])
-        d_out = c.boundary_at(lam, q)
+        d_out = boundary_at(c, lam, q)
         reps, cob = dense(h.reps[q], size, Fraction(0)), dense(h.cobound[q], size, Fraction(0))
         for k, z in enumerate(h.reps[q]):
             unit = [Fraction(int(i == k)) for i in range(len(reps))]
@@ -237,39 +239,109 @@ def test_class_coords_match_the_solving_oracle(name, weights):
 
 
 def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
-    # an elimination of a differential is an rref whose input is the
-    # differential, its transpose, or the differential with columns
-    # appended on the right
-    import osgm.aomoto
+    # every elimination, through rref, rank or image_and_kernel, runs the
+    # integer kernel; the only one per differential is of D * [D_q(lam) | I],
+    # with D the common denominator of lam, as int rows
     import osgm.linalg
 
     t = _coord_type("four-fold-8-2")
     lam = Weights(_COORD_CASES[5][1])
+    d = clear_denominators(lam.values)[0]
+    assert d > 1
     c = build_aomoto(t)
-    seen = []
-    real = osgm.linalg.rref
-
-    def recording(m):
-        seen.append(m)
-        return real(m)
-
-    monkeypatch.setattr(osgm.linalg, "rref", recording)
-    monkeypatch.setattr(osgm.aomoto, "rref", recording)
-    # every elimination, through rref or rank, runs the integer kernel
     eliminated = []
     kernel = osgm.linalg._integer_echelon
     monkeypatch.setattr(osgm.linalg, "_integer_echelon",
                         lambda m: eliminated.append(m) or kernel(m))
     os_cohomology(t, lam)
-    for inputs in (seen, eliminated):
-        counts = []
-        for q in range(t.ell):
-            d, width = evaluate_rows(c.rows[q], lam.values), len(c.bases[q + 1])
-            transpose = [{i: row[j] for i, row in enumerate(d) if j in row} for j in range(width)]
-            counts.append(sum(
-                m == transpose or [{j: x for j, x in row.items() if j < width} for row in m] == d
-                for m in inputs))
-        assert counts == [1] * t.ell
+    assert len(eliminated) == t.ell
+    for q, x in enumerate(eliminated):
+        m = evaluate_rows(c.rows[q], lam.values)
+        width = 1 + max(max(row) for row in m if row)
+        assert x == [{**{j: d * v for j, v in row.items()}, width + i: d}
+                     for i, row in enumerate(m)]
+        assert all(type(v) is int for row in x for v in row.values())
+
+
+_TWO_ELIMINATION_TYPES = {
+    "selberg": selberg_type,
+    "generic-5-2": lambda: generic_type(5, 2),
+    "generic-6-3": lambda: generic_type(6, 3),
+    "four-fold-8-2": lambda: _coord_type("four-fold-8-2"),
+    "pencil-7-3-rank-1": lambda: CombinatorialType.from_arrangement(
+        pencil_realization(7, 3, (2, 3, 4), 1)),
+    "pencil-7-3-rank-2": lambda: CombinatorialType.from_arrangement(
+        pencil_realization(7, 3, (1, 2, 3, 5, 8), 2)),
+}
+_built = {}
+
+
+def _typed(rows):
+    return [{j: (type(x), x) for j, x in row.items()} for row in rows]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_os_cohomology_matches_the_two_elimination_route(data):
+    # one integer elimination per differential against the Fraction route
+    # that echelonizes the closed cochains modulo the coboundaries again
+    name = data.draw(st.sampled_from(sorted(_TWO_ELIMINATION_TYPES)))
+    if name not in _built:
+        _built[name] = _TWO_ELIMINATION_TYPES[name]()
+    t = _built[name]
+    n = t.n
+    kind = data.draw(st.sampled_from(["generic", "condition", "resonant", "zero", "integer"]))
+    den = data.draw(st.sampled_from([1, 2, 12, 1009, 999983, 2 ** 61 - 1]))
+    if kind == "zero":
+        vals = [Fraction(0)] * n
+    elif kind == "integer":
+        vals = [Fraction(data.draw(st.integers(-5, 5))) for _ in range(n)]
+    else:
+        vals = [Fraction(data.draw(st.integers(-3 * den, 3 * den)), den) for _ in range(n)]
+    conds = nonresonance_conditions(t)
+    if kind == "condition":
+        # steer one condition to a nonnegative integer sum, as in
+        # test_weights_nonresonant_matches_the_subset_sum_route
+        S = data.draw(st.sampled_from(conds))
+        free = [j for j in range(1, n + 1) if (j in S) != (n + 1 in S)]
+        j = data.draw(st.sampled_from(free))
+        target = data.draw(st.integers(0, 2))
+        vals[j - 1] += (-1 if n + 1 in S else 1) * (target - Weights(vals).subset_sum(S))
+        assert not weights_nonresonant(t, Weights(vals))
+    elif kind == "resonant" and any(len(S) > 2 for S in conds):
+        # weights on the hyperplanes of one starred set S, summing to 0 over
+        # S; with lambda_{n+1} = -(lambda_1 + ... + lambda_n), the sum over
+        # S is 0 by itself when n+1 is in S
+        S = data.draw(st.sampled_from([S for S in conds if len(S) > 2]))
+        vals = [x if j in S else Fraction(0) for j, x in enumerate(vals, start=1)]
+        if n + 1 not in S:
+            vals[S[-1] - 1] -= Weights(vals).subset_sum(S)
+        assert Weights(vals).subset_sum(S) == 0
+    lam = Weights(vals)
+    h = os_cohomology(t, lam)
+    dims, reps, rep_pivots, cobound, cob_pivots = cohomology_by_two_eliminations(t, lam)
+    assert h.dims == dims
+    assert h.rep_pivots == rep_pivots
+    assert h.cob_pivots == cob_pivots
+    assert [_typed(r) for r in h.reps] == [_typed(r) for r in reps]
+    assert [_typed(r) for r in h.cobound] == [_typed(r) for r in cobound]
+
+
+def test_os_cohomology_refuses_differentials_that_do_not_compose_to_zero(monkeypatch):
+    import osgm.aomoto
+    from osgm.aomoto import AomotoComplex
+
+    t = selberg_type()
+    c = build_aomoto(t)
+    # D_1 sends a_i to y_1 times the i-th degree-2 basis vector: injective at
+    # lambda_1 != 0, so the coboundaries of degree 1 are not all closed
+    bad_rows = [{i: LinearForm.variable(1, t.n)} for i in range(len(c.bases[1]))]
+    bad = AomotoComplex(t, c.bases, [c.rows[0], bad_rows])
+    assert any(matmul(c.rows[0], bad_rows)[0].values())
+    monkeypatch.setattr(osgm.aomoto, "build_aomoto", lambda t: bad)
+    with pytest.raises(ValueError, match="^the differentials entering and leaving degree 1 "
+                                         "do not compose to zero$"):
+        os_cohomology(t, Weights(_COORD_CASES[0][1]))
 
 
 def test_euler_characteristic_invariant():

@@ -183,6 +183,20 @@ def test_multiplicity_pencil_examples():
         multiplicity_pencil((3, 4), (3, 4, 5), 0, 2, 5)
 
 
+def test_pencil_rank_errors_name_r_and_the_range():
+    from osgm.gauss_manin import pencil_sum_terms
+
+    for S, r, ell, top in [((3, 4, 5), 0, 2, 2), ((3, 4, 5), 3, 2, 2),
+                           ((3, 4), 2, 2, 1), ((1, 2, 3, 4), 4, 3, 3)]:
+        message = "^pencil rank %d out of range 1..%d$" % (r, top)
+        with pytest.raises(ValueError, match=message):
+            multiplicity_pencil(S, S, r, ell, 5)
+        with pytest.raises(ValueError, match=message):
+            pencil_realization(5, ell, S, r)
+        with pytest.raises(ValueError, match=message):
+            pencil_sum_terms(S, r, 5, ell)
+
+
 def test_pencil_starred_printed_characterization():
     # for sets of size at most ell+1, membership in the pencil type is
     # |K & S| >= r+1

@@ -580,6 +580,15 @@ def test_malformed_arguments_exit_2(argv):
     assert "Traceback" not in err
 
 
+def test_pencil_rank_out_of_range_names_r_and_the_range(capsys):
+    for command in ("gm", "spectrum"):
+        for S, r, top in [("3,4,5", "0", 2), ("3,4,5", "3", 2), ("3,4", "2", 1)]:
+            for extra in ([], ["--json"]):
+                argv = [command, SELBERG, "--pencil", S, r, "--weights", NONRES, *extra]
+                assert run(capsys, *argv) == (
+                    2, "", "error: pencil rank %s out of range 1..%d\n" % (r, top))
+
+
 def test_bad_degree_and_weights_are_refused_before_the_sum(tmp_path, capsys, monkeypatch):
     import osgm.cli
 

@@ -25,10 +25,11 @@ from osgm.gauss_manin import (
     spectrum_check,
     spectrum_report,
 )
-from osgm.linalg import dense, rank
+from osgm.linalg import clear_denominators, dense, evaluate_int, rank
 from osgm.poly import LinearForm, Quadratic
 from oracles import (
     bareiss_rank,
+    boundary_at,
     chain_failure_by_evaluation,
     checked_term_sum,
     dense_chain_failure,
@@ -437,6 +438,9 @@ def test_gm_endomorphism_nonresonant_selberg():
     lam = Weights(NONRES)
     assert gm_endomorphism(ind, lam, 0) == []
     assert gm_endomorphism(ind, lam, 1) == []
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match="^degree %d out of range 0..2$" % q):
+            gm_endomorphism(ind, lam, q)
     target = Fraction(167, 385)
     assert gm_endomorphism(ind, lam, 2) == [
         [target, Fraction(0)],
@@ -488,7 +492,7 @@ def test_gm_classes_are_representative_independent():
     h = os_cohomology(t, lam)
     cx = build_aomoto(t)
     w2 = dense(ind.specialize(lam, 2), 6, Fraction(0))
-    d1 = dense(cx.boundary_at(lam, 1), 6, Fraction(0))
+    d1 = dense(boundary_at(cx, lam, 1), 6, Fraction(0))
     rng = random.Random(5)
     for z in dense(h.reps[2], 6, Fraction(0)):
         v = [Fraction(rng.randint(-4, 4)) for _ in range(5)]
@@ -920,8 +924,14 @@ def test_specialize_matches_the_dense_route():
             assert values == mat_evaluate(m, lam.values)
             assert all(type(c) is Fraction for row in values for c in row)
     cx = build_aomoto(t)
+    d, nums = clear_denominators(lam.values)
     for q, m in enumerate(cx.boundary):
-        assert cx.boundary_at(lam, q) == sparse(mat_evaluate(m, lam.values))
+        values = mat_evaluate(m, lam.values)
+        assert boundary_at(cx, lam, q) == sparse(values)
+        # os_cohomology's route: int rows at N = D * lam, D times the values
+        ints = evaluate_int(cx.rows[q], nums)
+        assert ints == sparse([[d * x for x in row] for row in values])
+        assert all(type(c) is int for row in ints for c in row.values())
 
 
 def test_library_route_builds_no_dense_view(monkeypatch):

@@ -24,6 +24,7 @@ from oracles import (
     dense_left_null_space,
     dense_product,
     dense_rref,
+    form_value,
     fraction_rref,
     identity_matrix,
     mat_evaluate,
@@ -100,7 +101,7 @@ def test_rank_selberg_boundary_specialized():
     )
     assert rank(sparse(m)) == 3
     assert bareiss_rank([[-2, -1, 3, 0, 0, 0], [0, 0, 0, -2, -1, 3], [-2, 0, 3, 2, 0, 0], [0, 1, 0, 0, -1, 3], [-2, 0, 3, 0, -1, 3]]) == 3
-    _, _, ker = image_and_kernel(sparse(m))
+    _, _, ker, _ = image_and_kernel(sparse(m))
     assert len(ker) == 2
     # the cocycle e1 - e2 - e3 + e4 lies in the kernel span
     v = [Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), Fraction(0)]
@@ -113,11 +114,12 @@ def test_kernel_vectors_annihilate_and_are_normalized():
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         m = sparse(frac_matrix(random_int_matrix(rng, nrows, ncols)))
-        _, _, ker = image_and_kernel(m)
+        _, _, ker, ker_pivots = image_and_kernel(m)
         assert len(ker) == nrows - rank(m)
         for v in ker:
             assert matmul([v], m) == [{}]
             assert v[min(v)] == 1
+        assert ker_pivots == [min(v) for v in ker]
         # basis vectors are independent
         if ker:
             assert rank(ker) == len(ker)
@@ -350,11 +352,11 @@ def _matrices_with_zero_rows(draw):
 @given(m=_matrices_with_zero_rows())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_image_and_kernel_match_the_dense_oracles(m):
-    rows, pivots, kernel = image_and_kernel(sparse(m))
+    rows, pivots, kernel, kernel_pivots = image_and_kernel(sparse(m))
     dense_rows, dense_pivots = dense_rref(m)
     assert (rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
     null_rows, null_pivots = dense_rref(dense_left_null_space(m))
-    assert kernel == sparse(null_rows[:len(null_pivots)])
+    assert (kernel, kernel_pivots) == (sparse(null_rows[:len(null_pivots)]), null_pivots)
     assert len(kernel) + len(rows) == len(m)
     ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
     assert rank(sparse(m)) == len(pivots) == bareiss_rank(ints)
@@ -409,12 +411,16 @@ def test_integer_elimination_matches_the_fraction_route(m):
     assert all(type(row[p]) is Fraction and row[p] == 1 for row, p in zip(rows, pivots))
     ints = [[int(x * lcm(*(Fraction(y).denominator for y in row))) for x in row] for row in m]
     assert rank(sm) == len(pivots) == bareiss_rank(ints)
-    img, img_pivots, kernel = image_and_kernel(sm)
+    img, img_pivots, kernel, kernel_pivots = image_and_kernel(sm)
     assert sm == before
     assert (img, img_pivots) == (rows, pivots)
     null_rows, null_pivots = dense_rref(dense_left_null_space(m))
-    assert kernel == sparse(null_rows[:len(null_pivots)])
+    assert (kernel, kernel_pivots) == (sparse(null_rows[:len(null_pivots)]), null_pivots)
     assert all(type(x) is Fraction for row in img + kernel for x in row.values())
+    # the same results from the int rows d*M with the identity block scaled by d
+    d = lcm(*(Fraction(x).denominator for row in m for x in row))
+    scaled = [{j: int(d * x) for j, x in row.items()} for row in sm]
+    assert image_and_kernel(scaled, d) == (img, img_pivots, kernel, kernel_pivots)
 
 
 def test_clear_denominators():
@@ -459,7 +465,7 @@ def test_evaluate_rows_matches_entrywise_evaluation(data):
             if f:
                 row[j] = f
         rows.append(row)
-    expected = [{j: v for j, f in row.items() if (v := f.evaluate(lam))} for row in rows]
+    expected = [{j: v for j, f in row.items() if (v := form_value(f, lam))} for row in rows]
     got = evaluate_rows(rows, tuple(lam))
     assert got == expected
     assert all(type(v) is Fraction for row in got for v in row.values())
@@ -469,7 +475,7 @@ def test_evaluate_rows_refuses_a_weight_vector_of_the_wrong_length():
     rows = [{0: LinearForm(3, {1: 1, 3: -2})}]
     for lam in ([Fraction(1), Fraction(2)], [Fraction(1)] * 4):
         with pytest.raises(ValueError) as exc:
-            rows[0][0].evaluate(lam)
+            form_value(rows[0][0], lam)
         with pytest.raises(ValueError, match=re.escape(str(exc.value))):
             evaluate_rows(rows, lam)
     assert str(exc.value) == "expected 3 values, got 4"

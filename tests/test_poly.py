@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osgm.poly import LinearForm, Quadratic, parse_rational, format_rational
-from oracles import quadratic_value
+from oracles import form_value, quadratic_value
 from strategies import linear_forms, small_rationals
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -77,9 +77,9 @@ def test_evaluate():
     y2 = LinearForm.variable(2, 2)
     p = y1 * Fraction(1, 2) + 3 * y2
     lam = (Fraction(1, 2), Fraction(2, 3))
-    assert p.evaluate(lam) == Fraction(1, 4) + 2
+    assert form_value(p, lam) == Fraction(1, 4) + 2
     with pytest.raises(ValueError):
-        p.evaluate((Fraction(1),))
+        form_value(p, (Fraction(1),))
 
 
 def test_substitute_permutation_with_infinity():
@@ -133,7 +133,7 @@ def test_zero_polynomial_serializes_empty():
     assert str(z) == "0"
     assert not z
     assert z == LinearForm(4, {2: Fraction(0)})
-    assert z.evaluate((Fraction(1), Fraction(2), Fraction(3), Fraction(4))) == 0
+    assert form_value(z, (Fraction(1), Fraction(2), Fraction(3), Fraction(4))) == 0
     assert not Quadratic()
     assert z * z == Quadratic()
 
@@ -147,7 +147,7 @@ N = 4
        images=st.dictionaries(st.integers(1, N), linear_forms(N), max_size=N))
 def test_linear_form_arithmetic_matches_evaluation(a, b, c, point, images):
     def ev(f):
-        return f.evaluate(point)
+        return form_value(f, point)
 
     assert ev(a + b) == ev(a) + ev(b)
     assert ev(a - b) == ev(a) - ev(b)
@@ -156,9 +156,9 @@ def test_linear_form_arithmetic_matches_evaluation(a, b, c, point, images):
     assert quadratic_value(a * b, point) == ev(a) * ev(b)
     assert quadratic_value(a * b + b * b, point) == (ev(a) + ev(b)) * ev(b)
     units = [[Fraction(int(i == j)) for i in range(N)] for j in range(N)]
-    assert bool(a) == any(a.evaluate(u) for u in units)
+    assert bool(a) == any(form_value(a, u) for u in units)
     moved = [ev(images[j]) if j in images else point[j - 1] for j in range(1, N + 1)]
-    assert ev(a.substitute(images)) == a.evaluate(moved)
+    assert ev(a.substitute(images)) == form_value(a, moved)
 
 
 def _exact_type(c):
