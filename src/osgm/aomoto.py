@@ -2,7 +2,10 @@
 
 The differential in degree q sends a basis monomial a_T to the reduction of
 (sum_j y_j e_j) e_T, a matrix of linear forms in y_1..y_n under the row
-convention (row = image of the basis vector, maps act by v |-> v M).
+convention (row = image of the basis vector, maps act by v |-> v M).  It
+is kept as sparse int rows keyed (col, j), the coefficient of y_j at
+column col (see `osgm.linalg`): row T holds reduce(e_j e_T) at the keys
+(col, j), one j at a time, so no two variables ever meet in one sum.
 Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
 `os_cohomology` specializes each differential straight to int rows over
@@ -12,15 +15,9 @@ the weights' common denominator and eliminates it once.
 from fractions import Fraction
 
 from .arrangement import dep_star
-from .linalg import (
-    clear_denominators,
-    dense,
-    echelon_reduce,
-    evaluate_int,
-    image_and_kernel,
-)
-from .orlik_solomon import nbc_basis, os_reduce, wedge
-from .poly import LinearForm, parse_rational
+from .linalg import clear_denominators, echelon_reduce, evaluate_int, image_and_kernel
+from .orlik_solomon import insertions, nbc_basis, reduce_monomial
+from .poly import dense_forms, parse_rational
 
 
 class Weights:
@@ -67,22 +64,22 @@ class Weights:
 class AomotoComplex:
     """The weighted complex of a type on its nbc bases.
 
-    The differential leaving degree q is kept as sparse rows: rows[q][i]
-    maps column k of degree q+1 to the nonzero linear form in row i,
-    column k, with integer coefficients.  `boundary` is the dense view,
+    The differential leaving degree q is kept as sparse int rows:
+    rows[q][i] maps (k, j) to the nonzero coefficient of y_j in row i,
+    column k of degree q+1.  `boundary` is the dense view of linear forms,
     built on demand for printing.
     """
 
     def __init__(self, t, bases, rows):
         self.t = t
         self.bases = bases  # bases[q] = nbc monomials of degree q
-        self.rows = rows    # rows[q][i] = {k: form}, |nbc_q| rows, degrees q < ell
+        self.rows = rows    # rows[q][i] = {(k, j): c}, |nbc_q| rows, degrees q < ell
 
     @property
     def boundary(self):
         """Dense |nbc_q| x |nbc_{q+1}| matrices of linear forms, per degree."""
-        zero = LinearForm.zero(self.t.n)
-        return [dense(r, len(self.bases[q + 1]), zero) for q, r in enumerate(self.rows)]
+        return [dense_forms(r, len(self.bases[q + 1]), self.t.n)
+                for q, r in enumerate(self.rows)]
 
 
 def build_aomoto(t):
@@ -98,14 +95,12 @@ def _build_aomoto(t):
         cols = {U: k for k, U in enumerate(bases[q + 1])}
         mat = []
         for T in bases[q]:
-            x = {}
-            for j in range(1, n + 1):
-                w = wedge((j,), T)
-                if w is None:
-                    continue
-                M, sgn = w
-                x[M] = LinearForm.variable(j, n) * sgn  # one j per M
-            mat.append({cols[U]: c for U, c in os_reduce(x, t).items()})
+            row = {}
+            for a, j, M in insertions(T, n):
+                sgn = -1 if a % 2 else 1
+                for U, c in reduce_monomial(M, t).items():
+                    row[cols[U], j] = sgn * c
+            mat.append(row)
         rows.append(mat)
     return AomotoComplex(t, bases, rows)
 
@@ -171,7 +166,7 @@ def os_cohomology(t, lam):
         taken = set(cob_piv)
         if q < t.ell:
             img, img_piv, closed, closed_piv = image_and_kernel(
-                evaluate_int(c.rows[q], nums), d)
+                evaluate_int(c.rows[q], nums, t.n), d)
             if not taken <= set(closed_piv):
                 raise ValueError("the differentials entering and leaving degree %d "
                                  "do not compose to zero" % q)

@@ -36,11 +36,13 @@ def _whole_number(data, key):
 
 
 def read_json(path):
-    """The JSON document in a file; nesting too deep for the parser is a
-    ValueError naming the file, not a RecursionError."""
+    """The JSON document in a file; text that is not JSON, or nesting too
+    deep for the parser, is a ValueError naming the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError("%s: not valid JSON: %s" % (path, e)) from None
         except RecursionError:
             raise ValueError("%s: JSON nested too deeply to parse" % path) from None
 
@@ -296,7 +298,8 @@ def compare_types(t1, t2):
     The covering relation is not decided.
     """
     if (t1.n, t1.ell) != (t2.n, t2.ell):
-        raise ValueError("types live on different (n, ell)")
+        raise ValueError("types live on different (n, ell): (%d, %d) and (%d, %d)"
+                         % (t1.n, t1.ell, t2.n, t2.ell))
     le = all(set(t1.dep[q]) <= set(t2.dep[q]) for q in t1.dep)
     ge = all(set(t1.dep[q]) >= set(t2.dep[q]) for q in t1.dep)
     if le and ge:

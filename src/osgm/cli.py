@@ -20,7 +20,7 @@ from .aomoto import (
     os_cohomology,
     weights_nonresonant,
 )
-from .arrangement import Arrangement, CombinatorialType, dep_star, read_json
+from .arrangement import Arrangement, CombinatorialType, compare_types, dep_star, read_json
 from .gauss_manin import (
     NotCovered,
     eigenspace_dims,
@@ -245,8 +245,14 @@ def cmd_gm(args):
         raise ValueError("supply either a second arrangement file or --pencil S r")
     lam = _parse_weights(args.weights, n)
     # a pair of files is recovered to its pencil; then both forms run one route
-    S, r = (_parse_pencil(args.pencil, n) if args.pencil is not None
-            else principal_dependence(_load_type(args.file2), t))
+    if args.pencil is not None:
+        S, r = _parse_pencil(args.pencil, n)
+    else:
+        special = _load_type(args.file2)
+        if compare_types(t, special) != "t1_finer":
+            raise ValueError("the second file, %s, must have strictly more dependent sets "
+                             "than the first, %s" % (args.file2, args.file))
+        S, r = principal_dependence(special, t)
     degrees = _degree_list(args, ell)  # refused before the sum is built
     e = omega_tilde_sum(S, r, n, ell)
     ind = induce_on_type(e, t)

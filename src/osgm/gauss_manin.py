@@ -12,6 +12,11 @@ matrix of the connection on cohomology.
 Everything acts on row vectors: a map with matrix M sends x to x @ M, so
 composition reads left to right and the chain condition in degree q is
 W_q @ D_q == D_q @ W_{q+1}.
+
+Every symbolic matrix is kept as sparse int rows keyed (col, j), the
+coefficient of y_j at column col, as in `osgm.linalg`: the chain condition
+and M (M - y_S I) = 0 compare products keyed (col, j, k), and descent
+compares W P with P M keyed (col, j).
 """
 
 from fractions import Fraction
@@ -28,9 +33,10 @@ from .arrangement import (
     pencil_profile,
     pencil_starred,
 )
-from .linalg import add_scaled, dense, evaluate_rows, matmul, rank
-from .orlik_solomon import projection_matrix, wedge
-from .poly import LinearForm, format_rational
+from .linalg import (add_scaled, clear_denominators, evaluate_int, evaluate_rows,
+                     form_matmul, matmul, rank)
+from .orlik_solomon import insertions, projection_matrix, wedge
+from .poly import LinearForm, dense_forms, format_rational
 
 
 class NotCovered(ValueError):
@@ -65,13 +71,9 @@ class SigmaAction:
         self.images = images
         self.n = n
         self.ell = ell
-        self.subst = {}
-        for j in range(1, n + 1):
-            m = images[j - 1]
-            if m == n + 1:
-                self.subst[j] = LinearForm.subset_sum((n + 1,), n)
-            else:
-                self.subst[j] = LinearForm.variable(m, n)
+        # y_j -> y_images(j), as {k: coefficient of y_k}
+        self.subst = {j: LinearForm.subset_sum((images[j - 1],), n).terms
+                      for j in range(1, n + 1)}
         self.mats = [self._degree_matrix(p) for p in range(ell + 1)]
         if validate:
             self._check_chain()
@@ -127,12 +129,21 @@ class SigmaAction:
         cx = build_aomoto(generic_type(self.n, self.ell))
         mats = [[{j: c for j, c in enumerate(row) if c} for row in m] for m in self.mats]
         for p in range(self.ell):
-            twisted = [{j: self.substitute(c) for j, c in row.items()} for row in cx.rows[p]]
-            if matmul(twisted, mats[p + 1]) != matmul(mats[p], cx.rows[p]):
+            twisted = []
+            for row in cx.rows[p]:
+                acc = {}
+                for (col, j), c in row.items():
+                    add_scaled(acc, {(col, k): x for k, x in self.subst[j].items()}, c)
+                twisted.append(acc)
+            if form_matmul(twisted, mats[p + 1]) != matmul(mats[p], cx.rows[p]):
                 raise AssertionError("relabeling fails to intertwine the differential")
 
     def substitute(self, f):
-        return f.substitute(self.subst)
+        """The LinearForm f with each y_j replaced by its image."""
+        acc = {}
+        for j, c in f.terms.items():
+            add_scaled(acc, self.subst[j], c)
+        return LinearForm._of(self.n, acc)
 
     def subst_mat(self, m):
         return [[self.substitute(c) for c in row] for row in m]
@@ -147,13 +158,12 @@ class SigmaAction:
 class ChainEndomorphism:
     """Degreewise square matrices of linear forms in the weights that
     commute with the differential.  With `validate` the identity
-    W_q D_q = D_q W_{q+1} is checked exactly: both sides are sparse
-    products of matrices of linear forms, with quadratic forms as entries.
+    W_q D_q = D_q W_{q+1} is checked exactly, both sides keyed (col, j, k).
 
-    Each degree is kept as sparse rows, rows[q][i] = {col: nonzero form},
-    so building, summing, checking and specializing cost in proportion to
-    the nonzeros.  The library's maps have integer coefficients, so all of
-    that runs in int arithmetic.  `mats` is the dense view, built on
+    Each degree is kept as sparse int rows, rows[q][i] = {(col, j): c},
+    the nonzero coefficient c of y_j at column col, so building, summing,
+    checking and specializing cost in proportion to the nonzeros and run
+    in int arithmetic.  `mats` is the dense view of linear forms, built on
     demand for printing.
 
     Instances are treated as immutable once built; sums and induced maps
@@ -163,10 +173,12 @@ class ChainEndomorphism:
     def __init__(self, cx, rows, validate=True):
         self.cx = cx
         self.rows = rows
+        n = cx.t.n
         for q, m in enumerate(rows):
             size = len(cx.bases[q])
             if (len(m) != size or not all(isinstance(row, dict) for row in m)
-                    or not set().union(*m) <= set(range(size))):
+                    or not set().union(*m) <= {(c, j) for c in range(size)
+                                               for j in range(1, n + 1)}):
                 raise ValueError("degree-%d rows are not %d sparse rows of width %d"
                                  % (q, size, size))
         if validate:
@@ -175,20 +187,19 @@ class ChainEndomorphism:
     @property
     def mats(self):
         """Dense square matrices of linear forms, per degree."""
-        zero = LinearForm.zero(self.cx.t.n)
-        return [dense(m, len(m), zero) for m in self.rows]
+        return [dense_forms(m, len(m), self.cx.t.n) for m in self.rows]
 
     def _check_chain(self):
         for q in range(len(self.rows) - 1):
             d = self.cx.rows[q]
-            if matmul(self.rows[q], d) != matmul(d, self.rows[q + 1]):
+            if form_matmul(self.rows[q], d) != form_matmul(d, self.rows[q + 1]):
                 raise ValueError("matrices do not commute with the differential "
                                  "in degree %d" % q)
 
     def specialize(self, lam, q):
         """Degree q at a concrete weight vector, as sparse rows of
-        Fractions; only the nonzero forms are evaluated."""
-        return evaluate_rows(self.rows[q], lam.values)
+        Fractions; only the stored entries are evaluated."""
+        return evaluate_rows(self.rows[q], lam.values, self.cx.t.n)
 
 
 def _boundary_terms(S):
@@ -210,26 +221,32 @@ def _clean_subset(S, n):
     return tuple(sorted(S))
 
 
-def _closure_images(K, n):
-    """Images of the closure monomials that the endomorphism of K does
-    not kill.
+def _closure_images(K, n, index):
+    """Images of the closure monomials of degree at most ell that the
+    endomorphism of K does not kill, index[p] numbering the affine
+    monomials of degree p <= ell.
 
-    Keyed by closure monomial U; each image is {affine monomial: entry},
-    already stripped of the closure monomials that contain n+1.
+    Keyed by closure monomial U; each image is a sparse int row keyed
+    (col, j), the coefficient of y_j at the affine monomial numbered col,
+    already stripped of the closure monomials that contain n+1; y_{n+1} is
+    -1 on every y_j.  A wedge sign is that of moving j to its place in a
+    sorted tuple, see `insertions`.
     """
+    p = len(K) - 1
+    if p >= len(index):
+        return {}
     bnd = [(V, s) for V, s in _boundary_terms(K) if n + 1 not in V]
+    cols = [(index[p][V], s) for V, s in bnd]
     images = {}
-    for j in K:
-        U = tuple(t for t in K if t != j)
-        _, sgn = wedge((j,), U)
-        yj = LinearForm.subset_sum((j,), n) * sgn
-        images[U] = {V: yj * s for V, s in bnd}
-    top = {}
-    for j in range(1, n + 1):
-        # omega wedge the boundary, one term y_j e_j at a time
-        wedged = [(wedge((j,), V), s) for V, s in bnd if j not in V]
-        add_scaled(top, {W: s * sgn for (W, sgn), s in wedged}, LinearForm.variable(j, n))
-    images[K] = top
+    for a, j in enumerate(K):
+        sgn = -1 if a % 2 else 1
+        yj = [(j, sgn)] if j <= n else [(k, -sgn) for k in range(1, n + 1)]
+        images[K[:a] + K[a + 1:]] = {(col, k): s * c for col, s in cols for k, c in yj}
+    if p + 1 < len(index):
+        # omega wedge the boundary, one term y_j e_j at a time; for one j
+        # the products e_j e_V are distinct monomials, so nothing cancels
+        images[K] = {(index[p + 1][W], j): -s if a % 2 else s
+                     for V, s in bnd for a, j, W in insertions(V, n)}
     return images
 
 
@@ -242,13 +259,8 @@ def _rows_containing(U, n):
     """
     if U[-1] != n + 1:
         return [(U, 1)]
-    V = U[:-1]
-    out = []
-    for t in range(1, n + 1):
-        if t not in V:
-            T = tuple(sorted(V + (t,)))
-            out.append((T, -1 if (len(T) - T.index(t)) % 2 else 1))
-    return out
+    return [(T, -1 if (len(U) - a) % 2 else 1) for a, _, T in insertions(U[:-1], n)]
+
 
 
 def omega_tilde(S, n, ell):
@@ -289,11 +301,8 @@ def _weighted_sum(terms, n, ell):
     rows = [[{} for _ in b] for b in cx.bases]
     index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
     for K, m in sorted(terms.items()):
-        for U, image in _closure_images(K, n).items():
+        for U, image in _closure_images(K, n, index).items():
             p = len(U)
-            if p > ell:
-                continue
-            image = {index[p][V]: f for V, f in image.items()}
             for T, c in _rows_containing(U, n):
                 add_scaled(rows[p][index[p][T]], image, m * c)
     return ChainEndomorphism(cx, rows, validate=True)
@@ -346,7 +355,9 @@ def induce_on_type(e, t):
     the induced map is M = W_nbc P, with W_nbc the rows of W at the nbc
     monomials, and W descends exactly when it sends every relation into the
     relation span, that is when W P = P M.  That identity is checked degree
-    by degree and reported as an invalid covering when it fails.
+    by degree and reported as an invalid covering when it fails.  P is an
+    int matrix, so W P is a `form_matmul` and P M a plain `matmul`, both
+    keyed (col, j).
     """
     if (t.n, t.ell) != (e.cx.t.n, e.cx.t.ell):
         raise ValueError("type does not live on the endomorphism's (n, ell)")
@@ -355,8 +366,8 @@ def induce_on_type(e, t):
     for q in range(t.ell + 1):
         proj = projection_matrix(t, q)
         index = {T: i for i, T in enumerate(e.cx.bases[q])}
-        induced = matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj)
-        if matmul(e.rows[q], proj) != matmul(proj, induced):
+        induced = form_matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj)
+        if form_matmul(e.rows[q], proj) != matmul(proj, induced):
             raise NotCovered(
                 "not a valid covering datum: degree-%d relations "
                 "are not preserved" % q)
@@ -437,17 +448,14 @@ def eigenspace_dims(n, s, r, q):
     return d0, ds
 
 
-def _quadratic_defect(m, s):
-    """The first entry (row, col) in row-major order where M (M - s*I) is
-    nonzero, or None when the product vanishes; M is sparse rows."""
+def _square_defect(m, diag, product):
+    """The rows of M (M - s I), M sparse rows and diag[i] row i of s I:
+    {(i, j): c} for a form s = sum c y_j under `form_matmul`, {i: s} for an
+    int s under `matmul`."""
     shifted = [dict(row) for row in m]
-    if s:
-        for i, row in enumerate(shifted):
-            add_scaled(row, {i: s}, -1)
-    for i, row in enumerate(matmul(m, shifted)):
-        if row:
-            return i, min(row)
-    return None
+    for row, d in zip(shifted, diag):
+        add_scaled(row, d, -1)
+    return product(m, shifted)
 
 
 def spectrum_check(e, S):
@@ -455,14 +463,16 @@ def spectrum_check(e, S):
 
     y_S is the sum of the variables indexed by S (index n+1 contributing
     minus the total).  Returns (True, None) or (False, witness) with the
-    first failing degree and entry.
+    first failing degree and entry in row-major order: the product's rows
+    are keyed (col, j, k), so the least key of a nonzero row names its
+    first nonzero column.
     """
-    n = e.cx.t.n
-    ys = LinearForm.subset_sum(tuple(S), n)
+    ys = LinearForm.subset_sum(tuple(S), e.cx.t.n).terms.items()
     for q, m in enumerate(e.rows):
-        bad = _quadratic_defect(m, ys)
-        if bad is not None:
-            return False, {"degree": q, "row": bad[0], "col": bad[1]}
+        diag = [{(i, j): c for j, c in ys} for i in range(len(m))]
+        for i, row in enumerate(_square_defect(m, diag, form_matmul)):
+            if row:
+                return False, {"degree": q, "row": i, "col": min(row)[0]}
     return True, None
 
 
@@ -476,6 +486,11 @@ def spectrum_report(e, S, r, lam):
     nonzero, the second rank is size - rank M: the image of M lies in the
     kernel of M - lambda_S I, and the two differ by -lambda_S I.  A zero
     lambda_S collapses the two eigenvalues and the prediction does not apply.
+
+    All of it runs over int: with D the weights' common denominator,
+    M_N = D M(lambda) is the int matrix `evaluate_int` gives at N = D lambda
+    and s_N = D lambda_S is an int, M_N (M_N - s_N I) = D^2 M (M - lambda_S I),
+    and rank M_N = rank M.
     """
     n = e.cx.t.n
     S = _clean_subset(S, n)
@@ -486,11 +501,13 @@ def spectrum_report(e, S, r, lam):
             "message": "spectrum theorem inapplicable: lambda_S = 0",
             "degrees": [],
         }
+    d, nums = clear_denominators(lam.values)
+    s = lam_s.numerator * (d // lam_s.denominator)
     degrees = []
     for q in range(len(e.rows)):
         d0, ds = eigenspace_dims(n, len(S), r, q)
-        m = e.specialize(lam, q)
-        ok = _quadratic_defect(m, lam_s) is None
+        m = evaluate_int(e.rows[q], nums, n)
+        ok = not any(_square_defect(m, [{i: s} for i in range(len(m))], matmul))
         if ok:
             rk = rank(m)
             ok = rk == ds and len(m) - rk == d0

@@ -4,15 +4,23 @@ A matrix is a list of sparse rows {col: entry} holding its nonzero
 entries only, so two rows are equal exactly when their dicts are.
 Elimination and products both work on that form, and every sum of scaled
 rows goes through `add_scaled`, which is where that invariant is kept;
-`dense` builds the list-of-lists view of a matrix for printing.  Linear maps
-act on row vectors, v -> v @ M, so the kernel of a map is the left null
-space of its matrix and images are spanned by rows.  Elimination clears
-each row's denominators once and then runs fraction-free over int
-(`_integer_echelon`); only the reduced rows `rref` and `image_and_kernel`
-return are Fractions again.  Specializing a matrix of linear forms clears
-the weights' denominators once (`clear_denominators`): `evaluate_int`
-evaluates at the int point N = D * lam, and `evaluate_rows` divides by D.
-Nothing here is numerical, modular or probabilistic.
+`form_matmul` alone drops its zero sums at the end of each row.
+Linear maps act on row vectors, v -> v @ M, so the kernel of a map is the
+left null space of its matrix and images are spanned by rows.
+Elimination clears each row's denominators once and then runs
+fraction-free over int (`_integer_echelon`); only the reduced rows `rref`
+and `image_and_kernel` return are Fractions again.
+
+A matrix of linear forms in the weights y_1..y_n is kept as sparse int
+rows keyed (col, j), the coefficient of y_j in the entry at column col.
+A product of two of them (`form_matmul`) has rows keyed (col, j, k),
+j <= k, the coefficient of y_j y_k: each entry is a quadratic form, zero
+exactly when all its coefficients are, so comparing the rows compares the
+products exactly.  Times an int matrix on the right the keys stay
+(col, j); times one on the left it is a plain `matmul`.  Specializing
+clears the weights' denominators once (`clear_denominators`):
+`evaluate_int` evaluates at the int point N = D * lam, and `evaluate_rows`
+divides by D.  Nothing here is numerical, modular or probabilistic.
 """
 
 from fractions import Fraction
@@ -31,8 +39,8 @@ def add_scaled(acc, row, f):
     """Add f times the sparse row `row` into the sparse row `acc`, in place.
 
     f must be nonzero.  Entries that cancel are deleted and a product of
-    nonzero ints, Fractions or linear forms is never zero, so `acc` stores
-    no zero as long as `row` stores none.
+    nonzero ints or Fractions is never zero, so `acc` stores no zero as
+    long as `row` stores none.
     """
     for j, b in row.items():
         s = acc.get(j)
@@ -195,13 +203,14 @@ def solve_row_combination(rows, w):
 
 
 def matmul(a, b):
-    """Product of two matrices given as sparse rows {col: entry}, as sparse
-    rows with zero sums dropped, so two products are equal exactly when
-    their row dicts are.
+    """Product of two matrices given as sparse rows, as sparse rows with
+    zero sums dropped, so two products are equal exactly when their row
+    dicts are.
 
-    Only nonzero pairs are multiplied, so the cost follows the nonzeros,
-    not the shape.  Entries may be ints, Fractions or linear forms (the
-    product of two forms is a `Quadratic`); integer entries keep the whole
+    The entries of a are ints or Fractions; the rows of b may be keyed by
+    column or by (col, j), so an int matrix times a matrix of linear forms
+    is a matmul too.  Only nonzero pairs are multiplied, so the cost
+    follows the nonzeros, not the shape, and int entries keep the whole
     product in int arithmetic.
     """
     out = []
@@ -213,37 +222,55 @@ def matmul(a, b):
     return out
 
 
-def evaluate_int(rows, nums):
-    """Sparse rows of linear forms at the point nums, evaluating only the
-    stored entries; zero values are dropped.  A form takes the value
-    sum c_j nums_j, an int for int coefficients c_j and int nums."""
-    nvars = len(nums)
+def form_matmul(a, b):
+    """Product of a matrix of linear forms, rows keyed (i, j), with the
+    matrix b: with int rows keyed col the product's rows are keyed
+    (col, j), with rows of forms keyed (col, k) they are keyed (col, j, k)
+    with j <= k, see the module docstring.  Each row sums every product
+    into one dict and drops its zero sums once at the end, which is twice
+    as fast here as deleting them as they cancel in `add_scaled`.
+    """
     out = []
-    for row in rows:
-        vals = {}
-        for j, f in row.items():
-            if f.nvars != nvars:
-                raise ValueError("expected %d values, got %d" % (f.nvars, nvars))
-            v = 0
-            for k, c in f.terms.items():
-                v += c * nums[k - 1]
-            if v:
-                vals[j] = v
-        out.append(vals)
+    for row in a:
+        acc = {}
+        get = acc.get
+        for (i, j), x in row.items():
+            for key, y in b[i].items():
+                if key.__class__ is int:
+                    key = (key, j)
+                else:
+                    c, k = key
+                    key = (c, j, k) if j <= k else (c, k, j)
+                acc[key] = get(key, 0) + x * y
+        out.append({key: v for key, v in acc.items() if v})
     return out
 
 
-def evaluate_rows(rows, lam):
-    """Specialize sparse rows of linear forms at a rational weight vector,
-    as sparse rows of Fractions.  With N = D * lam over the common
-    denominator D, a form takes the value (sum c_j N_j) / D: `evaluate_int`
-    sums at N, and each nonzero sum is divided by D once."""
+def evaluate_int(rows, nums, nvars):
+    """Sparse rows of linear forms in nvars variables, keyed (col, j), at
+    the point nums, as sparse rows {col: value}; zero values are dropped.
+    An entry takes the value sum c_j nums_j, an int for int coefficients
+    and int nums."""
+    if len(nums) != nvars:
+        raise ValueError("expected %d values, got %d" % (nvars, len(nums)))
+    point = (0,) + tuple(nums)
+    out = []
+    for row in rows:
+        vals = {}
+        for (col, j), c in row.items():
+            vals[col] = vals.get(col, 0) + c * point[j]
+        out.append({col: v for col, v in vals.items() if v})
+    return out
+
+
+def evaluate_rows(rows, lam, nvars):
+    """Specialize sparse rows of linear forms in nvars variables at a
+    rational weight vector, as sparse rows of Fractions.  With N = D * lam
+    over the common denominator D, an entry takes the value
+    (sum c_j N_j) / D: `evaluate_int` sums at N, and each nonzero sum is
+    divided by D once."""
     if not any(rows):
         return [{} for _ in rows]  # a zero map, as induced maps often are
     d, nums = clear_denominators(lam)
-    return [{j: Fraction(v, d) for j, v in row.items()} for row in evaluate_int(rows, nums)]
-
-
-def dense(rows, ncols, zero):
-    """The list-of-lists view of sparse rows, `zero` off their support."""
-    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
+    return [{j: Fraction(v, d) for j, v in row.items()}
+            for row in evaluate_int(rows, nums, nvars)]

@@ -1,9 +1,8 @@
 """Exterior algebra modulo the relations of a combinatorial type.
 
-Elements are dicts {sorted index tuple: coefficient}; coefficients may be
-ints, Fractions or linear forms in the weights, the code only adds them and
-scales them by integers.  The
-quotient has a monomial basis indexed by the subsets that contain no broken
+Elements are dicts {sorted index tuple: coefficient}; coefficients are
+ints or Fractions, or anything else the code can add and scale by integers.
+The quotient has a monomial basis indexed by the subsets that contain no broken
 circuit and have a nonempty affine intersection, and os_reduce rewrites any
 element into that basis.
 """
@@ -26,6 +25,18 @@ def wedge(t1, t2):
             if seq[a] > seq[b]:
                 sign = -sign
     return tuple(sorted(seq)), sign
+
+
+def insertions(V, n):
+    """(a, j, V with j inserted at position a) for each j in 1..n not in
+    the sorted tuple V, by increasing j: e_j e_V = (-1)^a e_W for the
+    returned W, since a counts the members of V below j."""
+    a = 0
+    for j in range(1, n + 1):
+        if a < len(V) and V[a] == j:
+            a += 1
+        else:
+            yield a, j, V[:a] + (j,) + V[a:]
 
 
 def circuits(t):
@@ -71,8 +82,9 @@ def betti_numbers(t):
     return [len(nbc_basis(t, q)) for q in range(t.ell + 1)]
 
 
-def _reduce_monomial(S, t):
-    # memoized rewriting of a single monomial into the nbc basis
+def reduce_monomial(S, t):
+    """The monomial e_S, S a sorted tuple, rewritten into the nbc basis as
+    {nbc monomial: int}; memoized per type."""
     cache = t.derived("reductions", lambda _: {})
     if S in cache:
         return cache[S]
@@ -101,7 +113,7 @@ def _reduce_monomial(S, t):
         if w is None:
             continue
         M, inner = w
-        add_scaled(out, _reduce_monomial(M, t), (-1) ** (i + 1) * outer * inner)
+        add_scaled(out, reduce_monomial(M, t), (-1) ** (i + 1) * outer * inner)
     cache[S] = out
     return out
 
@@ -111,7 +123,7 @@ def os_reduce(x, t):
     out = {}
     for S, coeff in x.items():
         if coeff:
-            add_scaled(out, _reduce_monomial(tuple(S), t), coeff)
+            add_scaled(out, reduce_monomial(tuple(S), t), coeff)
     return out
 
 
@@ -121,5 +133,5 @@ def projection_matrix(t, q):
     the nbc basis.  The entries are ints: the rewriting only adds relations
     with coefficients +-1."""
     col = {T: i for i, T in enumerate(nbc_basis(t, q))}
-    return [{col[U]: c for U, c in _reduce_monomial(S, t).items()}
+    return [{col[U]: c for U, c in reduce_monomial(S, t).items()}
             for S in combinations(range(1, t.n + 1), q)]

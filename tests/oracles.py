@@ -6,8 +6,142 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from osgm.linalg import add_scaled
+from osgm.linalg import add_scaled, matmul
 from osgm.poly import LinearForm
+
+
+# ---- linear and quadratic forms with arithmetic --------------------------------
+# The library keeps matrices of linear forms as int rows keyed (col, j) and
+# never computes with form objects.  The classes below are the form
+# arithmetic it used to do, kept as the route its checks must agree with.
+
+
+def _exact(c):
+    """An int or Fraction as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _add_terms(terms, pairs):
+    """A copy of the sparse coefficient map `terms` with each (key, c) of
+    `pairs` added in, zero coefficients dropped."""
+    out = dict(terms)
+    for key, c in pairs:
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = _exact(s)
+        else:
+            out.pop(key, None)
+    return out
+
+
+class Form(LinearForm):
+    """A `LinearForm` with +, -, scalar multiples, the `Quadratic` product
+    of two forms, and substitution.  It equals the library form with the
+    same terms."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, LinearForm):
+            # 0 + form, as sums started from the integer 0 produce
+            return self if other == 0 else NotImplemented
+        if self.nvars != other.nvars:
+            raise ValueError("mixed variable counts: %d vs %d" % (self.nvars, other.nvars))
+        return Form._of(self.nvars, _add_terms(self.terms, other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Form._of(self.nvars, {j: -c for j, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        return self + (-lift(other))
+
+    def __rsub__(self, other):
+        return lift(other) - self
+
+    def __mul__(self, other):
+        """Scalar multiple, or the Quadratic product of two forms."""
+        if isinstance(other, LinearForm):
+            return Quadratic(_add_terms({}, (((j, k) if j <= k else (k, j), a * b)
+                                             for j, a in self.terms.items()
+                                             for k, b in other.terms.items())))
+        c = other if other.__class__ is int else _exact(Fraction(other))
+        if c == 1:
+            return self
+        if not c:
+            return Form._of(self.nvars, {})
+        return Form._of(self.nvars, {j: _exact(c * v) for j, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def substitute(self, mapping):
+        """Image under y_j -> mapping[j] (a form); variables not in the
+        mapping are left alone."""
+        out = Form.zero(self.nvars)
+        for j, c in self.terms.items():
+            img = mapping.get(j)
+            out = out + (lift(img) * c if img is not None else Form._of(self.nvars, {j: c}))
+        return out
+
+
+class Quadratic:
+    """A quadratic form, sum of c y_j y_k over j <= k, stored as
+    {(j, k): c} with nonzero coefficients only.  Only the product of two
+    forms makes one; it supports +, truthiness and ==."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = terms or {}
+
+    def __add__(self, other):
+        return Quadratic(_add_terms(self.terms, other.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Quadratic):
+            return NotImplemented
+        return self.terms == other.terms
+
+
+def lift(x):
+    """A form, or a (nested) list of them, as `Form`s with arithmetic;
+    anything else is returned as it is."""
+    if isinstance(x, list):
+        return [lift(v) for v in x]
+    if isinstance(x, LinearForm) and not isinstance(x, Form):
+        return Form._of(x.nvars, dict(x.terms))
+    return x
+
+
+def dense(rows, ncols, zero):
+    """The list-of-lists view of sparse rows, `zero` off their support."""
+    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
+
+
+def key_rows(rows):
+    """Sparse rows keyed (col, j) of sparse rows {col: form}, as the library
+    keeps a matrix of linear forms, or keyed (col, j, k) of sparse rows
+    {col: Quadratic}, as `form_matmul` returns a product."""
+    return [{(col,) + (t if isinstance(t, tuple) else (t,)): c
+             for col, f in row.items() for t, c in f.terms.items()} for row in rows]
+
+
+def form_rows(rows, nvars):
+    """Sparse rows {col: Form} of rows keyed (col, j): the representation
+    the library used before, on which `matmul` multiplies forms."""
+    out = []
+    for row in rows:
+        terms = {}
+        for (col, j), c in row.items():
+            terms.setdefault(col, {})[j] = c
+        out.append({col: Form._of(nvars, t) for col, t in terms.items()})
+    return out
 
 
 def bareiss_rank(m):
@@ -147,7 +281,7 @@ def leading_set_omega(k, n, ell):
     e_{1..k} goes to the weighted one-form times that boundary.  Sets
     reaching past n act as zero.
     """
-    zero = LinearForm.zero(n)
+    zero = Form.zero(n)
     bases = [list(combinations(range(1, n + 1), p)) for p in range(ell + 1)]
     index = [{T: i for i, T in enumerate(b)} for b in bases]
     mats = [[[zero] * len(b) for _ in b] for b in bases]
@@ -162,7 +296,7 @@ def leading_set_omega(k, n, ell):
             _, sgn = _sort_sign((j,) + T)
             row = mats[k - 1][idx[T]]
             for V, b in bnd:
-                row[idx[V]] = row[idx[V]] + LinearForm.variable(j, n) * (sgn * b)
+                row[idx[V]] = row[idx[V]] + Form.variable(j, n) * (sgn * b)
     if k <= ell:
         idx = index[k]
         row = mats[k][idx[s0]]
@@ -170,7 +304,7 @@ def leading_set_omega(k, n, ell):
             for j in range(1, n + 1):
                 if j not in U:
                     V, sgn = _sort_sign((j,) + U)
-                    row[idx[V]] = row[idx[V]] + LinearForm.variable(j, n) * (b * sgn)
+                    row[idx[V]] = row[idx[V]] + Form.variable(j, n) * (b * sgn)
     return mats
 
 
@@ -215,9 +349,10 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
     base = leading_set_omega(len(S), n, ell)
     act = SigmaAction(images, n, ell, validate=False)
     inv = act.inverse()
-    zero = LinearForm.zero(n)
+    zero = Form.zero(n)
     return [
-        dense_product(dense_product(inv.mats[p], act.subst_mat(base[p]), zero), act.mats[p], zero)
+        dense_product(dense_product(inv.mats[p], lift(act.subst_mat(base[p])), zero),
+                      act.mats[p], zero)
         for p in range(ell + 1)
     ]
 
@@ -429,7 +564,7 @@ def boundary_at(cx, lam, q):
 
     if q >= len(cx.rows):
         return [{} for _ in cx.bases[q]]
-    return evaluate_rows(cx.rows[q], lam.values)
+    return evaluate_rows(cx.rows[q], lam.values, cx.t.n)
 
 
 def cohomology_by_two_eliminations(t, lam):
@@ -650,9 +785,9 @@ def sparse(m):
 
 
 def sparse_rows(mats):
-    """Per-degree sparse rows of a list of dense matrices, the form
-    `ChainEndomorphism` takes."""
-    return [sparse(m) for m in mats]
+    """Per-degree int rows keyed (col, j) of a list of dense matrices of
+    linear forms, the form `ChainEndomorphism` takes."""
+    return [key_rows(sparse(m)) for m in mats]
 
 
 def dense_omega_tilde(S, n, ell):
@@ -664,18 +799,14 @@ def dense_omega_tilde(S, n, ell):
 
     S = tuple(sorted(S))
     cx = build_aomoto(generic_type(n, ell))
-    zero = LinearForm.zero(n)
+    zero = Form.zero(n)
     mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
     index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
-    for U, image in _closure_images(S, n).items():
-        p = len(U)
-        if p > ell:
-            continue
+    for U, image in _closure_images(S, n, index).items():
         for T, c in _rows_containing(U, n):
-            row = mats[p][index[p][T]]
-            for V, f in image.items():
-                j = index[p][V]
-                row[j] = row[j] + f * c
+            row = mats[len(U)][index[len(U)][T]]
+            for (j, k), f in image.items():
+                row[j] = row[j] + Form.variable(k, n) * (f * c)
     return mats
 
 
@@ -685,7 +816,7 @@ def dense_weighted_sum(terms, n, ell):
     from osgm.arrangement import generic_type
 
     cx = build_aomoto(generic_type(n, ell))
-    zero = LinearForm.zero(n)
+    zero = Form.zero(n)
     mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
     for K in sorted(terms):
         m = terms[K]
@@ -725,7 +856,8 @@ def dense_induce_on_type(mats, t):
     from osgm.gauss_manin import NotCovered
     from osgm.orlik_solomon import projection_matrix
 
-    zero = LinearForm.zero(t.n)
+    zero = Form.zero(t.n)
+    mats = lift(mats)
     gen_bases = build_aomoto(generic_type(t.n, t.ell)).bases
     cx = build_aomoto(t)
     out = []
@@ -745,9 +877,8 @@ def dense_induce_on_type(mats, t):
 def dense_chain_failure(cx, mats):
     """First degree q where W_q D_q != D_q W_{q+1} as dense matrices of
     quadratic forms, or None."""
-    from osgm.poly import Quadratic
-
-    boundary = cx.boundary
+    boundary = lift(cx.boundary)
+    mats = lift(mats)
     for q in range(len(mats) - 1):
         d = boundary[q]
         if dense_product(mats[q], d, Quadratic()) != dense_product(d, mats[q + 1], Quadratic()):
@@ -758,10 +889,8 @@ def dense_chain_failure(cx, mats):
 def dense_spectrum_check(mats, S, n):
     """`spectrum_check` on dense matrices: (True, None), or (False, the
     first degree and row-major entry where M (M - y_S I) is nonzero)."""
-    from osgm.poly import Quadratic
-
-    ys = LinearForm.subset_sum(tuple(S), n)
-    for q, m in enumerate(mats):
+    ys = Form.subset_sum(tuple(S), n)
+    for q, m in enumerate(lift(mats)):
         shifted = [[c - ys if i == j else c for j, c in enumerate(row)]
                    for i, row in enumerate(m)]
         for i, row in enumerate(dense_product(m, shifted, Quadratic())):
@@ -769,3 +898,94 @@ def dense_spectrum_check(mats, S, n):
                 if c:
                     return False, {"degree": q, "row": i, "col": j}
     return True, None
+
+
+# ---- the form route of the library's checks ------------------------------------
+# The library's chain, descent and spectrum checks as they ran on sparse
+# rows {col: Form}, products of two forms summed as Quadratics, and the
+# eigenvalue report as it ran on Fraction matrices.  The int rows keyed
+# (col, j) must give the same verdicts.
+
+
+def chain_failure_by_forms(cx, rows):
+    """First degree q where W_q D_q != D_q W_{q+1}, or None, comparing the
+    sparse products of {col: Form} rows."""
+    n = cx.t.n
+    for q in range(len(rows) - 1):
+        d = form_rows(cx.rows[q], n)
+        if matmul(form_rows(rows[q], n), d) != matmul(d, form_rows(rows[q + 1], n)):
+            return q
+    return None
+
+
+def induce_by_forms(e, t):
+    """The rows keyed (col, j) of `induce_on_type(e, t)` by the form route,
+    per degree: M = W_nbc P, with W P = P M checked on {col: Form} rows,
+    raising `NotCovered` for the first degree where it fails."""
+    from osgm.aomoto import build_aomoto
+    from osgm.gauss_manin import NotCovered
+    from osgm.orlik_solomon import projection_matrix
+
+    cx = build_aomoto(t)
+    out = []
+    for q in range(t.ell + 1):
+        proj = projection_matrix(t, q)
+        w = form_rows(e.rows[q], t.n)
+        index = {T: i for i, T in enumerate(e.cx.bases[q])}
+        induced = matmul([w[index[T]] for T in cx.bases[q]], proj)
+        if matmul(w, proj) != matmul(proj, induced):
+            raise NotCovered("not a valid covering datum: degree-%d relations "
+                             "are not preserved" % q)
+        out.append(key_rows(induced))
+    return out
+
+
+def _quadratic_defect(m, s):
+    """The first entry (row, col) in row-major order where M (M - s*I) is
+    nonzero, or None; M sparse rows of Forms or Fractions."""
+    shifted = [dict(row) for row in m]
+    if s:
+        for i, row in enumerate(shifted):
+            add_scaled(row, {i: s}, -1)
+    for i, row in enumerate(matmul(m, shifted)):
+        if row:
+            return i, min(row)
+    return None
+
+
+def spectrum_check_by_forms(e, S):
+    """`spectrum_check` on {col: Form} rows, with Quadratic products."""
+    n = e.cx.t.n
+    ys = Form.subset_sum(tuple(S), n)
+    for q, rows in enumerate(e.rows):
+        bad = _quadratic_defect(form_rows(rows, n), ys)
+        if bad is not None:
+            return False, {"degree": q, "row": bad[0], "col": bad[1]}
+    return True, None
+
+
+def spectrum_report_by_fractions(e, S, r, lam):
+    """`spectrum_report` on Fraction matrices: each degree specialized at
+    lam entry by entry, M (M - lambda_S I) formed over Fraction, and
+    rank M taken from the Fraction rows."""
+    from osgm.gauss_manin import eigenspace_dims
+    from osgm.linalg import rank
+
+    n = e.cx.t.n
+    S = tuple(sorted(S))
+    lam_s = lam.subset_sum(S)
+    if lam_s == 0:
+        return {"lambda_S": "0", "message": "spectrum theorem inapplicable: lambda_S = 0",
+                "degrees": []}
+    degrees = []
+    for q, rows in enumerate(e.rows):
+        d0, ds = eigenspace_dims(n, len(S), r, q)
+        m = [{col: v for col, f in row.items() if (v := form_value(f, lam.values))}
+             for row in form_rows(rows, n)]
+        ok = _quadratic_defect(m, lam_s) is None
+        if ok:
+            rk = rank(m)
+            ok = rk == ds and len(m) - rk == d0
+        degrees.append({"degree": q, "lambda_S": str(lam_s), "d0": d0, "dS": ds,
+                        "verified": ok})
+    return {"lambda_S": str(lam_s), "degrees": degrees}

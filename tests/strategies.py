@@ -8,7 +8,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
-from osgm.poly import LinearForm
+from oracles import Form
 
 
 def _moment(t, width):
@@ -189,7 +189,7 @@ def small_rationals():
 def linear_forms(n, max_terms=3):
     """Linear forms in y_1..y_n with a few small rational coefficients."""
     return st.dictionaries(st.integers(1, n), small_rationals(), max_size=max_terms).map(
-        lambda terms: LinearForm(n, terms))
+        lambda terms: Form(n, terms))
 
 
 def linear_form_matrices(n, rows, cols):

@@ -632,6 +632,55 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
         assert err == "error: %s: JSON nested too deeply to parse\n" % path
 
 
+def test_invalid_json_exits_2_naming_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{weights")
+    cases = [(["betti", str(empty)], empty, "Expecting value: line 1 column 1 (char 0)"),
+             (["cohomology", SELBERG, "--weights", str(bad)], bad,
+              "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")]
+    if os.path.exists(os.devnull):
+        cases.append((["betti", os.devnull], os.devnull,
+                      "Expecting value: line 1 column 1 (char 0)"))
+    for argv, path, detail in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: %s: not valid JSON: %s\n" % (path, detail)
+
+
+def test_gm_pair_errors_name_the_files(tmp_path, capsys):
+    # the degenerate type is the second file; swapped or equal files say so
+    for general, special in [(DEGENERATE, SELBERG), (SELBERG, SELBERG)]:
+        code, out, err = run(capsys, "gm", general, special, "--weights", NONRES)
+        assert (code, out) == (2, "")
+        assert err == ("error: the second file, %s, must have strictly more dependent "
+                       "sets than the first, %s\n" % (special, general))
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"ell": 2, "n": 6, "rows": [
+        [str(j), str(j * j), "1"] for j in range(1, 7)]}))
+    code, out, err = run(capsys, "gm", SELBERG, str(plane), "--weights", NONRES)
+    assert (code, out) == (2, "")
+    assert err == "error: types live on different (n, ell): (5, 2) and (6, 2)\n"
+
+
+def test_traced_child_prints_as_the_cli_and_counts_every_form(tmp_path):
+    # perfbench/child.py runs the CLI under its tracer, which reads `.terms`
+    # off every entry of the dense views after each sum and induced map
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["gm", SELBERG, "--pencil", "3,4,5", "1", "--weights", NONRES, "--json"]
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), "cli", "0",
+                             str(trace), "--"] + argv, env=env, capture_output=True, timeout=120)
+    plain = subprocess.run([sys.executable, "-m", "osgm.cli"] + argv, env=env,
+                           capture_output=True, timeout=120)
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert traced.stdout == plain.stdout
+    counts = json.loads(trace.read_text())["counts"]
+    assert (counts["poly.nnz"], counts["poly.terms"]) == (124, 156)
+
+
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/child.py wraps library functions by (module, name); a move or
     # rename in osgm would make `perfbench/run.py --trace 1` fail

@@ -25,12 +25,15 @@ from osgm.gauss_manin import (
     spectrum_check,
     spectrum_report,
 )
-from osgm.linalg import clear_denominators, dense, evaluate_int, rank
-from osgm.poly import LinearForm, Quadratic
+from osgm.linalg import clear_denominators, evaluate_int, rank
 from oracles import (
+    Form,
+    Quadratic,
+    dense,
     bareiss_rank,
     boundary_at,
     chain_failure_by_evaluation,
+    chain_failure_by_forms,
     checked_term_sum,
     dense_chain_failure,
     dense_induce_on_type,
@@ -40,6 +43,8 @@ from oracles import (
     dense_weighted_sum,
     frac_rank,
     identity_matrix,
+    induce_by_forms,
+    lift,
     mat_evaluate,
     omega_tilde_by_conjugation,
     principal_dependence_by_walk,
@@ -48,6 +53,8 @@ from oracles import (
     sparse_rows,
     sparse_vector,
     spectrum_check_by_evaluation,
+    spectrum_check_by_forms,
+    spectrum_report_by_fractions,
 )
 from strategies import linear_forms, realized_type_pairs, type_pairs
 
@@ -77,13 +84,13 @@ def collapsed_type():
 
 
 def y(*js):
-    p = LinearForm.zero(5)
+    p = Form.zero(5)
     for j in js:
-        p = p + LinearForm.variable(j, 5)
+        p = p + Form.variable(j, 5)
     return p
 
 
-Z = LinearForm.zero(5)
+Z = Form.zero(5)
 
 
 def poly_zeros(nrows, ncols):
@@ -143,7 +150,7 @@ def test_sigma_swapping_with_last_index():
     assert m[2] == [0, 0, -one, 0, 0]
     assert m[0] == [one, 0, -one, 0, 0]
     assert m[4] == [0, 0, -one, 0, one]
-    assert act.substitute(y(3)) == LinearForm.subset_sum((6,), 5)
+    assert act.substitute(y(3)) == Form.subset_sum((6,), 5)
     assert act.substitute(y(1)) == y(1)
 
 
@@ -174,7 +181,7 @@ def test_sigma_preserves_weighted_one_form():
         act = SigmaAction(tuple(images), 5, 2)
         coords = [Z] * 5
         for j in range(1, 6):
-            cj = act.substitute(y(j))
+            cj = lift(act.substitute(y(j)))
             row = act.mats[1][j - 1]
             coords = [c + cj * row[k] for k, c in enumerate(coords)]
         assert coords == [y(1), y(2), y(3), y(4), y(5)]
@@ -188,9 +195,9 @@ def test_sigma_twisted_chain_identity():
         rng.shuffle(images)
         act = SigmaAction(tuple(images), 5, 2)
         for p in range(2):
-            twisted = [[act.substitute(c) for c in row] for row in cx.boundary[p]]
+            twisted = [[lift(act.substitute(c)) for c in row] for row in cx.boundary[p]]
             lhs = dense_product(twisted, act.mats[p + 1], Z)
-            rhs = dense_product(act.mats[p], cx.boundary[p], Z)
+            rhs = dense_product(act.mats[p], lift(cx.boundary[p]), Z)
             assert lhs == rhs
 
 
@@ -292,7 +299,7 @@ def test_chain_check_rejects_a_flipped_sign():
                  for i, row in enumerate(m) for j, c in enumerate(row) if c]
         assert spots
         for q, i, j in spots:
-            mats = [[list(row) for row in m] for m in e.mats]
+            mats = lift(e.mats)
             mats[q][i][j] = -mats[q][i][j]
             with pytest.raises(ValueError, match="commute"):
                 ChainEndomorphism(e.cx, sparse_rows(mats))
@@ -301,9 +308,11 @@ def test_chain_check_rejects_a_flipped_sign():
 def test_chain_endomorphism_refuses_malformed_rows():
     e = omega_tilde((3, 4), 5, 2)
     past_width = [dict(row) for row in e.rows[2]]
-    past_width[0][10] = y(1)
+    past_width[0][10, 1] = 1
+    past_n = [dict(row) for row in e.rows[1]]
+    past_n[0][0, 6] = 1
     for q, bad in [(1, e.rows[1][:-1]), (1, e.rows[1] + [{}]), (2, past_width),
-                   (2, e.mats[2])]:
+                   (1, past_n), (2, e.mats[2])]:
         rows = list(e.rows)
         rows[q] = bad
         with pytest.raises(ValueError, match="degree-%d rows are not" % q):
@@ -590,7 +599,7 @@ def test_spectrum_check_symbolic_and_witness():
     ok, witness = spectrum_check(zero_e, (1, 2, 3, 4))
     assert ok and witness is None
     # doubling one degree breaks the quadratic relation
-    broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
+    broken = [e.mats[0], [[c * 2 for c in row] for row in lift(e.mats[1])], e.mats[2]]
     bad = ChainEndomorphism(e.cx, sparse_rows(broken), validate=False)
     ok, witness = spectrum_check(bad, (3, 4, 5))
     assert not ok
@@ -601,7 +610,7 @@ def test_spectrum_witness_is_first_failing_entry_row_major():
     e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
     ys = y(3, 4, 5)
     for q, (i, j) in ((1, (3, 2)), (2, (0, 0)), (2, (9, 4))):
-        mats = [[list(row) for row in m] for m in e.mats]
+        mats = lift(e.mats)
         mats[q][i][j] = mats[q][i][j] + y(1)
         ok, witness = spectrum_check(ChainEndomorphism(e.cx, sparse_rows(mats),
                                                        validate=False), (3, 4, 5))
@@ -626,7 +635,7 @@ def test_chain_and_spectrum_verdicts_match_evaluation(data):
                                    unique=True))))
     r = draw(st.integers(1, min(ell, len(S) - 1)))
     e = omega_tilde_sum(S, r, n, ell)
-    mats = [[list(row) for row in m] for m in e.mats]
+    mats = lift(e.mats)
     for _ in range(draw(st.integers(0, 2))):
         q = draw(st.integers(0, ell))
         i, j = (draw(st.integers(0, len(mats[q]) - 1)) for _ in range(2))
@@ -650,7 +659,7 @@ def test_spectrum_report_flags_only_the_broken_degree():
     good = spectrum_report(e, (3, 4, 5), 1, lam)
     assert good == spectrum_report(omega_tilde_sum((3, 4, 5), 1, 5, 2), (3, 4, 5), 1, lam)
     assert [d["verified"] for d in good["degrees"]] == [True, True, True]
-    broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
+    broken = [e.mats[0], [[c * 2 for c in row] for row in lift(e.mats[1])], e.mats[2]]
     bad = spectrum_report(ChainEndomorphism(e.cx, sparse_rows(broken), validate=False),
                           (3, 4, 5), 1, lam)
     assert [d["verified"] for d in bad["degrees"]] == [True, False, True]
@@ -695,7 +704,7 @@ def test_spectrum_report_ranks_each_degree_once(monkeypatch):
         assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(e, S, r, lam)
         assert calls == [len(m) for m in e.rows], (S, r, n, ell)
     e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
-    broken = [e.mats[0], [[c * 2 for c in row] for row in e.mats[1]], e.mats[2]]
+    broken = [e.mats[0], [[c * 2 for c in row] for row in lift(e.mats[1])], e.mats[2]]
     broken = ChainEndomorphism(e.cx, sparse_rows(broken), validate=False)
     lam = Weights(NONRES)
     report = spectrum_report(broken, (3, 4, 5), 1, lam)
@@ -703,8 +712,7 @@ def test_spectrum_report_ranks_each_degree_once(monkeypatch):
     assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(broken, (3, 4, 5), 1, lam)
     # on a smaller complex d0 + dS need not be the size, so rank M = dS alone
     # does not verify a degree: here y1 + y2 on four of six degree-2 rows
-    ys = LinearForm.subset_sum((1, 2), 5)
-    rows = [[{}], [{}] * 5, [{i: ys} if i < 4 else {} for i in range(6)]]
+    rows = [[{}], [{}] * 5, [{(i, 1): 1, (i, 2): 1} if i < 4 else {} for i in range(6)]]
     diagonal = ChainEndomorphism(build_aomoto(selberg_type()), rows, validate=False)
     report = spectrum_report(diagonal, (1, 2), 1, lam)
     assert [d["verified"] for d in report["degrees"]] == [True, False, False]
@@ -844,7 +852,7 @@ def test_sparse_checks_fail_exactly_where_the_dense_ones_do(data):
     n, ell = draw(st.sampled_from(SMALL))
     S, r = draw(st.sampled_from(_pencils(n, ell)))
     e = omega_tilde_sum(S, r, n, ell)
-    mats = [[list(row) for row in m] for m in e.mats]
+    mats = lift(e.mats)
     spots = [(q, i, j) for q, m in enumerate(mats) for i, row in enumerate(m)
              for j, c in enumerate(row) if c]
     if spots and draw(st.booleans()):
@@ -858,7 +866,7 @@ def test_sparse_checks_fail_exactly_where_the_dense_ones_do(data):
     else:
         k = draw(st.integers(0, len(row) - 1))
         if k != j:
-            row[k], row[j] = row[k] + row[j], LinearForm.zero(n)
+            row[k], row[j] = row[k] + row[j], Form.zero(n)
     failing = dense_chain_failure(e.cx, mats)
     if failing is None:
         ChainEndomorphism(e.cx, sparse_rows(mats))
@@ -896,7 +904,7 @@ def test_no_stored_entry_is_zero():
 
 
 def _coefficients(rows):
-    return [c for m in rows for row in m for f in row.values() for c in f.terms.values()]
+    return [c for m in rows for row in m for c in row.values()]
 
 
 def test_library_coefficients_are_ints():
@@ -929,7 +937,7 @@ def test_specialize_matches_the_dense_route():
         values = mat_evaluate(m, lam.values)
         assert boundary_at(cx, lam, q) == sparse(values)
         # os_cohomology's route: int rows at N = D * lam, D times the values
-        ints = evaluate_int(cx.rows[q], nums)
+        ints = evaluate_int(cx.rows[q], nums, t.n)
         assert ints == sparse([[d * x for x in row] for row in values])
         assert all(type(c) is int for row in ints for c in row.values())
 
@@ -937,16 +945,16 @@ def test_specialize_matches_the_dense_route():
 def test_library_route_builds_no_dense_view(monkeypatch):
     import osgm.aomoto
     import osgm.gauss_manin
-    import osgm.linalg
+    import osgm.poly
 
     def refuse(*args):
         raise AssertionError("dense view built")
 
     monkeypatch.setattr(ChainEndomorphism, "mats", property(refuse))
     monkeypatch.setattr(AomotoComplex, "boundary", property(refuse))
-    # every module that binds `dense`, so no computation goes through it
-    for module in (osgm.linalg, osgm.aomoto, osgm.gauss_manin):
-        monkeypatch.setattr(module, "dense", refuse)
+    # every module that binds `dense_forms`, so no computation goes through it
+    for module in (osgm.poly, osgm.aomoto, osgm.gauss_manin):
+        monkeypatch.setattr(module, "dense_forms", refuse)
     # start from a generic type no other test has built
     generic_type.cache_clear()
     t = selberg_type()
@@ -998,3 +1006,124 @@ def test_each_returned_map_is_checked_once_and_no_term_is_stored(monkeypatch):
         assert checks == [e]
     for n in (5, 6):
         assert "omega_tilde" not in generic_type(n, 2)._store
+
+
+# ---- the int checks against the form route -------------------------------------
+# The library checks chain maps, descent and M (M - y_S I) = 0 on int rows
+# keyed (col, j) and (col, j, k); the oracle runs each check as it ran on
+# {col: Form} rows with Quadratic products, and the eigenvalue report on
+# Fraction matrices.
+
+
+def _chain_verdict(cx, rows):
+    try:
+        ChainEndomorphism(cx, rows)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _form_chain_verdict(cx, rows):
+    q = chain_failure_by_forms(cx, rows)
+    return None if q is None else (
+        "matrices do not commute with the differential in degree %d" % q)
+
+
+def _descent(e, t):
+    """The induced rows, or the error inducing raises."""
+    try:
+        return induce_on_type(e, t).rows
+    except ValueError as err:
+        return str(err)
+
+
+def _form_descent(e, t):
+    """The same outcome by the form route: descent, then the chain check of
+    the induced map on the type's complex."""
+    try:
+        rows = induce_by_forms(e, t)
+    except NotCovered as err:
+        return str(err)
+    return _form_chain_verdict(build_aomoto(t), rows) or rows
+
+
+def _assert_same_verdicts(e, S, types):
+    assert _chain_verdict(e.cx, e.rows) == _form_chain_verdict(e.cx, e.rows)
+    assert spectrum_check(e, S) == spectrum_check_by_forms(e, S)
+    for t in types:
+        assert _descent(e, t) == _form_descent(e, t)
+
+
+def _mutations(rows, n):
+    """Every single-entry mutation of a map's rows: each stored coefficient
+    negated, and each moved to the next variable."""
+    for q, m in enumerate(rows):
+        for i, row in enumerate(m):
+            for (col, j), c in row.items():
+                for key, value in (((col, j), -c), ((col, j % n + 1), c)):
+                    bad = [list(x) for x in rows]
+                    changed = dict(row)
+                    del changed[col, j]
+                    changed[key] = changed.get(key, 0) + value
+                    if not changed[key]:
+                        del changed[key]
+                    bad[q][i] = changed
+                    yield bad
+
+
+def test_every_single_entry_mutation_gets_the_form_route_verdict():
+    # each stored coefficient of a sum negated or moved to another variable:
+    # the chain check, spectrum_check's witness and descent decide as the
+    # form route does
+    cases = [((3, 4, 5), 1, 5, 2, [selberg_type()]),
+             ((1, 2, 4, 6), 1, 5, 3, [_pencil_type(5, 3, (1, 2, 4, 6), 1)])]
+    for S, r, n, ell, types in cases:
+        e = omega_tilde_sum(S, r, n, ell)
+        rejected = 0
+        for rows in _mutations(e.rows, n):
+            bad = ChainEndomorphism(e.cx, rows, validate=False)
+            _assert_same_verdicts(bad, S, types)
+            rejected += _chain_verdict(e.cx, rows) is not None
+        assert rejected, (S, r, n, ell)
+
+
+@given(pair=realized_type_pairs(), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_sums_pair_sums_and_induced_maps_get_the_form_route_verdicts(pair, data):
+    special, general = pair
+    n, ell = general.n, general.ell
+    maps = []
+    try:
+        S, r = principal_dependence(special, general)
+        maps.append((S, r, omega_tilde_sum(S, r, n, ell)))
+        maps.append((S, r, omega_tilde_pair(special, general)))
+    except ValueError:
+        S, r = data.draw(st.sampled_from(_pencils(n, ell)))
+        maps.append((S, r, omega_tilde_sum(S, r, n, ell)))
+    for S, r, e in maps:
+        _assert_same_verdicts(e, S, [special, general])
+        for t in (special, general):
+            try:
+                ind = induce_on_type(e, t)
+            except NotCovered:
+                continue
+            _assert_same_verdicts(ind, S, [])
+        # the report at weights with lambda_S = 0, integral weights, and
+        # denominators up to 2^61 - 1
+        kind = data.draw(st.sampled_from(["zero", "integer", "large"]))
+        if kind == "integer":
+            values = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+        else:
+            dens = st.sampled_from([1, 2, 3, 1009, 10 ** 9 + 7, 2 ** 61 - 1])
+            values = [Fraction(data.draw(st.integers(-10 ** 6, 10 ** 6)), data.draw(dens))
+                      for _ in range(n)]
+        values = [Fraction(v) for v in values]
+        ys = Form.subset_sum(S, n).terms
+        if kind == "zero" and ys:
+            # move one weight so that lambda_S vanishes
+            j = min(ys)
+            lam_s = sum(c * values[k - 1] for k, c in ys.items())
+            values[j - 1] -= lam_s / ys[j]
+        lam = Weights(values)
+        assert kind != "zero" or lam.subset_sum(S) == 0
+        assert spectrum_report(e, S, r, lam) == spectrum_report_by_fractions(e, S, r, lam)

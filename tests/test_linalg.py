@@ -15,11 +15,13 @@ from osgm.linalg import (
     echelon_reduce,
     evaluate_rows,
     solve_row_combination,
+    form_matmul,
     matmul,
-    dense,
 )
-from osgm.poly import LinearForm, Quadratic
 from oracles import (
+    Form,
+    Quadratic,
+    dense,
     coset_reduce,
     dense_left_null_space,
     dense_product,
@@ -27,6 +29,7 @@ from oracles import (
     form_value,
     fraction_rref,
     identity_matrix,
+    key_rows,
     mat_evaluate,
     products_agree_by_evaluation,
     quadratic_value,
@@ -220,7 +223,7 @@ def test_solve_row_combination():
 
 
 def _random_form(rng, n):
-    return LinearForm(n, {rng.randint(1, n): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Form(n, {rng.randint(1, n): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                           for _ in range(rng.randint(0, 3))})
 
 
@@ -237,7 +240,7 @@ def test_matmul_and_polynomial_evaluation_commute():
         assert left == dense(right, 2, Fraction(0))
         # a rational factor keeps the entries linear forms
         r = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(3)]
-        ar = dense(matmul(sparse(a), sparse(r)), 2, LinearForm.zero(n))
+        ar = dense(matmul(sparse(a), sparse(r)), 2, Form.zero(n))
         assert mat_evaluate(ar, lam) == dense(matmul(sparse(mat_evaluate(a, lam)), sparse(r)),
                                               2, Fraction(0))
 
@@ -262,8 +265,8 @@ def test_symbolic_products_agree_exactly_when_evaluations_do(data):
         f = draw(small_rationals())
         p, p_inv = identity_matrix(inner), identity_matrix(inner)
         p[i][j], p_inv[i][j] = f, -f
-        c = dense_product(a, p, LinearForm.zero(n))
-        d = dense_product(p_inv, b, LinearForm.zero(n))
+        c = dense_product(a, p, Form.zero(n))
+        d = dense_product(p_inv, b, Form.zero(n))
     else:
         c, d = a, b
     if draw(st.booleans()):
@@ -272,6 +275,9 @@ def test_symbolic_products_agree_exactly_when_evaluations_do(data):
         d[i][j] = d[i][j] + draw(linear_forms(n))
     symbolic = matmul(sparse(a), sparse(b)) == matmul(sparse(c), sparse(d))
     assert symbolic == products_agree_by_evaluation(a, b, c, d, n)
+    # the library's int route: rows keyed (col, j), products keyed (col, j, k)
+    keyed = [form_matmul(key_rows(sparse(x)), key_rows(sparse(y))) for x, y in ((a, b), (c, d))]
+    assert (keyed[0] == keyed[1]) == symbolic
 
 
 def test_identity_matrix():
@@ -299,10 +305,17 @@ def test_matmul_matches_the_dense_product(data):
     a = matrix(rational if kind == "rational" else linear_forms(n), rows, inner)
     b = matrix(linear_forms(n) if kind == "forms" else rational, inner, cols)
     zero = Quadratic() if kind == "forms" else (Fraction(0) if kind == "rational"
-                                                 else LinearForm.zero(n))
+                                                 else Form.zero(n))
     product = matmul(sparse(a), sparse(b))
     assert all(c for row in product for c in row.values())
     assert dense(product, cols, zero) == dense_product(a, b, zero)
+    if kind != "rational":
+        # forms as rows keyed (col, j): the product is keyed (col, j, k)
+        # against forms and stays keyed (col, j) against rationals
+        right = key_rows(sparse(b)) if kind == "forms" else sparse(b)
+        keyed = form_matmul(key_rows(sparse(a)), right)
+        assert all(c for row in keyed for c in row.values())
+        assert keyed == key_rows(sparse(dense_product(a, b, zero)))
 
 
 @given(data=st.data())
@@ -317,8 +330,8 @@ def test_add_scaled_matches_the_dense_sum(data):
     entries, coefficients, zero = draw(st.sampled_from([
         (ints, ints, 0),
         (small_rationals(), small_rationals(), Fraction(0)),
-        (forms, st.one_of(ints, small_rationals()), LinearForm.zero(n)),
-        (ints, forms, LinearForm.zero(n)),
+        (forms, st.one_of(ints, small_rationals()), Form.zero(n)),
+        (ints, forms, Form.zero(n)),
         (forms, forms, Quadratic()),
     ]))
     f = draw(coefficients.filter(bool))
@@ -461,23 +474,23 @@ def test_evaluate_rows_matches_entrywise_evaluation(data):
         row = {}
         for j in data.draw(st.sets(st.integers(0, 5), max_size=4)):
             terms = data.draw(st.dictionaries(st.integers(1, nvars), coeffs, max_size=nvars))
-            f = LinearForm(nvars, terms)
+            f = Form(nvars, terms)
             if f:
                 row[j] = f
         rows.append(row)
     expected = [{j: v for j, f in row.items() if (v := form_value(f, lam))} for row in rows]
-    got = evaluate_rows(rows, tuple(lam))
+    got = evaluate_rows(key_rows(rows), tuple(lam), nvars)
     assert got == expected
     assert all(type(v) is Fraction for row in got for v in row.values())
 
 
 def test_evaluate_rows_refuses_a_weight_vector_of_the_wrong_length():
-    rows = [{0: LinearForm(3, {1: 1, 3: -2})}]
+    rows = [{0: Form(3, {1: 1, 3: -2})}]
     for lam in ([Fraction(1), Fraction(2)], [Fraction(1)] * 4):
         with pytest.raises(ValueError) as exc:
             form_value(rows[0][0], lam)
         with pytest.raises(ValueError, match=re.escape(str(exc.value))):
-            evaluate_rows(rows, lam)
+            evaluate_rows(key_rows(rows), lam, 3)
     assert str(exc.value) == "expected 3 values, got 4"
     # no stored entry, nothing to evaluate
-    assert evaluate_rows([{}], [Fraction(1)]) == [{}]
+    assert evaluate_rows([{}], [Fraction(1)], 3) == [{}]

@@ -15,7 +15,7 @@ from osgm.orlik_solomon import (
     wedge,
     projection_matrix,
 )
-from osgm.poly import LinearForm
+from oracles import Form
 from oracles import circuits_by_walk, exterior_quotient_dims, frac_rank, ideal_span_rows, multiply
 from strategies import asserted_types, realized_types
 
@@ -143,7 +143,7 @@ def test_os_reduce_selberg_printed_examples():
 
 def test_os_reduce_polynomial_coefficients():
     t = selberg_type()
-    y1 = LinearForm.variable(1, 5)
+    y1 = Form.variable(1, 5)
     out = os_reduce({(3, 5): y1}, t)
     assert out == {(1, 5): y1, (1, 3): -y1}
 
