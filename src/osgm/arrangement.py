@@ -11,6 +11,15 @@ closure actually share a point, i.e. when the rows have rank at most ell.
 For sets of size at most ell+1 dependence already forces this, so the star
 filter only thins out the larger sets.
 
+A realization's type comes from one walk over the subsets S of [n] with
+2 <= |S| <= ell+1, two ranks each: r of the rows of S, and r_inf of those
+rows with infinity's.  S is dependent when r < |S|, S + {n+1} is dependent
+when r_inf <= |S|, and S has no common affine point when r_inf = r, since
+the coefficient rows of S have rank r_inf - 1.  At r = ell+1 adding a row
+cannot raise the rank, so r_inf = r needs no second test.  A pair
+{j, n+1} is dependent only when row j has no coefficient part, so the
+singletons need no rank test at all.
+
 Repeated hyperplanes are valid input.  Two identical rows i, j (or rows
 that are multiples of each other) make {i, j} a dependent pair, the rank-1
 pencil on two hyperplanes: the type of a collision, which `osgm gm` can
@@ -45,11 +54,6 @@ def read_json(path):
             raise ValueError("%s: not valid JSON: %s" % (path, e)) from None
         except RecursionError:
             raise ValueError("%s: JSON nested too deeply to parse" % path) from None
-
-
-def _coefficients(rows):
-    """Sparse closure rows without their constant terms."""
-    return [{k: x for k, x in r.items() if k} for r in rows]
 
 
 class Arrangement:
@@ -97,7 +101,7 @@ class Arrangement:
                 raise ValueError("row %d: coefficient part is zero, not a hyperplane" % i)
             rows.append(row)
         arr = cls(ell, n, rows)
-        if rank(_coefficients(arr._sparse[:n])) < ell:
+        if rank([{k: x for k, x in r.items() if k} for r in arr._sparse[:n]]) < ell:
             raise ValueError("arrangement is not essential: coefficient rank < ell")
         return arr
 
@@ -117,24 +121,6 @@ class Arrangement:
         if j == self.n + 1:
             return (Fraction(1),) + (Fraction(0),) * self.ell
         return self.rows[j - 1]
-
-    def subset_rank(self, S):
-        return rank([self._sparse[j - 1] for j in S])
-
-    def is_dependent(self, S):
-        return self.subset_rank(S) < len(S)
-
-    def affine_nonempty(self, S):
-        """Whether the hyperplanes of S (subset of [n]) share an affine point."""
-        full = [self._sparse[j - 1] for j in S]
-        return rank(_coefficients(full)) == rank(full)
-
-
-def dependent_subsets(a, q):
-    """All dependent q-subsets of [n+1], sorted."""
-    if q < 2 or q > a.n + 1:
-        raise ValueError("subset size must be between 2 and n+1")
-    return [S for S in combinations(range(1, a.n + 2), q) if a.is_dependent(S)]
 
 
 class CombinatorialType:
@@ -203,24 +189,25 @@ class CombinatorialType:
 
     @classmethod
     def from_arrangement(cls, a):
-        dep = {}
-        for q in range(2, min(a.ell + 1, a.n + 1) + 1):
-            dep[q] = dependent_subsets(a, q)
-        dependent = set().union(*dep.values())
-        # emptiness matters up to size ell+1: a dependent set of that size
-        # with no common affine point contributes e_S, not a circuit.  For
-        # independent S the coefficient rows have rank rank(S + infinity) - 1,
-        # so S is empty exactly when adding infinity makes it dependent,
-        # which always happens at size ell+1.  Only dependent S need ranks.
+        """The type of a realization, by the one walk of the module
+        docstring; every set of rows is rank-tested at most once."""
+        n, ell = a.n, a.ell
+        rows, inf = a._sparse[:n], a._sparse[n]
+        dep = {2: [(j, n + 1) for j in range(1, n + 1) if not rows[j - 1].keys() - {0}]}
+        dep.update((q, []) for q in range(3, min(ell + 1, n + 1) + 1))
         empty = []
-        for q in range(2, min(a.ell + 1, a.n) + 1):
-            for S in combinations(range(1, a.n + 1), q):
-                if S in dependent:
-                    if not a.affine_nonempty(S):
-                        empty.append(S)
-                elif q == a.ell + 1 or S + (a.n + 1,) in dependent:
+        for size in range(2, min(ell + 1, n) + 1):
+            for S in combinations(range(1, n + 1), size):
+                sub = [rows[j - 1] for j in S]
+                r = rank(sub)
+                r_inf = r if r == ell + 1 else rank(sub + [inf])
+                if r < size:
+                    dep[size].append(S)
+                if r_inf <= size < ell + 1:
+                    dep[size + 1].append(S + (n + 1,))
+                if r_inf == r:
                     empty.append(S)
-        return cls(a.n, a.ell, dep, empty, realization=a)
+        return cls(n, ell, dep, empty, realization=a)
 
     def is_dependent(self, S):
         S = tuple(sorted(S))

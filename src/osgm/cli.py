@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations
 
 from .aomoto import (
     Weights,
@@ -52,7 +53,7 @@ def _parse_weights(text, n):
     return Weights(values)
 
 
-def _parse_pencil(pair, n):
+def _parse_pencil(pair):
     s_text, r_text = pair
     try:
         S = tuple(int(tok) for tok in s_text.split(","))
@@ -116,19 +117,21 @@ def cmd_deps(args):
     star = dep_star(t)
     dep_qs = [args.degree] if args.degree is not None else sorted(t.dep)
     star_qs = [args.degree] if args.degree is not None else sorted(star)
+    # t.dep stops at ell+1: every larger subset of [n+1] is dependent
+    dep = {q: t.dep[q] if q in t.dep else list(combinations(range(1, t.n + 2), q))
+           for q in dep_qs}
     if args.json:
         print(json.dumps({
             "n": t.n,
             "ell": t.ell,
-            "dep": {str(q): [list(S) for S in t.dep.get(q, [])] for q in dep_qs},
+            "dep": {str(q): [list(S) for S in dep[q]] for q in dep_qs},
             "dep_star": {str(q): [list(S) for S in star.get(q, [])] for q in star_qs},
         }, indent=2))
         return
     print("n = %d, ell = %d (index %d is the hyperplane at infinity)"
           % (t.n, t.ell, t.n + 1))
     for q in dep_qs:
-        fam = t.dep.get(q, [])
-        print("Dep_%d: %s" % (q, " ".join(_fmt_set(S) for S in fam) or "(none)"))
+        print("Dep_%d: %s" % (q, " ".join(_fmt_set(S) for S in dep[q]) or "(none)"))
     for q in star_qs:
         fam = star.get(q, [])
         print("Dep*_%d: %s" % (q, " ".join(_fmt_set(S) for S in fam) or "(none)"))
@@ -246,7 +249,7 @@ def cmd_gm(args):
     lam = _parse_weights(args.weights, n)
     # a pair of files is recovered to its pencil; then both forms run one route
     if args.pencil is not None:
-        S, r = _parse_pencil(args.pencil, n)
+        S, r = _parse_pencil(args.pencil)
     else:
         special = _load_type(args.file2)
         if compare_types(t, special) != "t1_finer":
@@ -295,7 +298,7 @@ def cmd_spectrum(args):
     n, ell = t.n, t.ell
     if args.pencil is None:
         raise ValueError("spectrum needs --pencil S r")
-    S, r = _parse_pencil(args.pencil, n)
+    S, r = _parse_pencil(args.pencil)
     if S == tuple(range(1, n + 2)):
         # y_{n+1} = -(y_1 + ... + y_n), so y_S = 0; refused before the sum is built
         raise ValueError("spectrum theorem inapplicable: --pencil S holds all %d "

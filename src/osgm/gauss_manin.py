@@ -355,9 +355,10 @@ def induce_on_type(e, t):
     the induced map is M = W_nbc P, with W_nbc the rows of W at the nbc
     monomials, and W descends exactly when it sends every relation into the
     relation span, that is when W P = P M.  That identity is checked degree
-    by degree and reported as an invalid covering when it fails.  P is an
-    int matrix, so W P is a `form_matmul` and P M a plain `matmul`, both
-    keyed (col, j).
+    by degree and reported as an invalid covering when it fails.  Row i of
+    W P is row i of W times P, so M is read off the one product W P at the
+    nbc rows.  P is an int matrix, so W P is a `form_matmul` and P M a plain
+    `matmul`, both keyed (col, j).
     """
     if (t.n, t.ell) != (e.cx.t.n, e.cx.t.ell):
         raise ValueError("type does not live on the endomorphism's (n, ell)")
@@ -366,8 +367,9 @@ def induce_on_type(e, t):
     for q in range(t.ell + 1):
         proj = projection_matrix(t, q)
         index = {T: i for i, T in enumerate(e.cx.bases[q])}
-        induced = form_matmul([e.rows[q][index[T]] for T in cx.bases[q]], proj)
-        if form_matmul(e.rows[q], proj) != matmul(proj, induced):
+        wp = form_matmul(e.rows[q], proj)
+        induced = [wp[index[T]] for T in cx.bases[q]]
+        if wp != matmul(proj, induced):
             raise NotCovered(
                 "not a valid covering datum: degree-%d relations "
                 "are not preserved" % q)

@@ -121,6 +121,9 @@ CASES = [
      ["gm", FOUR, "--pencil", "1,2,3,4", "2", "--weights", P6, "--json"]),
     ("spectrum-four-fold", ["spectrum", FOUR, "--pencil", "1,2,3,4", "2", "--weights", P6]),
     ("resonance-four-fold-json", ["resonance", FOUR, "--weights", RES4, "--json"]),
+    # every 4-subset of [6] is dependent when ell = 2
+    ("deps-degree4", ["deps", SEL, "--degree", "4"]),
+    ("deps-degree4-json", ["deps", SEL, "--degree", "4", "--json"]),
 ]
 
 

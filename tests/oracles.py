@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from osgm.linalg import add_scaled, matmul
+from osgm.linalg import add_scaled, matmul, rank
 from osgm.poly import LinearForm
 
 
@@ -376,6 +376,57 @@ def affine_empty_by_rank(a):
 
     return sorted(S for q in range(2, min(a.ell + 1, a.n) + 1)
                   for S in combinations(range(1, a.n + 1), q) if empty(S))
+
+
+def _coefficients(rows):
+    """Sparse closure rows without their constant terms."""
+    return [{k: x for k, x in r.items() if k} for r in rows]
+
+
+def subset_rank(a, S):
+    """Rank of the closure rows of S in the realization a."""
+    return rank([a._sparse[j - 1] for j in S])
+
+
+def dependent_subsets(a, q):
+    """All dependent q-subsets of [n+1], sorted."""
+    if q < 2 or q > a.n + 1:
+        raise ValueError("subset size must be between 2 and n+1")
+    return [S for S in combinations(range(1, a.n + 2), q) if subset_rank(a, S) < len(S)]
+
+
+def _affine_nonempty(a, S):
+    """Whether the hyperplanes of S (subset of [n]) share an affine point."""
+    full = [a._sparse[j - 1] for j in S]
+    return rank(_coefficients(full)) == rank(full)
+
+
+def type_by_two_walks(a):
+    """The type of the realization a by two walks: one over the subsets of
+    [n+1] for dependence, one over the subsets of [n] for emptiness, where
+    each dependent set is ranked a second time with and without its
+    constant terms.  `CombinatorialType.from_arrangement` finds the same
+    type in one walk."""
+    from osgm.arrangement import CombinatorialType
+
+    dep = {}
+    for q in range(2, min(a.ell + 1, a.n + 1) + 1):
+        dep[q] = dependent_subsets(a, q)
+    dependent = set().union(*dep.values())
+    # emptiness matters up to size ell+1: a dependent set of that size
+    # with no common affine point contributes e_S, not a circuit.  For
+    # independent S the coefficient rows have rank rank(S + infinity) - 1,
+    # so S is empty exactly when adding infinity makes it dependent,
+    # which always happens at size ell+1.  Only dependent S need ranks.
+    empty = []
+    for q in range(2, min(a.ell + 1, a.n) + 1):
+        for S in combinations(range(1, a.n + 1), q):
+            if S in dependent:
+                if not _affine_nonempty(a, S):
+                    empty.append(S)
+            elif q == a.ell + 1 or S + (a.n + 1,) in dependent:
+                empty.append(S)
+    return CombinatorialType(a.n, a.ell, dep, empty, realization=a)
 
 
 def generic_type_by_rank(n, ell):
@@ -764,7 +815,7 @@ def multiplicity(S, a):
     """|S| minus the rank of the rows of S in the realization a."""
     if not S:
         raise ValueError("multiplicity of the empty set is undefined")
-    return len(S) - a.subset_rank(S)
+    return len(S) - subset_rank(a, S)
 
 
 # ---- the dense route for chain endomorphisms ---------------------------------

@@ -48,6 +48,37 @@ def integer_arrangements(draw):
 
 
 @st.composite
+def special_arrangements(draw):
+    """Small-integer rows in special position by construction: each row
+    after the first is fresh, a multiple of an earlier row (a repeated
+    hyperplane), an earlier coefficient part with a new constant term (a
+    parallel class), or a hyperplane through one common point."""
+    ell = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 7))
+    point = draw(st.lists(st.integers(-2, 2), min_size=ell, max_size=ell))
+
+    def coefficients():
+        c = draw(st.lists(st.integers(-2, 2), min_size=ell, max_size=ell))
+        return c if any(c) else [1] + c[1:]
+
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "repeated", "parallel", "concurrent"]))
+        if kind == "fresh" or not rows:
+            row = [draw(st.integers(-2, 2))] + coefficients()
+        elif kind == "repeated":
+            scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+            row = [scale * x for x in draw(st.sampled_from(rows))]
+        elif kind == "parallel":
+            row = [draw(st.integers(-2, 2))] + list(draw(st.sampled_from(rows))[1:])
+        else:
+            c = coefficients()
+            row = [-sum(x * p for x, p in zip(c, point))] + c
+        rows.append(tuple(Fraction(x) for x in row))
+    return Arrangement(ell, n, rows)
+
+
+@st.composite
 def pencil_arrangements(draw, count=1):
     """Realizations of pencil types with `count` disjoint pencils; a single
     pencil may contain the hyperplane at infinity."""

@@ -2,14 +2,15 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osgm import arrangement
 from osgm.arrangement import (
     Arrangement,
     CombinatorialType,
-    dependent_subsets,
     dep_star,
     multiplicity_pencil,
     pencil_starred,
@@ -27,8 +28,15 @@ from oracles import (
     is_starred,
     multiplicity,
     pencil_profile_by_walk,
+    type_by_two_walks,
 )
-from strategies import asserted_types, integer_arrangements, pencil_arrangements, realized_types
+from strategies import (
+    asserted_types,
+    integer_arrangements,
+    pencil_arrangements,
+    realized_types,
+    special_arrangements,
+)
 
 SELBERG_ROWS = [
     ["0", "1", "0"],
@@ -87,22 +95,17 @@ def test_load_rejects_bad_input():
 
 
 def test_dependent_subsets_selberg():
-    a = selberg()
-    assert dependent_subsets(a, 2) == []
-    assert dependent_subsets(a, 3) == [(1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 6)]
-    with pytest.raises(ValueError):
-        dependent_subsets(a, 1)
-    with pytest.raises(ValueError):
-        dependent_subsets(a, 7)
+    t = CombinatorialType.from_arrangement(selberg())
+    assert t.dep == {2: [], 3: [(1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 6)]}
 
 
 def test_dependent_subsets_other_examples():
-    assert dependent_subsets(generic_lines(5), 3) == []
+    assert CombinatorialType.from_arrangement(generic_lines(5)).dep[3] == []
     # three concurrent lines through the origin
     a = Arrangement.from_json(
         {"ell": 2, "n": 3, "rows": [["0", "1", "0"], ["0", "0", "1"], ["0", "1", "1"]]}
     )
-    assert dependent_subsets(a, 3) == [(1, 2, 3)]
+    assert CombinatorialType.from_arrangement(a).dep[3] == [(1, 2, 3)]
 
 
 def test_dependent_subsets_match_rank_oracle():
@@ -114,14 +117,16 @@ def test_dependent_subsets_match_rank_oracle():
             a = Arrangement.from_json({"ell": ell, "n": n, "rows": rows})
         except ValueError:
             continue
+        t = CombinatorialType.from_arrangement(a)
         for q in range(2, n + 2):
-            got = set(dependent_subsets(a, q))
-            want = {
+            want = [
                 S
                 for S in combinations(range(1, n + 2), q)
                 if frac_rank([a.row(j) for j in S]) < q
-            }
-            assert got == want
+            ]
+            # above ell+1 every set is dependent, and the type stores none
+            assert want == (t.dep[q] if q <= ell + 1
+                            else list(combinations(range(1, n + 2), q)))
 
 
 def test_dep_star_selberg():
@@ -257,8 +262,9 @@ def test_compare_types():
         {"ell": 2, "n": 5, "rows": [["1", "1", "1"], ["1", "2", "4"], ["1", "3", "9"], ["1", "4", "16"], ["2", "3", "5"]]}
     )
     # rows 1,2,5 dependent here and nowhere in selberg's dep set of triples
-    if (1, 2, 5) in set(dependent_subsets(a, 3)):
-        assert compare_types(t1, CombinatorialType.from_arrangement(a)) == "incomparable"
+    ta = CombinatorialType.from_arrangement(a)
+    if (1, 2, 5) in ta.dep[3]:
+        assert compare_types(t1, ta) == "incomparable"
     with pytest.raises(ValueError):
         compare_types(t1, CombinatorialType.from_arrangement(generic_lines(4)))
 
@@ -278,14 +284,16 @@ def test_degeneration_is_monotone():
         ]
         return Arrangement.from_json({"ell": 2, "n": 5, "rows": rows})
 
-    generic_dep = {q: set(dependent_subsets(member(Fraction(1)), q)) for q in range(2, 7)}
+    def dep(a):
+        return CombinatorialType.from_arrangement(a).dep
+
+    generic_dep = dep(member(Fraction(1)))
     for s in (Fraction(1, 2), Fraction(7, 3)):
-        for q in range(2, 7):
-            assert set(dependent_subsets(member(s), q)) == generic_dep[q]
-    degenerate = member(Fraction(0))
-    for q in range(2, 7):
-        assert generic_dep[q] <= set(dependent_subsets(degenerate, q))
-    assert (3, 4, 5) in dependent_subsets(degenerate, 3)
+        assert dep(member(s)) == generic_dep
+    degenerate = dep(member(Fraction(0)))
+    for q in generic_dep:
+        assert set(generic_dep[q]) <= set(degenerate[q])
+    assert (3, 4, 5) in degenerate[3]
 
     # random segments base + s*drift: entries are bounded by 3, so every
     # 3x3 minor polynomial in s has roots below the Cauchy bound 1 + 162;
@@ -302,11 +310,11 @@ def test_degeneration_is_monotone():
             ]
             return Arrangement(2, 5, rows)
 
-        far = at(Fraction(10**4 + rng.randint(0, 100)))
+        far = dep(at(Fraction(10**4 + rng.randint(0, 100))))
         for s in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)):
-            near = at(s)
-            for q in range(2, 7):
-                assert set(dependent_subsets(far, q)) <= set(dependent_subsets(near, q))
+            near = dep(at(s))
+            for q in far:
+                assert set(far[q]) <= set(near[q])
 
 
 def test_user_asserted_type_validation():
@@ -410,3 +418,72 @@ def test_pencil_profile_matches_the_walk_over_all_subsets(data, ell, n):
     # lexicographically
     forced = sorted((K for K in profile if len(K) <= ell + 1), key=lambda K: (len(K), K))
     assert list(pencil_sum_terms(S, r, n, ell)) == forced
+
+
+# ---- the one walk against the two-walk oracle -------------------------------
+
+GOLDEN_INPUTS = sorted((Path(__file__).parent / "golden" / "inputs").glob("*.json"))
+DATA_FILES = sorted((Path(__file__).parents[1] / "data").glob("*.json"))
+PENCIL_SHAPES = [(15, 2, (1, 2, 3, 4, 5), 2), (10, 4, (1, 2, 3, 4), 1),
+                 (12, 3, (1, 2, 3, 4, 5), 2), (8, 2, (1, 2, 4, 5), 2)]
+
+
+def assert_same_type(a):
+    t, oracle = CombinatorialType.from_arrangement(a), type_by_two_walks(a)
+    assert t.dep == oracle.dep
+    assert t.affine_empty == oracle.affine_empty
+
+
+@given(a=st.one_of(special_arrangements(), integer_arrangements(),
+                   pencil_arrangements(1), pencil_arrangements(2)))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_one_walk_matches_the_two_walks(a):
+    assert_same_type(a)
+
+
+def test_one_walk_matches_the_two_walks_on_the_bundled_files_and_pencils():
+    for path in GOLDEN_INPUTS + DATA_FILES:
+        assert_same_type(Arrangement.from_file(path))
+    for n, ell, S, r in PENCIL_SHAPES:
+        assert_same_type(pencil_realization(n, ell, S, r))
+    # pencils through the hyperplane at infinity
+    for n, ell, S, r in [(6, 2, (1, 2, 7), 2), (7, 3, (2, 3, 5, 8), 2),
+                         (7, 3, (1, 2, 3, 4, 8), 3)]:
+        assert_same_type(pencil_realization(n, ell, S, r))
+    # rows built directly, with no coefficient part: {j, n+1} is dependent
+    rows = [(Fraction(2), Fraction(0), Fraction(0)), (Fraction(0),) * 3,
+            (Fraction(0), Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(1))]
+    a = Arrangement(2, 4, rows)
+    assert_same_type(a)
+    assert CombinatorialType.from_arrangement(a).dep[2] == [(1, 2), (1, 5), (2, 3), (2, 4),
+                                                          (2, 5)]
+
+
+def test_one_walk_ranks_each_row_set_once(monkeypatch):
+    # each rank test takes closure rows of the realization itself, and no
+    # set of them is ranked twice in one type construction
+    def ranked_sets(a):
+        index = {id(row): j for j, row in enumerate(a._sparse, start=1)}
+        seen = []
+        real = arrangement.rank
+
+        def counting(rows):
+            js = [index.get(id(row)) for row in rows]
+            assert None not in js, "ranked rows that are not closure rows"
+            seen.append(tuple(sorted(js)))
+            return real(rows)
+
+        monkeypatch.setattr(arrangement, "rank", counting)
+        CombinatorialType.from_arrangement(a)
+        monkeypatch.setattr(arrangement, "rank", real)
+        return seen
+
+    cases = [selberg(), selberg_degenerate()] + [
+        Arrangement.from_file(path) for path in GOLDEN_INPUTS] + [
+        pencil_realization(n, ell, S, r) for n, ell, S, r in PENCIL_SHAPES]
+    for a in cases:
+        seen = ranked_sets(a)
+        assert len(seen) == len(set(seen))
+    # Selberg: the 20 subsets of [5] of sizes 2 and 3, then the 10 pairs and
+    # the 2 dependent triples with infinity; a triple of rank 3 needs none
+    assert len(ranked_sets(selberg())) == 32

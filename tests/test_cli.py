@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -476,6 +477,22 @@ def test_deps_refuses_degree_outside_the_subset_sizes():
         code, out, _ = run_quiet(["deps", SELBERG, "--degree", degree])
         assert code == 0
         assert "Dep_%s: " % degree in out
+
+
+def test_deps_lists_every_subset_above_ell_plus_one():
+    # the type stores dependent sets up to size ell+1; every larger subset
+    # of [n+1] is dependent, and deps lists each one
+    for q in (4, 5, 6):
+        subsets = list(combinations(range(1, 7), q))
+        code, out, err = run_quiet(["deps", SELBERG, "--degree", str(q)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "Dep_%d: %s" % (q, " ".join("{%s}" % ",".join(map(str, S)) for S in subsets)),
+            "Dep*_%d: (none)" % q]
+        code, out, err = run_quiet(["deps", SELBERG, "--degree", str(q), "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dep"] == {str(q): [list(S) for S in subsets]}
+        assert json.loads(out)["dep_star"] == {str(q): []}
 
 
 def test_resonance_refuses_a_bad_degree_before_printing():

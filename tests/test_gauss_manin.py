@@ -438,6 +438,37 @@ def test_induce_on_type_runs_no_elimination(monkeypatch):
         induce_on_type(broken, t)
 
 
+@pytest.mark.parametrize("shape", ["selberg", "generic-7-3", "pencil-8-2"])
+def test_induce_on_type_multiplies_w_by_p_once_per_degree(shape, monkeypatch):
+    # row i of W P is row i of W times P, so the induced map is read off
+    # the one product the descent check needs: the products whose left
+    # factor holds rows of W are counted, and there is one per degree
+    import osgm.gauss_manin
+
+    t, e = {
+        "selberg": lambda: (selberg_type(), omega_tilde_sum((3, 4, 5), 1, 5, 2)),
+        "generic-7-3": lambda: (generic_type(7, 3), omega_tilde_sum((1, 2, 6, 7), 1, 7, 3)),
+        "pencil-8-2": lambda: (
+            CombinatorialType.from_arrangement(pencil_realization(8, 2, (1, 2, 4, 5), 2)),
+            omega_tilde_sum((1, 2, 4, 5), 2, 8, 2)),
+    }[shape]()
+    expected = dense_induce_on_type(e.mats, t)
+    w_rows = {id(row) for m in e.rows for row in m}
+    left = []
+    real = osgm.gauss_manin.form_matmul
+
+    def counting(a, b):
+        if a and all(id(row) in w_rows for row in a):
+            left.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(osgm.gauss_manin, "form_matmul", counting)
+    ind = induce_on_type(e, t)
+    assert len(left) == t.ell + 1
+    assert all(a is m for a, m in zip(left, e.rows))
+    assert ind.mats == expected
+
+
 # ---- action on cohomology ---------------------------------------------------
 
 
