@@ -8,8 +8,8 @@ column col (see `osgm.linalg`): row T holds reduce(e_j e_T) at the keys
 (col, j), one j at a time, so no two variables ever meet in one sum.
 Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
-`os_cohomology` specializes each differential straight to int rows over
-the weights' common denominator and eliminates it once.
+`os_cohomology` specializes each differential straight to int rows at the
+weights' int point N = D * lam (`Weights.nums`) and eliminates it once.
 """
 
 from fractions import Fraction
@@ -21,7 +21,9 @@ from .poly import dense_forms, parse_rational
 
 
 class Weights:
-    """Rational weight per hyperplane; index n+1 carries minus their sum."""
+    """Rational weight per hyperplane; index n+1 carries minus their sum.
+    `d` is their common denominator D and `nums` the int point N = D * lam
+    at which every map is specialized."""
 
     def __init__(self, values):
         vals = []
@@ -39,6 +41,8 @@ class Weights:
             except (TypeError, ValueError, OverflowError) as e:
                 raise ValueError("weight %d is not a rational number: %r" % (i, x)) from e
         self.values = tuple(vals)
+        self.d, nums = clear_denominators(vals)
+        self.nums = tuple(nums)
 
     @property
     def n(self):
@@ -157,7 +161,6 @@ def os_cohomology(t, lam):
     not compose to zero is refused.
     """
     c = build_aomoto(t)
-    d, nums = clear_denominators(lam.values)
     dims, reps, rep_pivots, cobound, cob_pivots = [], [], [], [], []
     cob_rows, cob_piv = [], []
     for q in range(t.ell + 1):
@@ -166,7 +169,7 @@ def os_cohomology(t, lam):
         taken = set(cob_piv)
         if q < t.ell:
             img, img_piv, closed, closed_piv = image_and_kernel(
-                evaluate_int(c.rows[q], nums, t.n), d)
+                evaluate_int(c.rows[q], lam.nums, t.n), lam.d)
             if not taken <= set(closed_piv):
                 raise ValueError("the differentials entering and leaving degree %d "
                                  "do not compose to zero" % q)
@@ -212,8 +215,7 @@ def weights_nonresonant(t, lam):
     nonnegative integer.  Over the weights' common denominator D, with
     N = D * lam, the sum over S is s / D for the int s = sum of N_j over S,
     and it is a nonnegative integer exactly when s >= 0 and D divides s."""
-    d, nums = clear_denominators(lam.values)
-    nums.append(-sum(nums))
+    d, nums = lam.d, lam.nums + (-sum(lam.nums),)
     for S in nonresonance_conditions(t):
         s = sum(nums[j - 1] for j in S)
         if s >= 0 and s % d == 0:

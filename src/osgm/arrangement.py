@@ -36,10 +36,10 @@ from .poly import parse_rational, format_rational
 
 
 def _whole_number(data, key):
-    """data[key] as an int; booleans and fractional floats are refused
-    rather than read as 1, 0 or truncated."""
+    """data[key] as an int: booleans, strings and fractional floats are
+    refused rather than read as 1, 0, parsed or truncated."""
     x = data[key]
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+    if type(x) is not int and not (type(x) is float and x.is_integer()):
         raise ValueError("%s must be an integer, not %r" % (key, x))
     return int(x)
 
@@ -81,7 +81,7 @@ class Arrangement:
             ell = _whole_number(data, "ell")
             n = _whole_number(data, "n")
             raw = data["rows"]
-        except (KeyError, TypeError, OverflowError) as e:
+        except (KeyError, TypeError) as e:
             raise ValueError("arrangement file needs ell, n and rows") from e
         if ell < 1:
             raise ValueError("ell must be at least 1")

@@ -33,8 +33,7 @@ from .arrangement import (
     pencil_profile,
     pencil_starred,
 )
-from .linalg import (add_scaled, clear_denominators, evaluate_int, evaluate_rows,
-                     form_matmul, matmul, rank)
+from .linalg import add_scaled, evaluate_int, form_matmul, matmul, rank
 from .orlik_solomon import insertions, projection_matrix, wedge
 from .poly import LinearForm, dense_forms, format_rational
 
@@ -163,8 +162,10 @@ class ChainEndomorphism:
     Each degree is kept as sparse int rows, rows[q][i] = {(col, j): c},
     the nonzero coefficient c of y_j at column col, so building, summing,
     checking and specializing cost in proportion to the nonzeros and run
-    in int arithmetic.  `mats` is the dense view of linear forms, built on
-    demand for printing.
+    in int arithmetic: `evaluate_int` specializes a degree at the weights'
+    int point N = D * lam, and only `gm_endomorphism` divides by D, in the
+    entries of its images.  `mats` is the dense view of linear forms, built
+    on demand for printing.
 
     Instances are treated as immutable once built; sums and induced maps
     always allocate fresh rows.
@@ -195,11 +196,6 @@ class ChainEndomorphism:
             if form_matmul(self.rows[q], d) != form_matmul(d, self.rows[q + 1]):
                 raise ValueError("matrices do not commute with the differential "
                                  "in degree %d" % q)
-
-    def specialize(self, lam, q):
-        """Degree q at a concrete weight vector, as sparse rows of
-        Fractions; only the stored entries are evaluated."""
-        return evaluate_rows(self.rows[q], lam.values, self.cx.t.n)
 
 
 def _boundary_terms(S):
@@ -382,14 +378,16 @@ def gm_endomorphism(e, lam, q, h=None):
 
     Rows give the image of each cohomology class in the class basis; pass a
     precomputed cohomology object to avoid recomputing it per degree.
+    The map is evaluated over int at N = D * lam, so each image is D times
+    the image at lam; its entries are divided by D, as Fractions.
     """
     if not 0 <= q < len(e.rows):
         raise ValueError("degree %d out of range 0..%d" % (q, len(e.rows) - 1))
     if h is None:
         h = os_cohomology(e.cx.t, lam)
     out = []
-    for img in matmul(h.reps[q], e.specialize(lam, q)):
-        coords = h.class_coords(q, img)
+    for img in matmul(h.reps[q], evaluate_int(e.rows[q], lam.nums, e.cx.t.n)):
+        coords = h.class_coords(q, {j: Fraction(v, lam.d) for j, v in img.items()})
         if coords is None:
             raise NotCovered("image of a closed class is not closed in degree %d" % q)
         out.append(coords)
@@ -503,12 +501,11 @@ def spectrum_report(e, S, r, lam):
             "message": "spectrum theorem inapplicable: lambda_S = 0",
             "degrees": [],
         }
-    d, nums = clear_denominators(lam.values)
-    s = lam_s.numerator * (d // lam_s.denominator)
+    s = lam_s.numerator * (lam.d // lam_s.denominator)
     degrees = []
     for q in range(len(e.rows)):
         d0, ds = eigenspace_dims(n, len(S), r, q)
-        m = evaluate_int(e.rows[q], nums, n)
+        m = evaluate_int(e.rows[q], lam.nums, n)
         ok = not any(_square_defect(m, [{i: s} for i in range(len(m))], matmul))
         if ok:
             rk = rank(m)

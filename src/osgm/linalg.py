@@ -18,9 +18,10 @@ j <= k, the coefficient of y_j y_k: each entry is a quadratic form, zero
 exactly when all its coefficients are, so comparing the rows compares the
 products exactly.  Times an int matrix on the right the keys stay
 (col, j); times one on the left it is a plain `matmul`.  Specializing
-clears the weights' denominators once (`clear_denominators`):
-`evaluate_int` evaluates at the int point N = D * lam, and `evaluate_rows`
-divides by D.  Nothing here is numerical, modular or probabilistic.
+has one route: a weight vector clears its denominators once
+(`clear_denominators`, in `aomoto.Weights`) and `evaluate_int` evaluates
+at the int point N = D * lam, so a specialized map is D times its value
+at lam, in int.  Nothing here is numerical, modular or probabilistic.
 """
 
 from fractions import Fraction
@@ -251,6 +252,8 @@ def evaluate_int(rows, nums, nvars):
     the point nums, as sparse rows {col: value}; zero values are dropped.
     An entry takes the value sum c_j nums_j, an int for int coefficients
     and int nums."""
+    if not any(rows):
+        return [{} for _ in rows]  # a zero map, as induced maps often are
     if len(nums) != nvars:
         raise ValueError("expected %d values, got %d" % (nvars, len(nums)))
     point = (0,) + tuple(nums)
@@ -261,16 +264,3 @@ def evaluate_int(rows, nums, nvars):
             vals[col] = vals.get(col, 0) + c * point[j]
         out.append({col: v for col, v in vals.items() if v})
     return out
-
-
-def evaluate_rows(rows, lam, nvars):
-    """Specialize sparse rows of linear forms in nvars variables at a
-    rational weight vector, as sparse rows of Fractions.  With N = D * lam
-    over the common denominator D, an entry takes the value
-    (sum c_j N_j) / D: `evaluate_int` sums at N, and each nonzero sum is
-    divided by D once."""
-    if not any(rows):
-        return [{} for _ in rows]  # a zero map, as induced maps often are
-    d, nums = clear_denominators(lam)
-    return [{j: Fraction(v, d) for j, v in row.items()}
-            for row in evaluate_int(rows, nums, nvars)]

@@ -608,14 +608,29 @@ def class_coords_by_solving(h, q, vec):
     return solve_row_combination(h.reps[q], echelon_reduce(vec, rows, pivots))
 
 
+def rows_at(rows, lam, nvars):
+    """Sparse rows of linear forms keyed (col, j) at the Fraction point
+    lam, entry by entry through `form_value`, as sparse rows of Fractions."""
+    return [{col: v for col, f in row.items() if (v := form_value(f, lam))}
+            for row in form_rows(rows, nvars)]
+
+
+def gm_by_solving(e, lam, q, h):
+    """`gm_endomorphism` by the dense route: degree q of e specialized
+    entry by entry at lam, each representative of h times it, and the
+    class coordinates of each image from `class_coords_by_solving`."""
+    zero = Fraction(0)
+    m = mat_evaluate(e.mats[q], lam.values)
+    images = dense_product(dense(h.reps[q], len(m), zero), m, zero)
+    return [class_coords_by_solving(h, q, sparse_vector(img)) for img in images]
+
+
 def boundary_at(cx, lam, q):
     """The differential of the complex cx leaving degree q at the weights
     lam, as sparse rows of Fractions (empty rows at the top)."""
-    from osgm.linalg import evaluate_rows
-
     if q >= len(cx.rows):
         return [{} for _ in cx.bases[q]]
-    return evaluate_rows(cx.rows[q], lam.values, cx.t.n)
+    return rows_at(cx.rows[q], lam.values, cx.t.n)
 
 
 def cohomology_by_two_eliminations(t, lam):

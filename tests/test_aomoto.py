@@ -14,7 +14,7 @@ from osgm.aomoto import (
     nonresonance_conditions,
     weights_nonresonant,
 )
-from osgm.linalg import clear_denominators, evaluate_rows, form_matmul, matmul
+from osgm.linalg import form_matmul, matmul
 from oracles import (
     Form,
     dense,
@@ -26,6 +26,7 @@ from oracles import (
     dense_product,
     frac_rank,
     mat_evaluate,
+    rows_at,
     sparse,
     sparse_vector,
     weights_nonresonant_by_subset_sums,
@@ -60,6 +61,11 @@ def test_weights():
     assert lam.subset_sum((3, 4, 5)) == Fraction(167, 385)
     with pytest.raises(ValueError):
         lam[7]
+    # the int point N = D * lam at which every map is specialized
+    assert (lam.d, lam.nums) == (2310, (1155, 770, 462, 330, 210))
+    mixed = Weights([3, "-1/4", 0])
+    assert (mixed.d, mixed.nums) == (4, (12, -1, 0))
+    assert all(type(v) is int for v in lam.nums + mixed.nums)
     with pytest.raises(ValueError, match="^weight 2: zero denominator"):
         Weights(["1/2", "1/0"])
     with pytest.raises(ValueError, match="^weight 1: not a rational literal: 'x'"):
@@ -249,7 +255,7 @@ def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
 
     t = _coord_type("four-fold-8-2")
     lam = Weights(_COORD_CASES[5][1])
-    d = clear_denominators(lam.values)[0]
+    d = lam.d
     assert d > 1
     c = build_aomoto(t)
     eliminated = []
@@ -259,7 +265,7 @@ def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
     os_cohomology(t, lam)
     assert len(eliminated) == t.ell
     for q, x in enumerate(eliminated):
-        m = evaluate_rows(c.rows[q], lam.values, t.n)
+        m = rows_at(c.rows[q], lam.values, t.n)
         width = 1 + max(max(row) for row in m if row)
         assert x == [{**{j: d * v for j, v in row.items()}, width + i: d}
                      for i, row in enumerate(m)]

@@ -265,7 +265,7 @@ def test_non_integer_ell_and_n_exit_2_naming_the_field(tmp_path, capsys):
     selberg = json.loads(Path(SELBERG).read_text())
     bad = tmp_path / "bad.json"
     for key, value in [("ell", 2.9), ("ell", True), ("n", 5.5), ("n", False),
-                       ("ell", float("nan"))]:
+                       ("ell", float("nan")), ("ell", "2"), ("n", "x")]:
         bad.write_text(json.dumps(dict(selberg, **{key: value})))
         code, out, err = run(capsys, "betti", str(bad))
         assert code == 2 and out == ""

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
+from osgm.arrangement import (Arrangement, CombinatorialType, generic_type, pencil_realization,
+                              read_json)
 from osgm.aomoto import AomotoComplex, Weights, build_aomoto, os_cohomology, weights_nonresonant
 from osgm.gauss_manin import (
     ChainEndomorphism,
@@ -25,7 +27,7 @@ from osgm.gauss_manin import (
     spectrum_check,
     spectrum_report,
 )
-from osgm.linalg import clear_denominators, evaluate_int, rank
+from osgm.linalg import evaluate_int, rank
 from oracles import (
     Form,
     Quadratic,
@@ -42,12 +44,14 @@ from oracles import (
     dense_spectrum_check,
     dense_weighted_sum,
     frac_rank,
+    gm_by_solving,
     identity_matrix,
     induce_by_forms,
     lift,
     mat_evaluate,
     omega_tilde_by_conjugation,
     principal_dependence_by_walk,
+    rows_at,
     sigma_for,
     sparse,
     sparse_rows,
@@ -525,13 +529,44 @@ def test_gm_endomorphism_zero_weights():
         assert gm_endomorphism(ind, lam, q, h=h) == expected
 
 
+def _gm_case(name):
+    """(type, pencil S, r, weights) of a GM case, with the golden-file
+    weights where a golden case runs the same pencil."""
+    if name == "four-fold-8-2":
+        path = Path(__file__).parent / "golden" / "inputs" / "four-fold-8-2.json"
+        t = CombinatorialType.from_arrangement(Arrangement.from_json(read_json(path)))
+        return t, (1, 2, 3, 4), 2, ["1/999961", "1/999979", "1/999983", "1/1000003",
+                                    "1/1000033", "1/1000037", "1/1000039", "1/1000081"]
+    if name == "generic-7-3":
+        return generic_type(7, 3), (1, 5, 6, 7), 1, ["1/2", "1/3", "1/5", "1/7", "1/11",
+                                                     "-1/13", "2/17"]
+    return selberg_type(), (3, 4, 5), 1, NONRES if name == "selberg-nonres" else RES
+
+
+@pytest.mark.parametrize("name", ["four-fold-8-2", "selberg-nonres", "selberg-res",
+                                  "generic-7-3"])
+def test_gm_matrices_are_fractions_and_match_the_dense_route(name):
+    # top-degree representatives are int unit rows, so an image can reach
+    # class_coords as ints; every entry must still come out a Fraction
+    t, S, r, weights = _gm_case(name)
+    e = induce_on_type(omega_tilde_sum(S, r, t.n, t.ell), t)
+    if name == "four-fold-8-2":
+        assert not any(any(rows) for rows in e.rows)
+    lam = Weights(weights)
+    h = os_cohomology(t, lam)
+    for q in range(t.ell + 1):
+        got = gm_endomorphism(e, lam, q, h=h)
+        assert got == gm_by_solving(e, lam, q, h)
+        assert all(type(c) is Fraction for row in got for c in row)
+
+
 def test_gm_classes_are_representative_independent():
     t = selberg_type()
     ind = induce_on_type(omega_tilde_sum((3, 4, 5), 1, 5, 2), t)
     lam = Weights(NONRES)
     h = os_cohomology(t, lam)
     cx = build_aomoto(t)
-    w2 = dense(ind.specialize(lam, 2), 6, Fraction(0))
+    w2 = dense(rows_at(ind.rows[2], lam.values, 5), 6, Fraction(0))
     d1 = dense(boundary_at(cx, lam, 1), 6, Fraction(0))
     rng = random.Random(5)
     for z in dense(h.reps[2], 6, Fraction(0)):
@@ -613,7 +648,7 @@ def test_eigenspace_dims_match_specialized_ranks():
     for q in range(3):
         d0, ds = eigenspace_dims(5, 3, 1, q)
         size = comb(5, q)
-        m = dense(e.specialize(lam, q), size, Fraction(0))
+        m = dense(rows_at(e.rows[q], lam.values, 5), size, Fraction(0))
         assert rank(sparse(m)) == ds
         shifted = [[m[i][j] - (lam_s if i == j else 0) for j in range(size)]
                    for i in range(size)]
@@ -954,23 +989,20 @@ def test_library_coefficients_are_ints():
 
 
 def test_specialize_matches_the_dense_route():
+    # the library's one route: int rows at N = D * lam, D times the values
     t = selberg_type()
     lam = Weights(NONRES)
-    for e in (omega_tilde_sum((3, 4, 5), 1, 5, 2),
-              induce_on_type(omega_tilde_sum((3, 4, 5), 1, 5, 2), t)):
-        for q, m in enumerate(e.mats):
-            values = dense(e.specialize(lam, q), len(m), Fraction(0))
-            assert values == mat_evaluate(m, lam.values)
-            assert all(type(c) is Fraction for row in values for c in row)
     cx = build_aomoto(t)
-    d, nums = clear_denominators(lam.values)
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    ind = induce_on_type(e, t)
+    for rows, mats in ((e.rows, e.mats), (ind.rows, ind.mats), (cx.rows, cx.boundary)):
+        for r, m in zip(rows, mats):
+            values = mat_evaluate(m, lam.values)
+            ints = evaluate_int(r, lam.nums, t.n)
+            assert ints == sparse([[lam.d * x for x in row] for row in values])
+            assert all(type(c) is int for row in ints for c in row.values())
     for q, m in enumerate(cx.boundary):
-        values = mat_evaluate(m, lam.values)
-        assert boundary_at(cx, lam, q) == sparse(values)
-        # os_cohomology's route: int rows at N = D * lam, D times the values
-        ints = evaluate_int(cx.rows[q], nums, t.n)
-        assert ints == sparse([[d * x for x in row] for row in values])
-        assert all(type(c) is int for row in ints for c in row.values())
+        assert boundary_at(cx, lam, q) == sparse(mat_evaluate(m, lam.values))
 
 
 def test_library_route_builds_no_dense_view(monkeypatch):

@@ -37,3 +37,19 @@ def test_demo_output(demo):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (HERE / "demos" / (demo.stem + ".out")).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["gm-pencil-nonres-json", "gm-pair-nonres-json"])
+def test_benchmark_tracer_runs_a_golden_case(name, tmp_path):
+    # perfbench/child.py wraps osgm functions by name and reads the dense
+    # .mats/.boundary views; a target renamed or deleted fails here
+    case = next(c for c in CASES if c["name"] == name)
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
+                           "cli", "0", str(trace), "--", *case["argv"]],
+                          cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == case["exit"] == 0, proc.stderr.decode()
+    assert proc.stdout == (HERE / (name + ".out")).read_bytes()
+    names = {span[3] for span in json.loads(trace.read_text())["spans"]}
+    assert {"cli.main", "gauss_manin.gm_endomorphism"} <= names

@@ -13,7 +13,7 @@ from osgm.linalg import (
     rref,
     image_and_kernel,
     echelon_reduce,
-    evaluate_rows,
+    evaluate_int,
     solve_row_combination,
     form_matmul,
     matmul,
@@ -451,7 +451,7 @@ _large_primes = [1009, 999983, 1000003, 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 9 + 7]
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_evaluate_rows_matches_entrywise_evaluation(data):
+def test_evaluate_int_matches_entrywise_evaluation(data):
     nvars = data.draw(st.integers(1, 6))
     coeffs = data.draw(st.sampled_from([
         st.integers(-10 ** 12, 10 ** 12),
@@ -478,19 +478,24 @@ def test_evaluate_rows_matches_entrywise_evaluation(data):
             if f:
                 row[j] = f
         rows.append(row)
-    expected = [{j: v for j, f in row.items() if (v := form_value(f, lam))} for row in rows]
-    got = evaluate_rows(key_rows(rows), tuple(lam), nvars)
+    # at N = D * lam every value is D times the value at lam, as an int
+    d, nums = clear_denominators(lam)
+    expected = [{j: d * v for j, f in row.items() if (v := form_value(f, lam))}
+                for row in rows]
+    got = evaluate_int(key_rows(rows), nums, nvars)
     assert got == expected
-    assert all(type(v) is Fraction for row in got for v in row.values())
+    # int coefficients, as every library matrix has, give int values
+    if all(type(c) is int for row in rows for f in row.values() for c in f.terms.values()):
+        assert all(type(v) is int for row in got for v in row.values())
 
 
-def test_evaluate_rows_refuses_a_weight_vector_of_the_wrong_length():
+def test_evaluate_int_refuses_a_weight_vector_of_the_wrong_length():
     rows = [{0: Form(3, {1: 1, 3: -2})}]
-    for lam in ([Fraction(1), Fraction(2)], [Fraction(1)] * 4):
+    for nums in ([1, 2], [1] * 4):
         with pytest.raises(ValueError) as exc:
-            form_value(rows[0][0], lam)
+            form_value(rows[0][0], nums)
         with pytest.raises(ValueError, match=re.escape(str(exc.value))):
-            evaluate_rows(key_rows(rows), lam, 3)
+            evaluate_int(key_rows(rows), nums, 3)
     assert str(exc.value) == "expected 3 values, got 4"
     # no stored entry, nothing to evaluate
-    assert evaluate_rows([{}], [Fraction(1)], 3) == [{}]
+    assert evaluate_int([{}], [1], 3) == [{}]
