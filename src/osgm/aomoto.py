@@ -58,9 +58,6 @@ class Weights:
     def subset_sum(self, S):
         return sum((self[j] for j in S), Fraction(0))
 
-    def __eq__(self, other):
-        return isinstance(other, Weights) and self.values == other.values
-
     def to_json(self):
         return [str(v) for v in self.values]
 
@@ -70,8 +67,7 @@ class AomotoComplex:
 
     The differential leaving degree q is kept as sparse int rows:
     rows[q][i] maps (k, j) to the nonzero coefficient of y_j in row i,
-    column k of degree q+1.  `boundary` is the dense view of linear forms,
-    built on demand for printing.
+    column k of degree q+1.  `boundary` is the dense view.
     """
 
     def __init__(self, t, bases, rows):
@@ -81,7 +77,9 @@ class AomotoComplex:
 
     @property
     def boundary(self):
-        """Dense |nbc_q| x |nbc_{q+1}| matrices of linear forms, per degree."""
+        """Dense |nbc_q| x |nbc_{q+1}| matrices of linear forms, per degree:
+        a view built on demand for the demos, the tests and the benchmark's
+        tracer; the command line prints from `rows`."""
         return [dense_forms(r, len(self.bases[q + 1]), self.t.n)
                 for q, r in enumerate(self.rows)]
 

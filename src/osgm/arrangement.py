@@ -155,14 +155,15 @@ class CombinatorialType:
 
         Each module fills the keys of the data it owns.  Values are shared:
         callers treat them as read-only, except memo tables built empty.
+        Every key holds data of the combinatorics alone (starred sets,
+        circuits, reductions, the Aomoto complex), so equal types may share
+        one store: a realized type with no dependent set up to size ell+1
+        is generic, its affine-empty sets are the (ell+1)-sets, and it uses
+        `generic_type`'s store.
         """
         if key not in self._store:
             self._store[key] = build(self)
         return self._store[key]
-
-    @property
-    def backed_by_realization(self):
-        return self.realization is not None
 
     def _validate(self):
         universe = range(1, self.n + 2)
@@ -207,7 +208,10 @@ class CombinatorialType:
                     dep[size + 1].append(S + (n + 1,))
                 if r_inf == r:
                     empty.append(S)
-        return cls(n, ell, dep, empty, realization=a)
+        t = cls(n, ell, dep, empty, realization=a)
+        if not any(t.dep.values()):  # the generic type; see `derived`
+            t._store = generic_type(n, ell)._store
+        return t
 
     def is_dependent(self, S):
         S = tuple(sorted(S))
@@ -218,20 +222,6 @@ class CombinatorialType:
     def has_empty_intersection(self, S):
         """Affine-intersection test for S a subset of [n], |S| <= ell."""
         return tuple(sorted(S)) in self._empty_set
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "dep": {str(q): [list(S) for S in fam] for q, fam in self.dep.items()},
-            "affine_empty": [list(S) for S in self.affine_empty],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        dep = {int(q): [tuple(S) for S in fam] for q, fam in data["dep"].items()}
-        empty = [tuple(S) for S in data["affine_empty"]]
-        return cls(data["n"], data["ell"], dep, empty)
 
 
 @cache
@@ -350,41 +340,3 @@ def multiplicity_pencil(K, S, r, ell, n):
     if not set(K) <= set(range(1, n + 2)):
         raise ValueError("K must be a subset of [n+1]")
     return len(K) - pencil_rank(K, S, r, ell)
-
-
-def pencil_realization(n, ell, S, r):
-    """Explicit rational arrangement of the pencil type on (S, r).
-
-    Hyperplane j gets the moment row (1, t_j, ..., t_j^ell) at node t_j = j;
-    members of S are replaced by combinations (1, t_j, ..., t_j^(r-1)) of r
-    fixed moment rows, so any r of them are independent and everything else
-    stays generic.  The infinity row is the moment row at node 0, which is
-    why a pencil containing n+1 forces node 0 into the pencil's row space
-    and needs r >= 2 to keep the members honest affine hyperplanes.
-    """
-    S = tuple(sorted(S))
-    check_pencil_rank(S, r, ell)
-    if not set(S) <= set(range(1, n + 2)):
-        raise ValueError("S must be a subset of [n+1]")
-    if n + 1 in S and r == 1:
-        raise ValueError("a rank-1 pencil through infinity is not an affine arrangement")
-
-    def moment(t, width):
-        return [Fraction(t) ** k for k in range(width)]
-
-    # base rows of the pencil's subspace; node 0 is included exactly when
-    # the infinity hyperplane belongs to the pencil
-    base_nodes = ([0] if n + 1 in S else [n + 1]) + [n + 1 + k for k in range(1, r)]
-    base = [moment(c, ell + 1) for c in base_nodes]
-    rows = []
-    for j in range(1, n + 1):
-        if j in S:
-            w = moment(j, r)
-            row = [sum(w[k] * base[k][c] for k in range(r)) for c in range(ell + 1)]
-        else:
-            row = moment(j, ell + 1)
-        rows.append(tuple(row))
-    # built directly: the witness matrix for a pencil type need not be
-    # essential (e.g. every hyperplane in one rank-1 pencil), and the
-    # closed-form agreement test covers exactly those ranks
-    return Arrangement(ell, n, rows)

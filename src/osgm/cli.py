@@ -2,6 +2,9 @@
 
 Loads arrangement files, dispatches one operation, and prints either an
 aligned human-readable table or the JSON records the library defines.
+The matrices of `gm` and `aomoto` and the sets of `deps` are written in
+pieces straight from the library's sparse rows and generators, byte for
+byte as a dense table and `json.dumps(..., indent=2)` would print them.
 Exit codes: 0 on success, 1 when stdout is closed before the output is
 written, 2 for input/validation problems, 3 when a mathematical
 precondition fails and the library raises `NotCovered` (a map that does
@@ -12,7 +15,9 @@ import argparse
 import json
 import os
 import sys
-from itertools import combinations
+from collections.abc import Iterator
+from functools import cache
+from itertools import combinations, islice
 
 from .aomoto import (
     Weights,
@@ -33,7 +38,7 @@ from .gauss_manin import (
     spectrum_report,
 )
 from .orlik_solomon import betti_numbers, nbc_basis
-from .poly import format_rational
+from .poly import format_form, format_rational
 
 
 def _load_type(path):
@@ -67,23 +72,94 @@ def _fmt_set(S):
     return "{%s}" % ",".join(str(j) for j in S)
 
 
-def _fmt_table(rows):
-    cells = [[str(x) for x in row] for row in rows]
-    if not cells or not cells[0]:
+def _fmt_table(rows, ncols):
+    """Aligned lines of a matrix given as sparse rows {col: text}, "0" off
+    their support, each column as wide as its widest entry."""
+    if not rows or not ncols:
         return ["  (empty)"]
-    widths = [max(len(r[j]) for r in cells) for j in range(len(cells[0]))]
-    return [
-        "  [ " + "   ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
-        for row in cells
-    ]
+    widths = [max([1] + [len(row[k]) for row in rows if k in row]) for k in range(ncols)]
+    return ["  [ " + "   ".join(row.get(k, "0").rjust(w) for k, w in enumerate(widths)) + " ]"
+            for row in rows]
 
 
-def _form_matrix_json(m):
-    return [[entry.to_json() for entry in row] for row in m]
+def _form_cells(row):
+    """A sparse row keyed (col, j) as {col: {j: c}}, one form per column."""
+    cells = {}
+    for (col, j), c in row.items():
+        cells.setdefault(col, {})[j] = c
+    return cells
 
 
-def _rational_matrix_json(m):
-    return [[format_rational(c) for c in row] for row in m]
+def _form_texts(rows):
+    return [{col: format_form(f) for col, f in _form_cells(row).items()} for row in rows]
+
+
+# JSON pieces as `json.dumps(value, indent=2)` prints them: `pad` is the indent
+# of the line opening a list or dict; list items come rendered at pad + 2.
+
+def _joined(items, sep, head, tail, empty):
+    """Pieces of head + sep.join(items) + tail, or `empty` when there are
+    no items, joined a few thousand items at a time."""
+    items = iter(items)
+    batch = list(islice(items, 4096))
+    yield head + sep.join(batch) if batch else empty
+    while batch:
+        batch = list(islice(items, 4096))
+        yield sep + sep.join(batch) if batch else tail
+
+
+def _jlist(items, pad):
+    return _joined(items, ",\n", "[\n", "\n" + pad + "]", "[]")
+
+
+def _dumps(value, pad):
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _jdict(pairs, pad):
+    """A dict from (key, value) pairs; a value that is an iterator holds
+    pieces rendered at indent pad + 2, any other is dumped."""
+    sep = "{\n"
+    for key, value in pairs:
+        yield '%s%s  "%s": ' % (sep, pad, key)
+        yield from value if isinstance(value, Iterator) else [_dumps(value, pad + "  ")]
+        sep = ",\n"
+    yield "{}" if sep == "{\n" else "\n" + pad + "}"
+
+
+def _matrix_json(rows, pad):
+    """A matrix from its rows, each the list of its rendered entries."""
+    return _jlist((pad + "  " + "".join(_jlist(row, pad + "  ")) for row in rows), pad)
+
+
+def _forms_json(rows, ncols, nvars, pad):
+    """A matrix of forms from sparse rows keyed (col, j): each form is the
+    list of its terms {"coefficient", "exponents"}, by ascending j.  Every
+    zero form is one shared "[]" line, and each term is rendered once."""
+    cpad, tpad = pad + "    ", pad + "      "
+
+    @cache
+    def term(j, c):
+        expo = [int(k == j) for k in range(1, nvars + 1)]
+        return tpad + _dumps({"coefficient": format_rational(c), "exponents": expo}, tpad)
+
+    def cells(row):
+        out = [cpad + "[]"] * ncols
+        for col, f in _form_cells(row).items():
+            out[col] = cpad + "".join(_jlist([term(j, f[j]) for j in sorted(f)], cpad))
+        return out
+
+    return _matrix_json(map(cells, rows), pad)
+
+
+def _rationals_json(m, pad):
+    return _matrix_json((['%s    "%s"' % (pad, c) for c in row] for row in m), pad)
+
+
+def _sets_json(fam, q):
+    """A family of q-sets as the value of a key at indent 2."""
+    fmt = "      [\n" + ",\n".join(["        %d"] * q) + "\n      ]"
+    return _jlist((fmt % S for S in fam), "    ")
 
 
 def _fmt_os_element(elem):
@@ -117,24 +193,26 @@ def cmd_deps(args):
     star = dep_star(t)
     dep_qs = [args.degree] if args.degree is not None else sorted(t.dep)
     star_qs = [args.degree] if args.degree is not None else sorted(star)
-    # t.dep stops at ell+1: every larger subset of [n+1] is dependent
-    dep = {q: t.dep[q] if q in t.dep else list(combinations(range(1, t.n + 2), q))
+    # t.dep stops at ell+1; every larger subset of [n+1] is dependent, generated here
+    dep = {q: t.dep[q] if q in t.dep else combinations(range(1, t.n + 2), q)
            for q in dep_qs}
     if args.json:
-        print(json.dumps({
-            "n": t.n,
-            "ell": t.ell,
-            "dep": {str(q): [list(S) for S in dep[q]] for q in dep_qs},
-            "dep_star": {str(q): [list(S) for S in star.get(q, [])] for q in star_qs},
-        }, indent=2))
+        sys.stdout.writelines(_jdict([
+            ("n", t.n),
+            ("ell", t.ell),
+            ("dep", _jdict([(str(q), _sets_json(dep[q], q)) for q in dep_qs], "  ")),
+            ("dep_star", _jdict([(str(q), _sets_json(star.get(q, []), q))
+                                 for q in star_qs], "  ")),
+        ], ""))
+        print()
         return
     print("n = %d, ell = %d (index %d is the hyperplane at infinity)"
           % (t.n, t.ell, t.n + 1))
-    for q in dep_qs:
-        print("Dep_%d: %s" % (q, " ".join(_fmt_set(S) for S in dep[q]) or "(none)"))
-    for q in star_qs:
-        fam = star.get(q, [])
-        print("Dep*_%d: %s" % (q, " ".join(_fmt_set(S) for S in fam) or "(none)"))
+    for label, qs, fams in (("Dep", dep_qs, dep), ("Dep*", star_qs, star)):
+        for q in qs:
+            fmt, head = "{%s}" % ",".join(["%d"] * q), "%s_%d: " % (label, q)
+            sys.stdout.writelines(_joined((fmt % S for S in fams.get(q, [])), " ", head,
+                                          "\n", head + "(none)\n"))
 
 
 def cmd_betti(args):
@@ -171,19 +249,18 @@ def cmd_nbc(args):
 def cmd_aomoto(args):
     t = _load_type(args.file)
     cx = build_aomoto(t)
-    boundary = cx.boundary
+    widths = [len(b) for b in cx.bases]
     if args.json:
-        print(json.dumps({
-            "bases": {str(q): [list(T) for T in cx.bases[q]]
-                      for q in range(t.ell + 1)},
-            "boundary": {str(q): _form_matrix_json(boundary[q])
-                         for q in range(t.ell)},
-        }, indent=2))
+        sys.stdout.writelines(_jdict([
+            ("bases", {str(q): [list(T) for T in cx.bases[q]] for q in range(t.ell + 1)}),
+            ("boundary", _jdict([(str(q), _forms_json(cx.rows[q], widths[q + 1], t.n, "    "))
+                                 for q in range(t.ell)], "  ")),
+        ], ""))
+        print()
         return
     for q in range(t.ell):
-        print("boundary leaving degree %d (%dx%d):"
-              % (q, len(cx.bases[q]), len(cx.bases[q + 1])))
-        for line in _fmt_table(boundary[q]):
+        print("boundary leaving degree %d (%dx%d):" % (q, widths[q], widths[q + 1]))
+        for line in _fmt_table(_form_texts(cx.rows[q]), widths[q + 1]):
             print(line)
 
 
@@ -262,24 +339,23 @@ def cmd_gm(args):
     h = os_cohomology(t, lam)
     gm = {q: gm_endomorphism(ind, lam, q, h=h) for q in degrees}
     report = spectrum_report(e, S, r, lam)
-    mats = ind.mats
     if args.json:
-        print(json.dumps({
-            "S": list(S),
-            "r": r,
-            "omega": {str(q): _form_matrix_json(mats[q])
-                      for q in range(ell + 1)},
-            "weights": lam.to_json(),
-            "dims": h.dims,
-            "gm": {str(q): _rational_matrix_json(gm[q]) for q in degrees},
-            "spectrum": report,
-        }, indent=2))
+        sys.stdout.writelines(_jdict([
+            ("S", list(S)),
+            ("r", r),
+            ("omega", _jdict([(str(q), _forms_json(m, len(m), n, "    "))
+                              for q, m in enumerate(ind.rows)], "  ")),
+            ("weights", lam.to_json()),
+            ("dims", h.dims),
+            ("gm", _jdict([(str(q), _rationals_json(gm[q], "    ")) for q in degrees], "  ")),
+            ("spectrum", report),
+        ], ""))
+        print()
         return
     print("pencil (S, r): S = %s, r = %d" % (_fmt_set(S), r))
-    for q in range(ell + 1):
-        size = len(mats[q])
-        print("induced connection matrix, degree %d (%dx%d):" % (q, size, size))
-        for line in _fmt_table(mats[q]):
+    for q, m in enumerate(ind.rows):
+        print("induced connection matrix, degree %d (%dx%d):" % (q, len(m), len(m)))
+        for line in _fmt_table(_form_texts(m), len(m)):
             print(line)
     print("weights: %s" % ", ".join(lam.to_json()))
     print("cohomology dimensions: %s" % " ".join(str(d) for d in h.dims))
@@ -288,7 +364,8 @@ def cmd_gm(args):
             print("action on H^%d: zero-dimensional" % q)
             continue
         print("action on H^%d (%dx%d):" % (q, len(gm[q]), len(gm[q])))
-        for line in _fmt_table([[format_rational(c) for c in row] for row in gm[q]]):
+        texts = [{k: format_rational(c) for k, c in enumerate(row)} for row in gm[q]]
+        for line in _fmt_table(texts, len(gm[q])):
             print(line)
     _print_spectrum_lines(report)
 

@@ -137,22 +137,6 @@ class SigmaAction:
             if form_matmul(twisted, mats[p + 1]) != matmul(mats[p], cx.rows[p]):
                 raise AssertionError("relabeling fails to intertwine the differential")
 
-    def substitute(self, f):
-        """The LinearForm f with each y_j replaced by its image."""
-        acc = {}
-        for j, c in f.terms.items():
-            add_scaled(acc, self.subst[j], c)
-        return LinearForm._of(self.n, acc)
-
-    def subst_mat(self, m):
-        return [[self.substitute(c) for c in row] for row in m]
-
-    def inverse(self):
-        inv = [0] * (self.n + 1)
-        for i, m in enumerate(self.images, start=1):
-            inv[m - 1] = i
-        return SigmaAction(tuple(inv), self.n, self.ell, validate=False)
-
 
 class ChainEndomorphism:
     """Degreewise square matrices of linear forms in the weights that
@@ -164,8 +148,8 @@ class ChainEndomorphism:
     checking and specializing cost in proportion to the nonzeros and run
     in int arithmetic: `evaluate_int` specializes a degree at the weights'
     int point N = D * lam, and only `gm_endomorphism` divides by D, in the
-    entries of its images.  `mats` is the dense view of linear forms, built
-    on demand for printing.
+    entries of its images.  `checked` records whether the identity was
+    checked on construction; `mats` is the dense view.
 
     Instances are treated as immutable once built; sums and induced maps
     always allocate fresh rows.
@@ -184,10 +168,13 @@ class ChainEndomorphism:
                                  % (q, size, size))
         if validate:
             self._check_chain()
+        self.checked = validate
 
     @property
     def mats(self):
-        """Dense square matrices of linear forms, per degree."""
+        """Dense square matrices of linear forms, per degree: a view built on
+        demand for the demos, the tests and the benchmark's tracer; the
+        command line prints from `rows`."""
         return [dense_forms(m, len(m), self.cx.t.n) for m in self.rows]
 
     def _check_chain(self):
@@ -355,6 +342,10 @@ def induce_on_type(e, t):
     W P is row i of W times P, so M is read off the one product W P at the
     nbc rows.  P is an int matrix, so W P is a `form_matmul` and P M a plain
     `matmul`, both keyed (col, j).
+
+    M needs no chain check of its own when W had one: P is a chain map,
+    D_q P_{q+1} = P_q D'_q, so P_q (M_q D'_q - D'_q M_{q+1}) = W_q D_q P_{q+1}
+    - D_q W_{q+1} P_{q+1} = 0, and the nbc rows of P_q are the identity.
     """
     if (t.n, t.ell) != (e.cx.t.n, e.cx.t.ell):
         raise ValueError("type does not live on the endomorphism's (n, ell)")
@@ -370,7 +361,7 @@ def induce_on_type(e, t):
                 "not a valid covering datum: degree-%d relations "
                 "are not preserved" % q)
         rows.append(induced)
-    return ChainEndomorphism(cx, rows, validate=True)
+    return ChainEndomorphism(cx, rows, validate=not e.checked)
 
 
 def gm_endomorphism(e, lam, q, h=None):

@@ -1,4 +1,4 @@
-"""Linear forms in the weight variables, for printing and serializing.
+"""Linear forms in the weight variables, for printing.
 
 Every matrix entry osgm builds (an Aomoto boundary, a basic endomorphism,
 a pencil or pair sum, an induced map) is a form c_1 y_1 + ... + c_n y_n
@@ -10,11 +10,10 @@ as -(y_1 + ... + y_n), see LinearForm.subset_sum.
 
 The library does not compute with forms.  It keeps a matrix of them as
 sparse int rows keyed (col, j), the coefficient of y_j at column col (see
-`osgm.linalg`), and `dense_forms` turns such rows into the list-of-lists of
-`LinearForm`s that the command line prints.  A form stores {j: c} for its
-nonzero coefficients only, so equality is dict equality and `bool(f)`
-tests nonzero; printing and serialization list the terms by ascending
-variable index, each serialized with its exponent vector.
+`osgm.linalg`), and the command line prints from those rows with
+`format_form`; `dense_forms` gives the list-of-lists of `LinearForm`s the
+demos, the tests and the benchmark's tracer read.  A form stores {j: c}
+for its nonzero coefficients only, so equality is dict equality.
 """
 
 from fractions import Fraction
@@ -39,21 +38,27 @@ def format_rational(q):
     return str(q)
 
 
-def _exact(c):
-    """An int or Fraction as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
+def format_form(terms):
+    """The form with nonzero coefficients {j: c} as text, terms by
+    ascending j: "0", "y1", "-2*y3 + y4"."""
+    if not terms:
+        return "0"
+    parts = []
+    for j, c in sorted(terms.items()):
+        body = "y%d" % j if abs(c) == 1 else "%s*y%d" % (format_rational(abs(c)), j)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 class LinearForm:
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {j: _exact(Fraction(c)) for j, c in terms.items() if c} if terms else {}
-
     @classmethod
     def _of(cls, nvars, terms):
-        # trusted constructor: terms already exact (see _exact), all nonzero
+        # trusted constructor: terms all nonzero, an int whenever integral
         f = cls.__new__(cls)
         f.nvars = nvars
         f.terms = terms
@@ -64,13 +69,6 @@ class LinearForm:
     @classmethod
     def zero(cls, nvars):
         return cls._of(nvars, {})
-
-    @classmethod
-    def variable(cls, j, nvars):
-        """The variable y_j, 1-based, 1 <= j <= nvars."""
-        if not 1 <= j <= nvars:
-            raise ValueError("variable index %d out of range 1..%d" % (j, nvars))
-        return cls._of(nvars, {j: 1})
 
     @classmethod
     def subset_sum(cls, S, nvars):
@@ -96,26 +94,9 @@ class LinearForm:
     # ---- presentation ---------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for j, c in sorted(self.terms.items()):
-            body = "y%d" % j if abs(c) == 1 else "%s*y%d" % (format_rational(abs(c)), j)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_form(self.terms)
 
     __repr__ = __str__
-
-    def to_json(self):
-        out = []
-        for j, c in sorted(self.terms.items()):
-            expo = [0] * self.nvars
-            expo[j - 1] = 1
-            out.append({"coefficient": format_rational(c), "exponents": expo})
-        return out
 
 
 def dense_forms(rows, ncols, nvars):

@@ -49,6 +49,13 @@ K1009 = "1/1009,2/1009,3/1009,5/1009,7/1009,11/1009,13/1009,17/1009"
 P6 = "1/999961,1/999979,1/999983,1/1000003,1/1000033,1/1000037,1/1000039,1/1000081"
 # zero off S = {1,2,3,4} and summing to zero on it: resonant in degree 1
 RES4 = "1/1009,-1/1009,2/999983,-2/999983,0,0,0,0"
+# seven generic planes in C^3: a degree-3 block, and a rank-2 pencil whose
+# forms have coefficients other than +-1
+GEN73 = INPUTS + "generic-7-3.json"
+NONRES7 = "1/2,1/3,1/5,1/7,1/11,1/13,1/17"
+# pencil_realization(6, 3, (1,2,3,4), 2): four planes through one line,
+# every boundary rectangular
+PEN63 = INPUTS + "pencil-6-3.json"
 
 CASES = [
     ("deps", ["deps", SEL]),
@@ -124,6 +131,18 @@ CASES = [
     # every 4-subset of [6] is dependent when ell = 2
     ("deps-degree4", ["deps", SEL, "--degree", "4"]),
     ("deps-degree4-json", ["deps", SEL, "--degree", "4", "--json"]),
+    # H^1 vanishes at these weights: one "gm" key holding an empty matrix
+    ("gm-pencil-degree1-json",
+     ["gm", SEL, "--pencil", "3,4,5", "1", "--weights", NONRES, "--degree", "1", "--json"]),
+    ("gm-pencil-generic7-3",
+     ["gm", GEN73, "--pencil", "1,2,3,4", "2", "--weights", NONRES7]),
+    ("gm-pencil-generic7-3-json",
+     ["gm", GEN73, "--pencil", "1,2,3,4", "2", "--weights", NONRES7, "--json"]),
+    ("aomoto-pencil6-3", ["aomoto", PEN63]),
+    ("aomoto-pencil6-3-json", ["aomoto", PEN63, "--json"]),
+    # past ell+1 every set is dependent; the sets are generated, not stored
+    ("deps-generic8-degree5", ["deps", GEN8, "--degree", "5"]),
+    ("deps-generic8-degree5-json", ["deps", GEN8, "--degree", "5", "--json"]),
 ]
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import lcm
 
 from osgm.linalg import add_scaled, matmul, rank
-from osgm.poly import LinearForm
+from osgm.poly import LinearForm, format_rational
 
 
 # ---- linear and quadratic forms with arithmetic --------------------------------
@@ -35,11 +35,22 @@ def _add_terms(terms, pairs):
 
 
 class Form(LinearForm):
-    """A `LinearForm` with +, -, scalar multiples, the `Quadratic` product
-    of two forms, and substitution.  It equals the library form with the
-    same terms."""
+    """A `LinearForm` with a constructor that normalizes its coefficients,
+    +, -, scalar multiples, the `Quadratic` product of two forms, and
+    substitution.  It equals the library form with the same terms."""
 
     __slots__ = ()
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {j: _exact(Fraction(c)) for j, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def variable(cls, j, nvars):
+        """The variable y_j, 1-based, 1 <= j <= nvars."""
+        if not 1 <= j <= nvars:
+            raise ValueError("variable index %d out of range 1..%d" % (j, nvars))
+        return cls._of(nvars, {j: 1})
 
     def __add__(self, other):
         if not isinstance(other, LinearForm):
@@ -86,6 +97,16 @@ class Form(LinearForm):
             out = out + (lift(img) * c if img is not None else Form._of(self.nvars, {j: c}))
         return out
 
+    def to_json(self):
+        """The JSON record the command line prints for a form: one
+        {"coefficient", "exponents"} per term, by ascending variable index."""
+        out = []
+        for j, c in sorted(self.terms.items()):
+            expo = [0] * self.nvars
+            expo[j - 1] = 1
+            out.append({"coefficient": format_rational(c), "exponents": expo})
+        return out
+
 
 class Quadratic:
     """A quadratic form, sum of c y_j y_k over j <= k, stored as
@@ -117,6 +138,34 @@ def lift(x):
     if isinstance(x, LinearForm) and not isinstance(x, Form):
         return Form._of(x.nvars, dict(x.terms))
     return x
+
+
+# ---- the command line's former output route ------------------------------------
+# The command line prints matrices straight from sparse rows; these build the
+# dense JSON tree and table it printed before, as the route its output must
+# match byte for byte.
+
+
+def form_matrix_json(m):
+    """JSON tree of a dense matrix of forms."""
+    return [[lift(entry).to_json() for entry in row] for row in m]
+
+
+def rational_matrix_json(m):
+    return [[format_rational(c) for c in row] for row in m]
+
+
+def fmt_table(rows):
+    """Aligned lines of a dense matrix, each column as wide as its widest
+    entry."""
+    cells = [[str(x) for x in row] for row in rows]
+    if not cells or not cells[0]:
+        return ["  (empty)"]
+    widths = [max(len(r[j]) for r in cells) for j in range(len(cells[0]))]
+    return [
+        "  [ " + "   ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
+        for row in cells
+    ]
 
 
 def dense(rows, ncols, zero):
@@ -348,13 +397,29 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
         raise ValueError("sigma must carry 1..%d onto sorted S" % len(S))
     base = leading_set_omega(len(S), n, ell)
     act = SigmaAction(images, n, ell, validate=False)
-    inv = act.inverse()
+    inv = relabeling_inverse(act)
     zero = Form.zero(n)
     return [
-        dense_product(dense_product(inv.mats[p], lift(act.subst_mat(base[p])), zero),
+        dense_product(dense_product(inv.mats[p], [[relabel(act, c) for c in row]
+                                                  for row in base[p]], zero),
                       act.mats[p], zero)
         for p in range(ell + 1)
     ]
+
+
+def relabel(act, f):
+    """The form f with each y_j replaced by its image under the relabeling
+    `act` (a `SigmaAction`)."""
+    return lift(f).substitute({j: Form._of(act.n, dict(t)) for j, t in act.subst.items()})
+
+
+def relabeling_inverse(act):
+    from osgm.gauss_manin import SigmaAction
+
+    inv = [0] * (act.n + 1)
+    for i, m in enumerate(act.images, start=1):
+        inv[m - 1] = i
+    return SigmaAction(tuple(inv), act.n, act.ell, validate=False)
 
 
 def _integer_rows(rows):
@@ -427,6 +492,65 @@ def type_by_two_walks(a):
             elif q == a.ell + 1 or S + (a.n + 1,) in dependent:
                 empty.append(S)
     return CombinatorialType(a.n, a.ell, dep, empty, realization=a)
+
+
+def pencil_realization(n, ell, S, r):
+    """Explicit rational arrangement of the pencil type on (S, r), the
+    witness the tests build pencil types from.
+
+    Hyperplane j gets the moment row (1, t_j, ..., t_j^ell) at node t_j = j;
+    members of S are replaced by combinations (1, t_j, ..., t_j^(r-1)) of r
+    fixed moment rows, so any r of them are independent and everything else
+    stays generic.  The infinity row is the moment row at node 0, which is
+    why a pencil containing n+1 forces node 0 into the pencil's row space
+    and needs r >= 2 to keep the members honest affine hyperplanes.
+    """
+    from osgm.arrangement import Arrangement, check_pencil_rank
+
+    S = tuple(sorted(S))
+    check_pencil_rank(S, r, ell)
+    if not set(S) <= set(range(1, n + 2)):
+        raise ValueError("S must be a subset of [n+1]")
+    if n + 1 in S and r == 1:
+        raise ValueError("a rank-1 pencil through infinity is not an affine arrangement")
+
+    def moment(t, width):
+        return [Fraction(t) ** k for k in range(width)]
+
+    # base rows of the pencil's subspace; node 0 is included exactly when
+    # the infinity hyperplane belongs to the pencil
+    base_nodes = ([0] if n + 1 in S else [n + 1]) + [n + 1 + k for k in range(1, r)]
+    base = [moment(c, ell + 1) for c in base_nodes]
+    rows = []
+    for j in range(1, n + 1):
+        if j in S:
+            w = moment(j, r)
+            row = [sum(w[k] * base[k][c] for k in range(r)) for c in range(ell + 1)]
+        else:
+            row = moment(j, ell + 1)
+        rows.append(tuple(row))
+    # built directly: the witness matrix for a pencil type need not be
+    # essential (e.g. every hyperplane in one rank-1 pencil), and the
+    # closed-form agreement test covers exactly those ranks
+    return Arrangement(ell, n, rows)
+
+
+def type_to_json(t):
+    """A combinatorial type as a JSON record, and back."""
+    return {
+        "n": t.n,
+        "ell": t.ell,
+        "dep": {str(q): [list(S) for S in fam] for q, fam in t.dep.items()},
+        "affine_empty": [list(S) for S in t.affine_empty],
+    }
+
+
+def type_from_json(data):
+    from osgm.arrangement import CombinatorialType
+
+    dep = {int(q): [tuple(S) for S in fam] for q, fam in data["dep"].items()}
+    empty = [tuple(S) for S in data["affine_empty"]]
+    return CombinatorialType(data["n"], data["ell"], dep, empty)
 
 
 def generic_type_by_rank(n, ell):

@@ -7,8 +7,8 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
-from oracles import Form
+from osgm.arrangement import Arrangement, CombinatorialType, generic_type
+from oracles import Form, pencil_realization, type_from_json
 
 
 def _moment(t, width):
@@ -132,9 +132,9 @@ def _seed_sets(draw, n, ell, max_size):
 
 
 def _asserted_type(n, ell, seeds, empty):
-    """A user-asserted type read through `CombinatorialType.from_json`."""
+    """A user-asserted type read from its JSON record."""
     dep = upward_closure(n, ell, seeds)
-    return CombinatorialType.from_json({
+    return type_from_json({
         "n": n, "ell": ell,
         "dep": {str(q): [list(K) for K in sorted(fam)] for q, fam in dep.items()},
         "affine_empty": [list(S) for S in empty],
@@ -209,7 +209,7 @@ def infinity_pencil_pairs(draw):
 def realized_type_pairs():
     """The pairs of `type_pairs` built from realizations, and pencils
     through infinity."""
-    return st.one_of(type_pairs().filter(lambda pair: pair[0].backed_by_realization),
+    return st.one_of(type_pairs().filter(lambda pair: pair[0].realization is not None),
                      infinity_pencil_pairs())
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osgm.arrangement import Arrangement, CombinatorialType, generic_type, pencil_realization
+from osgm.arrangement import Arrangement, CombinatorialType, generic_type
 from osgm.orlik_solomon import betti_numbers, nbc_basis
 from osgm.aomoto import (
     Weights,
@@ -17,6 +17,7 @@ from osgm.aomoto import (
 from osgm.linalg import form_matmul, matmul
 from oracles import (
     Form,
+    pencil_realization,
     dense,
     form_rows,
     boundary_at,
@@ -494,6 +495,19 @@ def test_build_aomoto_is_built_once_per_type():
     assert build_aomoto(t) is build_aomoto(t)
     g = generic_type(4, 2)
     assert build_aomoto(g) is build_aomoto(generic_type(4, 2))
+
+
+def test_a_realized_generic_type_shares_the_generic_store():
+    # no dependent set up to size ell+1 makes a realized type generic, so it
+    # reuses the derived data of generic_type; other types keep their own
+    for n, ell in ((5, 2), (7, 3)):
+        rows = [[str((j + 3) ** k) for k in range(ell + 1)] for j in range(1, n + 1)]
+        t = CombinatorialType.from_arrangement(
+            Arrangement.from_json({"ell": ell, "n": n, "rows": rows}))
+        g = generic_type(n, ell)
+        assert t is not g and t.realization is not g.realization
+        assert build_aomoto(t) is build_aomoto(g)
+    assert build_aomoto(selberg_type()) is not build_aomoto(generic_type(5, 2))
 
 
 def test_weights_reject_non_rational_entries():

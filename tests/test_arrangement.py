@@ -14,7 +14,6 @@ from osgm.arrangement import (
     dep_star,
     multiplicity_pencil,
     pencil_starred,
-    pencil_realization,
     compare_types,
     generic_type,
     pencil_profile,
@@ -22,6 +21,9 @@ from osgm.arrangement import (
 from osgm.gauss_manin import pencil_sum_terms
 from oracles import (
     affine_empty_by_rank,
+    pencil_realization,
+    type_from_json,
+    type_to_json,
     dep_star_by_walk,
     frac_rank,
     generic_type_by_rank,
@@ -323,15 +325,15 @@ def test_user_asserted_type_validation():
         n=5, ell=2, dep={2: [], 3: [(1, 2, 3)]}, affine_empty=[]
     )
     assert good.is_dependent((1, 2, 3))
-    assert not good.backed_by_realization
+    assert good.realization is None
     with pytest.raises(ValueError):
         CombinatorialType(n=5, ell=2, dep={2: [(1, 2)], 3: []}, affine_empty=[])
 
 
 def test_type_json_round_trip():
     t = CombinatorialType.from_arrangement(selberg())
-    s = json.dumps(t.to_json())
-    t2 = CombinatorialType.from_json(json.loads(s))
+    s = json.dumps(type_to_json(t))
+    t2 = type_from_json(json.loads(s))
     assert compare_types(t, t2) == "equal"
     assert t2.affine_empty == t.affine_empty
 
@@ -344,12 +346,12 @@ def test_sets_listed_twice_are_stored_once():
     assert t.dep == {2: [(1, 2)], 3: [(1, 2, 3), (1, 2, 4), (1, 2, 5)]}
     assert dep_star(t)[2] == [(1, 2)]
     assert t.affine_empty == [(3, 4)]
-    data = t.to_json()
+    data = type_to_json(t)
     assert data["dep"]["2"] == [[1, 2]]
     assert data["affine_empty"] == [[3, 4]]
-    t2 = CombinatorialType.from_json(json.loads(json.dumps(data)))
+    t2 = type_from_json(json.loads(json.dumps(data)))
     assert (t2.dep, t2.affine_empty) == (t.dep, t.affine_empty)
-    assert t2.to_json() == data
+    assert type_to_json(t2) == data
 
 
 def test_generic_type_closed_form_matches_rank_oracle():
@@ -358,7 +360,7 @@ def test_generic_type_closed_form_matches_rank_oracle():
             t, oracle = generic_type(n, ell), generic_type_by_rank(n, ell)
             assert t.dep == oracle.dep, (n, ell)
             assert t.affine_empty == oracle.affine_empty, (n, ell)
-            assert t.backed_by_realization and oracle.backed_by_realization
+            assert t.realization is not None and oracle.realization is not None
             assert t.realization.rows == oracle.realization.rows
 
 

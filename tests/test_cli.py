@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osgm import cli
 from osgm.aomoto import build_aomoto
 from osgm.arrangement import Arrangement, CombinatorialType
 from osgm.cli import main
+from osgm.poly import dense_forms
+from oracles import fmt_table, form_matrix_json, rational_matrix_json
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -74,8 +77,73 @@ def test_aomoto_json_round_trips(capsys):
     t = CombinatorialType.from_arrangement(Arrangement.from_file(SELBERG))
     cx = build_aomoto(t)
     for q in range(t.ell):
-        assert data["boundary"][str(q)] == [[f.to_json() for f in row]
-                                            for row in cx.boundary[q]]
+        assert data["boundary"][str(q)] == form_matrix_json(cx.boundary[q])
+
+
+nonzero_rationals = st.one_of(
+    st.integers(-12, 12), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+).filter(bool).map(lambda c: c.numerator if c.denominator == 1 else c)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_sparse_writer_matches_the_dense_route(data):
+    # the matrices gm and aomoto print, written from rows keyed (col, j),
+    # against json.dumps(indent=2) of the dense tree and the dense table;
+    # empty rows, zero-size degrees, rectangular shapes, Fraction coefficients
+    draw = data.draw
+    nvars = draw(st.integers(1, 4))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1,
+                           max_size=3))
+    degrees = []
+    for nrows, ncols in shapes:
+        keys = st.tuples(st.integers(0, max(ncols - 1, 0)), st.integers(1, nvars))
+        rows = [draw(st.dictionaries(keys, nonzero_rationals, max_size=6)) if ncols else {}
+                for _ in range(nrows)]
+        degrees.append((rows, ncols))
+        dense_view = dense_forms(rows, ncols, nvars)
+        assert cli._fmt_table(cli._form_texts(rows), ncols) == fmt_table(dense_view)
+    size = draw(st.integers(0, 3))
+    gm = [draw(st.lists(st.just(0) | nonzero_rationals, min_size=size, max_size=size))
+          for _ in range(size)]
+    texts = [{k: str(c) for k, c in enumerate(row)} for row in gm]
+    assert cli._fmt_table(texts, size) == fmt_table(gm)
+    small = {"lambda_S": "1/2", "degrees": [{"degree": 0, "verified": True}]}
+    tree = {
+        "S": [1, 2],
+        "omega": {str(q): form_matrix_json(dense_forms(rows, ncols, nvars))
+                  for q, (rows, ncols) in enumerate(degrees)},
+        "gm": {"0": rational_matrix_json(gm)},
+        "empty": {},
+        "spectrum": small,
+    }
+    written = "".join(cli._jdict([
+        ("S", [1, 2]),
+        ("omega", cli._jdict([(str(q), cli._forms_json(rows, ncols, nvars, "    "))
+                              for q, (rows, ncols) in enumerate(degrees)], "  ")),
+        ("gm", cli._jdict([("0", cli._rationals_json(gm, "    "))], "  ")),
+        ("empty", cli._jdict([], "  ")),
+        ("spectrum", small),
+    ], ""))
+    assert written == json.dumps(tree, indent=2)
+
+
+def test_deps_past_ell_plus_one_streams_every_set(capsys, tmp_path):
+    # a degree past ell+1 lists all C(n+1, q) sets, generated as they are
+    # written; 6435 sets span more than one batch of the writer
+    path = tmp_path / "generic-14-2.json"
+    path.write_text(json.dumps({"ell": 2, "n": 14,
+                                "rows": [[1, j, j * j] for j in range(1, 15)]}))
+    sets = list(combinations(range(1, 16), 7))
+    code, out, _ = run(capsys, "deps", str(path), "--degree", "7", "--json")
+    assert code == 0
+    assert out == json.dumps({"n": 14, "ell": 2, "dep": {"7": [list(S) for S in sets]},
+                              "dep_star": {"7": []}}, indent=2) + "\n"
+    code, out, _ = run(capsys, "deps", str(path), "--degree", "7")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "Dep_7: " + " ".join("{%s}" % ",".join(map(str, S)) for S in sets),
+        "Dep*_7: (none)"]
 
 
 def test_cohomology_resonant_dims(capsys):

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osgm.arrangement import (Arrangement, CombinatorialType, generic_type, pencil_realization,
-                              read_json)
+from osgm.arrangement import Arrangement, CombinatorialType, generic_type, read_json
 from osgm.aomoto import AomotoComplex, Weights, build_aomoto, os_cohomology, weights_nonresonant
 from osgm.gauss_manin import (
     ChainEndomorphism,
@@ -50,6 +49,9 @@ from oracles import (
     lift,
     mat_evaluate,
     omega_tilde_by_conjugation,
+    pencil_realization,
+    relabel,
+    relabeling_inverse,
     principal_dependence_by_walk,
     rows_at,
     sigma_for,
@@ -143,7 +145,7 @@ def test_sigma_identity():
     assert act.mats[0] == identity_matrix(1)
     assert act.mats[1] == identity_matrix(5)
     assert act.mats[2] == identity_matrix(10)
-    assert act.substitute(y(2)) == y(2)
+    assert relabel(act, y(2)) == y(2)
 
 
 def test_sigma_swapping_with_last_index():
@@ -154,8 +156,8 @@ def test_sigma_swapping_with_last_index():
     assert m[2] == [0, 0, -one, 0, 0]
     assert m[0] == [one, 0, -one, 0, 0]
     assert m[4] == [0, 0, -one, 0, one]
-    assert act.substitute(y(3)) == Form.subset_sum((6,), 5)
-    assert act.substitute(y(1)) == y(1)
+    assert relabel(act, y(3)) == Form.subset_sum((6,), 5)
+    assert relabel(act, y(1)) == y(1)
 
 
 def test_sigma_rejects_non_bijection():
@@ -169,7 +171,7 @@ def test_sigma_inverse_composes_to_identity():
         images = list(range(1, 7))
         rng.shuffle(images)
         act = SigmaAction(tuple(images), 5, 2)
-        inv = act.inverse()
+        inv = relabeling_inverse(act)
         for p in range(3):
             size = comb(5, p)
             assert dense_product(act.mats[p], inv.mats[p], Fraction(0)) == identity_matrix(size)
@@ -185,7 +187,7 @@ def test_sigma_preserves_weighted_one_form():
         act = SigmaAction(tuple(images), 5, 2)
         coords = [Z] * 5
         for j in range(1, 6):
-            cj = lift(act.substitute(y(j)))
+            cj = relabel(act, y(j))
             row = act.mats[1][j - 1]
             coords = [c + cj * row[k] for k, c in enumerate(coords)]
         assert coords == [y(1), y(2), y(3), y(4), y(5)]
@@ -199,7 +201,7 @@ def test_sigma_twisted_chain_identity():
         rng.shuffle(images)
         act = SigmaAction(tuple(images), 5, 2)
         for p in range(2):
-            twisted = [[lift(act.substitute(c)) for c in row] for row in cx.boundary[p]]
+            twisted = [[relabel(act, c) for c in row] for row in cx.boundary[p]]
             lhs = dense_product(twisted, act.mats[p + 1], Z)
             rhs = dense_product(act.mats[p], lift(cx.boundary[p]), Z)
             assert lhs == rhs
@@ -1005,10 +1007,11 @@ def test_specialize_matches_the_dense_route():
         assert boundary_at(cx, lam, q) == sparse(mat_evaluate(m, lam.values))
 
 
-def test_library_route_builds_no_dense_view(monkeypatch):
+def test_library_route_builds_no_dense_view(monkeypatch, capsys):
     import osgm.aomoto
     import osgm.gauss_manin
     import osgm.poly
+    from osgm.cli import main
 
     def refuse(*args):
         raise AssertionError("dense view built")
@@ -1030,6 +1033,15 @@ def test_library_route_builds_no_dense_view(monkeypatch):
             gm_endomorphism(ind, lam, q, h=h)
         spectrum_report(e, (3, 4, 5), 1, lam)
     assert spectrum_check(e, (3, 4, 5)) == (True, None)
+    # the command line prints gm and aomoto from the rows, in both formats
+    data = Path(__file__).parents[1] / "data"
+    sel, deg = str(data / "selberg.json"), str(data / "selberg-degenerate.json")
+    weights = ",".join(NONRES)
+    for argv in (["gm", sel, "--pencil", "3,4,5", "1", "--weights", weights],
+                 ["gm", sel, deg, "--weights", weights], ["aomoto", sel]):
+        for fmt in ([], ["--json"]):
+            assert main(argv + fmt) == 0, argv + fmt
+            assert capsys.readouterr().out
 
 
 # ---- one pass per sum -----------------------------------------------------------
@@ -1069,6 +1081,39 @@ def test_each_returned_map_is_checked_once_and_no_term_is_stored(monkeypatch):
         assert checks == [e]
     for n in (5, 6):
         assert "omega_tilde" not in generic_type(n, 2)._store
+
+
+def test_a_checked_map_induces_without_a_second_check(monkeypatch, capsys):
+    # P is a chain map that is the identity on the nbc rows, so the map a
+    # checked W induces commutes with the type's differential; an unchecked
+    # W gets its induced map checked
+    from osgm.cli import main
+
+    checks = []
+    real = ChainEndomorphism._check_chain
+    monkeypatch.setattr(ChainEndomorphism, "_check_chain",
+                        lambda self: checks.append(self) or real(self))
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    for t in (selberg_type(), generic_type(5, 2)):
+        checks.clear()
+        induce_on_type(e, t)
+        assert checks == []
+        unchecked = ChainEndomorphism(e.cx, e.rows, validate=False)
+        ind = induce_on_type(unchecked, t)
+        assert checks == [ind] and ind.rows == induce_on_type(e, t).rows
+    # `gm` on a generic file builds one complex and checks the sum once
+    import osgm.aomoto
+
+    built = []
+    real_build = osgm.aomoto._build_aomoto
+    monkeypatch.setattr(osgm.aomoto, "_build_aomoto", lambda t: built.append(t) or real_build(t))
+    generic_type.cache_clear()
+    checks.clear()
+    path = Path(__file__).parent / "golden" / "inputs" / "generic-10-2.json"
+    weights = ",".join("1/%d" % p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+    assert main(["gm", str(path), "--pencil", "2,10,11", "1", "--weights", weights]) == 0
+    assert capsys.readouterr().out
+    assert len(built) == 1 and len(checks) == 1
 
 
 # ---- the int checks against the form route -------------------------------------

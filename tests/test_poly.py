@@ -166,18 +166,17 @@ def _exact_type(c):
 
 
 def test_integral_coefficients_are_stored_as_int():
-    f = LinearForm(3, {1: Fraction(4, 2), 2: Fraction(1, 2), 3: 0})
+    f = Form(3, {1: Fraction(4, 2), 2: Fraction(1, 2), 3: 0})
     assert f.terms == {1: 2, 2: Fraction(1, 2)}
     assert type(f.terms[1]) is int and type(f.terms[2]) is Fraction
-    assert type(LinearForm.variable(2, 3).terms[2]) is int
+    assert type(Form.variable(2, 3).terms[2]) is int
     assert all(type(c) is int for c in LinearForm.subset_sum((1, 4), 3).terms.values())
     # a rational scalar that cancels leaves an int; one that does not stays
-    f = Form(3, f.terms)
     assert type((f * Fraction(2)).terms[2]) is int
     assert type((f * Fraction(1, 3)).terms[1]) is Fraction
     assert type((f + f).terms[2]) is int
     # printing and serialization cannot tell an int from an integral Fraction
-    g = LinearForm._of(3, {1: Fraction(2), 2: Fraction(1, 2)})
+    g = Form._of(3, {1: Fraction(2), 2: Fraction(1, 2)})
     assert f == g and str(f) == str(g) and f.to_json() == g.to_json()
 
 
