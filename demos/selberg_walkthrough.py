@@ -10,8 +10,19 @@ from osgm.aomoto import Weights, build_aomoto, os_cohomology
 from osgm.arrangement import Arrangement, CombinatorialType
 from osgm.gauss_manin import gm_endomorphism, induce_on_type, omega_tilde_sum
 from osgm.orlik_solomon import betti_numbers, nbc_basis
+from osgm.poly import format_form
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+def form_texts(row, ncols):
+    """The entries of a sparse row keyed (col, j), the coefficient of y_j
+    at column col, as text, one per column."""
+    cells = [{} for _ in range(ncols)]
+    for (col, j), c in row.items():
+        cells[col][j] = c
+    return [format_form(f) for f in cells]
+
 
 arr = Arrangement.from_file(DATA / "selberg.json")
 t = CombinatorialType.from_arrangement(arr)
@@ -23,8 +34,8 @@ print("degree-2 basis:", nbc_basis(t, 2))
 
 cx = build_aomoto(t)
 print("\nboundary leaving degree 1 (rows act on the right):")
-for T, row in zip(cx.bases[1], cx.boundary[1]):
-    print(" ", T, [str(p) for p in row])
+for T, row in zip(cx.bases[1], cx.rows[1]):
+    print(" ", T, form_texts(row, len(cx.bases[2])))
 
 # generic weights: everything concentrates in the top degree
 lam = Weights(["1/2", "1/3", "1/5", "1/7", "1/11"])
@@ -35,8 +46,8 @@ print("\ncohomology dimensions at", lam.to_json(), "->", h.dims)
 e = omega_tilde_sum((3, 4, 5), 1, t.n, t.ell)
 ind = induce_on_type(e, t)
 print("\ninduced connection matrix in degree 2:")
-for row in ind.mats[2]:
-    print(" ", [str(p) for p in row])
+for row in ind.rows[2]:
+    print(" ", form_texts(row, len(ind.rows[2])))
 
 m = gm_endomorphism(ind, lam, 2, h=h)
 print("\naction on the 2-dimensional top cohomology:")

@@ -78,8 +78,8 @@ class AomotoComplex:
     @property
     def boundary(self):
         """Dense |nbc_q| x |nbc_{q+1}| matrices of linear forms, per degree:
-        a view built on demand for the demos, the tests and the benchmark's
-        tracer; the command line prints from `rows`."""
+        a view built on demand for the tests and the benchmark's tracer;
+        the command line and the demos print from `rows`."""
         return [dense_forms(r, len(self.bases[q + 1]), self.t.n)
                 for q, r in enumerate(self.rows)]
 

@@ -45,11 +45,14 @@ def _whole_number(data, key):
 
 
 def read_json(path):
-    """The JSON document in a file; text that is not JSON, or nesting too
-    deep for the parser, is a ValueError naming the file."""
-    with open(path) as fh:
+    """The JSON document in a file; bytes that are not UTF-8, text that is
+    not JSON, or nesting too deep for the parser, is a ValueError naming
+    the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as e:
+            raise ValueError("%s: not UTF-8 text: %s" % (path, e)) from None
         except json.JSONDecodeError as e:
             raise ValueError("%s: not valid JSON: %s" % (path, e)) from None
         except RecursionError:

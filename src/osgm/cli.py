@@ -8,7 +8,8 @@ byte as a dense table and `json.dumps(..., indent=2)` would print them.
 Exit codes: 0 on success, 1 when stdout is closed before the output is
 written, 2 for input/validation problems, 3 when a mathematical
 precondition fails and the library raises `NotCovered` (a map that does
-not descend, or a degeneration with no unique pencil behind it).
+not descend, or a degeneration with no unique pencil behind it), 130 when
+interrupted by SIGINT (Ctrl-C), with no traceback.
 """
 
 import argparse
@@ -471,6 +472,8 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3 if isinstance(e, NotCovered) else 2
+    except KeyboardInterrupt:
+        return 130
     return 0
 
 

@@ -53,14 +53,18 @@ class SigmaAction:
     """Relabeling of the projective closure acting on the generic complex.
 
     `images[i-1]` is where index i goes; index n+1 is the extra hyperplane
-    at infinity.  The action is semilinear: coefficients transform by the
-    substitution y_i -> y_images(i), where y_{n+1} stands for minus the sum
-    of the others, and the degree-p monomials transform by mats[p] (row T
-    holds the coordinates of the image of e_T).  When the relabeling moves
-    some index to n+1, the image generator leaves the affine chart and is
-    rewritten through the relation that the n+1 closure classes sum to
-    zero, which is where the rational (not just permutation) matrices come
-    from.
+    at infinity.  The action is semilinear: coefficients transform by
+    `subst`, y_j -> y_images(j), where y_{n+1} stands for minus the sum of
+    the others, and the degree-p monomials by rows[p], int rows keyed col
+    (row T holds the image of e_T).
+
+    The map is written in closed form.  The closure classes are relabeled,
+    f_i -> f_a with a = images(i), and e_i = f_i - f_{n+1}, so with
+    m = images(n+1) and e_{n+1} = 0 in the affine chart, e_i -> e_a - e_m.
+    Since e_m squares to zero, e_T goes to e_sigma(T) minus the sum over i
+    of e_sigma(T) with its i-th factor sigma(t_i) replaced by e_m: at most
+    |T| + 1 terms, each of them sorted with its sign, and dropped when it
+    holds n+1.  The terms are distinct monomials, so every entry is +-1.
     """
 
     def __init__(self, images, n, ell, validate=True):
@@ -71,70 +75,33 @@ class SigmaAction:
         self.n = n
         self.ell = ell
         # y_j -> y_images(j), as {k: coefficient of y_k}
-        self.subst = {j: LinearForm.subset_sum((images[j - 1],), n).terms
-                      for j in range(1, n + 1)}
-        self.mats = [self._degree_matrix(p) for p in range(ell + 1)]
+        self.subst = {j: {a: 1} if a <= n else {k: -1 for k in range(1, n + 1)}
+                      for j, a in enumerate(images[:n], start=1)}
+        self.rows = [self._degree_rows(p) for p in range(ell + 1)]
         if validate:
             self._check_chain()
 
-    def _gen_image(self, i):
-        """Coordinates of the image of e_i in the affine generators."""
-        coords = [Fraction(0)] * self.n
-        target = self.images[i - 1]
-        m_inf = self.images[self.n]
-        if m_inf == self.n + 1:
-            coords[target - 1] = Fraction(1)
-        elif target == self.n + 1:
-            coords[m_inf - 1] = Fraction(-1)
-        else:
-            coords[target - 1] = Fraction(1)
-            coords[m_inf - 1] -= Fraction(1)
-        return coords
-
-    def _degree_matrix(self, p):
-        if p == 0:
-            return [[Fraction(1)]]
-        n = self.n
-        subsets = list(combinations(range(1, n + 1), p))
-        index = {T: k for k, T in enumerate(subsets)}
-        gen = [self._gen_image(i) for i in range(1, n + 1)]
-        out = []
-        for T in subsets:
-            acc = {(): Fraction(1)}
-            for i in T:
-                nxt = {}
-                for mono, c in acc.items():
-                    for m in range(1, n + 1):
-                        cm = gen[i - 1][m - 1]
-                        if not cm:
-                            continue
-                        w = wedge(mono, (m,))
-                        if w is None:
-                            continue
-                        U, sgn = w
-                        val = nxt.get(U, Fraction(0)) + c * cm * sgn
-                        if val:
-                            nxt[U] = val
-                        elif U in nxt:
-                            del nxt[U]
-                acc = nxt
-            row = [Fraction(0)] * len(subsets)
-            for U, c in acc.items():
-                row[index[U]] = c
-            out.append(row)
-        return out
+    def _degree_rows(self, p):
+        n, m = self.n, self.images[self.n]
+        index = {T: k for k, T in enumerate(combinations(range(1, n + 1), p))}
+        rows = [{} for _ in index]
+        for T, row in zip(index, rows):
+            image = tuple(self.images[t - 1] for t in T)
+            for seq, c in [(image, 1)] + [(image[:i] + (m,) + image[i + 1:], -1)
+                                          for i in range(p)]:
+                if n + 1 not in seq:
+                    U, sgn = wedge((), seq)
+                    row[index[U]] = c * sgn
+        return rows
 
     def _check_chain(self):
         cx = build_aomoto(generic_type(self.n, self.ell))
-        mats = [[{j: c for j, c in enumerate(row) if c} for row in m] for m in self.mats]
         for p in range(self.ell):
-            twisted = []
-            for row in cx.rows[p]:
-                acc = {}
+            twisted = [{} for _ in cx.rows[p]]
+            for acc, row in zip(twisted, cx.rows[p]):
                 for (col, j), c in row.items():
                     add_scaled(acc, {(col, k): x for k, x in self.subst[j].items()}, c)
-                twisted.append(acc)
-            if form_matmul(twisted, mats[p + 1]) != matmul(mats[p], cx.rows[p]):
+            if form_matmul(twisted, self.rows[p + 1]) != matmul(self.rows[p], cx.rows[p]):
                 raise AssertionError("relabeling fails to intertwine the differential")
 
 
@@ -173,8 +140,8 @@ class ChainEndomorphism:
     @property
     def mats(self):
         """Dense square matrices of linear forms, per degree: a view built on
-        demand for the demos, the tests and the benchmark's tracer; the
-        command line prints from `rows`."""
+        demand for the tests and the benchmark's tracer; the command line
+        and the demos print from `rows`."""
         return [dense_forms(m, len(m), self.cx.t.n) for m in self.rows]
 
     def _check_chain(self):

@@ -13,8 +13,8 @@ from .linalg import add_scaled
 
 
 def wedge(t1, t2):
-    """Concatenate two strictly increasing tuples: (sorted tuple, sign),
-    or None when an index repeats."""
+    """Concatenate two tuples of indices: (sorted tuple, sign of the
+    sorting permutation), or None when an index repeats."""
     if set(t1) & set(t2):
         return None
     seq = t1 + t2

@@ -10,9 +10,9 @@ as -(y_1 + ... + y_n), see LinearForm.subset_sum.
 
 The library does not compute with forms.  It keeps a matrix of them as
 sparse int rows keyed (col, j), the coefficient of y_j at column col (see
-`osgm.linalg`), and the command line prints from those rows with
-`format_form`; `dense_forms` gives the list-of-lists of `LinearForm`s the
-demos, the tests and the benchmark's tracer read.  A form stores {j: c}
+`osgm.linalg`), and the command line and the demos print from those rows
+with `format_form`; `dense_forms` gives the list-of-lists of `LinearForm`s
+the tests and the benchmark's tracer read.  A form stores {j: c}
 for its nonzero coefficients only, so equality is dict equality.
 """
 

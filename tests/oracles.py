@@ -397,14 +397,20 @@ def omega_tilde_by_conjugation(S, n, ell, sigma=None):
         raise ValueError("sigma must carry 1..%d onto sorted S" % len(S))
     base = leading_set_omega(len(S), n, ell)
     act = SigmaAction(images, n, ell, validate=False)
-    inv = relabeling_inverse(act)
+    act_mats = relabeling_mats(act)
+    inv_mats = relabeling_mats(relabeling_inverse(act))
     zero = Form.zero(n)
     return [
-        dense_product(dense_product(inv.mats[p], [[relabel(act, c) for c in row]
+        dense_product(dense_product(inv_mats[p], [[relabel(act, c) for c in row]
                                                   for row in base[p]], zero),
-                      act.mats[p], zero)
+                      act_mats[p], zero)
         for p in range(ell + 1)
     ]
+
+
+def relabeling_mats(act):
+    """Dense int matrices of a `SigmaAction`, per degree, from its rows."""
+    return [dense(rows, len(rows), 0) for rows in act.rows]
 
 
 def relabel(act, f):
@@ -420,6 +426,56 @@ def relabeling_inverse(act):
     for i, m in enumerate(act.images, start=1):
         inv[m - 1] = i
     return SigmaAction(tuple(inv), act.n, act.ell, validate=False)
+
+
+def _relabeled_generator(images, n, i):
+    """Coordinates of the image of e_i in the affine generators."""
+    coords = [Fraction(0)] * n
+    target = images[i - 1]
+    m_inf = images[n]
+    if m_inf == n + 1:
+        coords[target - 1] = Fraction(1)
+    elif target == n + 1:
+        coords[m_inf - 1] = Fraction(-1)
+    else:
+        coords[target - 1] = Fraction(1)
+        coords[m_inf - 1] -= Fraction(1)
+    return coords
+
+
+def relabeling_by_expansion(images, n, ell):
+    """Dense Fraction matrices of the relabeling `images` of [n+1], per
+    degree p <= ell, by expanding the product of the images of the
+    generators one factor at a time, as `SigmaAction` used to; row T holds
+    the coordinates of the image of e_T."""
+    gen = [_relabeled_generator(images, n, i) for i in range(1, n + 1)]
+    mats = [[[Fraction(1)]]]
+    for p in range(1, ell + 1):
+        subsets = list(combinations(range(1, n + 1), p))
+        index = {T: k for k, T in enumerate(subsets)}
+        out = []
+        for T in subsets:
+            acc = {(): Fraction(1)}
+            for i in T:
+                nxt = {}
+                for mono, c in acc.items():
+                    for m in range(1, n + 1):
+                        cm = gen[i - 1][m - 1]
+                        if not cm or m in mono:
+                            continue
+                        U, sgn = _sort_sign(mono + (m,))
+                        val = nxt.get(U, Fraction(0)) + c * cm * sgn
+                        if val:
+                            nxt[U] = val
+                        elif U in nxt:
+                            del nxt[U]
+                acc = nxt
+            row = [Fraction(0)] * len(subsets)
+            for U, c in acc.items():
+                row[index[U]] = c
+            out.append(row)
+        mats.append(out)
+    return mats
 
 
 def _integer_rows(rows):

@@ -734,6 +734,28 @@ def test_invalid_json_exits_2_naming_the_file(tmp_path, capsys):
         assert err == "error: %s: not valid JSON: %s\n" % (path, detail)
 
 
+def test_non_utf8_file_exits_2_naming_the_file(tmp_path, capsys):
+    # the same bytes as an arrangement file and as a --weights file
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x7b")
+    detail = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for argv in (["betti", str(bad)], ["cohomology", SELBERG, "--weights", str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: %s: not UTF-8 text: %s\n" % (bad, detail)
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    # Ctrl-C while a command runs, as in a long `deps --degree` listing
+    def interrupted(args):
+        print("Dep_2: (none)")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_deps", interrupted)
+    code, out, err = run(capsys, "deps", SELBERG)
+    assert (code, out, err) == (130, "Dep_2: (none)\n", "")
+
+
 def test_gm_pair_errors_name_the_files(tmp_path, capsys):
     # the degenerate type is the second file; swapped or equal files say so
     for general, special in [(DEGENERATE, SELBERG), (SELBERG, SELBERG)]:

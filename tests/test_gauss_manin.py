@@ -1,7 +1,7 @@
 import functools
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 from pathlib import Path
 
@@ -51,7 +51,9 @@ from oracles import (
     omega_tilde_by_conjugation,
     pencil_realization,
     relabel,
+    relabeling_by_expansion,
     relabeling_inverse,
+    relabeling_mats,
     principal_dependence_by_walk,
     rows_at,
     sigma_for,
@@ -142,9 +144,10 @@ RES = ["1", "2", "2", "1", "-3"]
 
 def test_sigma_identity():
     act = SigmaAction((1, 2, 3, 4, 5, 6), 5, 2)
-    assert act.mats[0] == identity_matrix(1)
-    assert act.mats[1] == identity_matrix(5)
-    assert act.mats[2] == identity_matrix(10)
+    mats = relabeling_mats(act)
+    assert mats[0] == identity_matrix(1)
+    assert mats[1] == identity_matrix(5)
+    assert mats[2] == identity_matrix(10)
     assert relabel(act, y(2)) == y(2)
 
 
@@ -152,7 +155,7 @@ def test_sigma_swapping_with_last_index():
     # swap 3 <-> 6: the moved generator picks up the affine relation
     act = SigmaAction((1, 2, 6, 4, 5, 3), 5, 2)
     one = Fraction(1)
-    m = act.mats[1]
+    m = relabeling_mats(act)[1]
     assert m[2] == [0, 0, -one, 0, 0]
     assert m[0] == [one, 0, -one, 0, 0]
     assert m[4] == [0, 0, -one, 0, one]
@@ -171,11 +174,12 @@ def test_sigma_inverse_composes_to_identity():
         images = list(range(1, 7))
         rng.shuffle(images)
         act = SigmaAction(tuple(images), 5, 2)
-        inv = relabeling_inverse(act)
+        mats = relabeling_mats(act)
+        inv = relabeling_mats(relabeling_inverse(act))
         for p in range(3):
             size = comb(5, p)
-            assert dense_product(act.mats[p], inv.mats[p], Fraction(0)) == identity_matrix(size)
-            assert dense_product(inv.mats[p], act.mats[p], Fraction(0)) == identity_matrix(size)
+            assert dense_product(mats[p], inv[p], Fraction(0)) == identity_matrix(size)
+            assert dense_product(inv[p], mats[p], Fraction(0)) == identity_matrix(size)
 
 
 def test_sigma_preserves_weighted_one_form():
@@ -188,7 +192,7 @@ def test_sigma_preserves_weighted_one_form():
         coords = [Z] * 5
         for j in range(1, 6):
             cj = relabel(act, y(j))
-            row = act.mats[1][j - 1]
+            row = relabeling_mats(act)[1][j - 1]
             coords = [c + cj * row[k] for k, c in enumerate(coords)]
         assert coords == [y(1), y(2), y(3), y(4), y(5)]
 
@@ -200,11 +204,43 @@ def test_sigma_twisted_chain_identity():
         images = list(range(1, 7))
         rng.shuffle(images)
         act = SigmaAction(tuple(images), 5, 2)
+        mats = relabeling_mats(act)
         for p in range(2):
             twisted = [[relabel(act, c) for c in row] for row in cx.boundary[p]]
-            lhs = dense_product(twisted, act.mats[p + 1], Z)
-            rhs = dense_product(act.mats[p], lift(cx.boundary[p]), Z)
+            lhs = dense_product(twisted, mats[p + 1], Z)
+            rhs = dense_product(mats[p], lift(cx.boundary[p]), Z)
             assert lhs == rhs
+
+
+def _relabelings():
+    # every bijection of [n+1] for n <= 4 with every ell <= n, then a fixed
+    # sample of 120 for n = 5..7
+    for n in range(1, 5):
+        for ell in range(1, n + 1):
+            for images in permutations(range(1, n + 2)):
+                yield images, n, ell
+    rng = random.Random(18)
+    for _ in range(120):
+        n = rng.randint(5, 7)
+        images = list(range(1, n + 2))
+        rng.shuffle(images)
+        yield tuple(images), n, rng.randint(1, n)
+
+
+def test_sigma_closed_form_matches_the_expansion():
+    # the closed form e_T -> e_sigma(T) - sum_i e_sigma(T) with sigma(t_i)
+    # replaced by sigma(n+1) against expanding the product of the images of
+    # the generators; the chain check runs on every action
+    count = 0
+    for images, n, ell in _relabelings():
+        act = SigmaAction(images, n, ell)
+        assert relabeling_mats(act) == relabeling_by_expansion(images, n, ell), (images, ell)
+        for p, rows in enumerate(act.rows):
+            assert len(rows) == comb(n, p)
+            for row in rows:
+                assert len(row) <= p + 1 and set(row.values()) <= {1, -1}, (images, ell, row)
+        count += 1
+    assert count == 686
 
 
 def test_sigma_for_canonical():

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from golden import make_golden
 from golden.make_golden import HERE, ROOT, run_case
 
 CASES = json.loads((HERE / "cases.json").read_text())
@@ -24,6 +25,13 @@ def test_golden_output(case, monkeypatch):
     code, out = run_case(case["argv"])
     assert code == case["exit"]
     assert out == (HERE / (case["name"] + ".out")).read_text()
+
+
+def test_recorded_cases_match_the_generator():
+    # a case added to make_golden.CASES but not recorded in cases.json
+    # would never run here; names and argv agree, in the same order
+    assert [(c["name"], c["argv"]) for c in CASES] == \
+        [(name, argv) for name, argv in make_golden.CASES]
 
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
