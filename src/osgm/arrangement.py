@@ -11,14 +11,14 @@ closure actually share a point, i.e. when the rows have rank at most ell.
 For sets of size at most ell+1 dependence already forces this, so the star
 filter only thins out the larger sets.
 
-A realization's type comes from one walk over the subsets S of [n] with
-2 <= |S| <= ell+1, two ranks each: r of the rows of S, and r_inf of those
-rows with infinity's.  S is dependent when r < |S|, S + {n+1} is dependent
-when r_inf <= |S|, and S has no common affine point when r_inf = r, since
-the coefficient rows of S have rank r_inf - 1.  At r = ell+1 adding a row
-cannot raise the rank, so r_inf = r needs no second test.  A pair
-{j, n+1} is dependent only when row j has no coefficient part, so the
-singletons need no rank test at all.
+A realization's type comes from one integer elimination per subset S of
+[n] with 2 <= |S| <= ell+1.  Rows are stored with the constant b0 last,
+in column ell, so the pivots of the echelon form answer everything: r of
+them make S dependent when r < |S|, and column ell is a pivot exactly
+when S has no common affine point (Rouche-Capelli).  Infinity's row is
+the unit vector of column ell, so S + {n+1} is dependent when S is or
+column ell is a pivot.  A pair {j, n+1} is dependent only when row j
+has no coefficient part, so the singletons need no elimination.
 
 Repeated hyperplanes are valid input.  Two identical rows i, j (or rows
 that are multiples of each other) make {i, j} a dependent pair, the rank-1
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .linalg import clear_denominators, rank
+from .linalg import _integer_echelon, clear_denominators, rank
 from .poly import parse_rational, format_rational
 
 
@@ -67,11 +67,10 @@ class Arrangement:
         self.ell = ell
         self.n = n
         self.rows = rows
-        # the closure rows, infinity last, wrapped once as sparse rows for
-        # `rank`, each times the common denominator of its entries: an int
-        # row with the same span
-        self._sparse = ([{k: x for k, x in enumerate(clear_denominators(r)[1]) if x}
-                         for r in rows] + [{0: 1}])
+        # sparse int rows with the same span, for elimination: each row times
+        # its common denominator, the constant moved last to column ell
+        self._sparse = [{k: x for k, x in enumerate(b[1:] + b[:1]) if x}
+                        for b in (clear_denominators(r)[1] for r in rows)]
 
     @classmethod
     def from_json(cls, data):
@@ -104,7 +103,7 @@ class Arrangement:
                 raise ValueError("row %d: coefficient part is zero, not a hyperplane" % i)
             rows.append(row)
         arr = cls(ell, n, rows)
-        if rank([{k: x for k, x in r.items() if k} for r in arr._sparse[:n]]) < ell:
+        if rank([{k: x for k, x in r.items() if k < ell} for r in arr._sparse]) < ell:
             raise ValueError("arrangement is not essential: coefficient rank < ell")
         return arr
 
@@ -194,23 +193,20 @@ class CombinatorialType:
     @classmethod
     def from_arrangement(cls, a):
         """The type of a realization, by the one walk of the module
-        docstring; every set of rows is rank-tested at most once."""
-        n, ell = a.n, a.ell
-        rows, inf = a._sparse[:n], a._sparse[n]
-        dep = {2: [(j, n + 1) for j in range(1, n + 1) if not rows[j - 1].keys() - {0}]}
+        docstring: one elimination per subset of [n] of size 2..ell+1."""
+        n, ell, rows = a.n, a.ell, a._sparse
+        dep = {2: [(j, n + 1) for j in range(1, n + 1) if rows[j - 1].keys() <= {ell}]}
         dep.update((q, []) for q in range(3, min(ell + 1, n + 1) + 1))
         empty = []
         for size in range(2, min(ell + 1, n) + 1):
             for S in combinations(range(1, n + 1), size):
-                sub = [rows[j - 1] for j in S]
-                r = rank(sub)
-                r_inf = r if r == ell + 1 else rank(sub + [inf])
-                if r < size:
+                pivots = _integer_echelon([rows[j - 1] for j in S])[1]
+                if len(pivots) < size:
                     dep[size].append(S)
-                if r_inf <= size < ell + 1:
-                    dep[size + 1].append(S + (n + 1,))
-                if r_inf == r:
+                if ell in pivots:
                     empty.append(S)
+                if size <= ell and (len(pivots) < size or ell in pivots):
+                    dep[size + 1].append(S + (n + 1,))
         t = cls(n, ell, dep, empty, realization=a)
         if not any(t.dep.values()):  # the generic type; see `derived`
             t._store = generic_type(n, ell)._store

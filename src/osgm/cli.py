@@ -268,8 +268,8 @@ def cmd_aomoto(args):
 def cmd_cohomology(args):
     t = _load_type(args.file)
     lam = _parse_weights(args.weights, t.n)
-    h = os_cohomology(t, lam)
     degrees = _degree_list(args, t.ell)
+    h = os_cohomology(t, lam)
     if args.json:
         print(json.dumps({
             "dims": h.dims,

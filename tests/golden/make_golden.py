@@ -74,6 +74,8 @@ CASES = [
     ("cohomology-res", ["cohomology", SEL, "--weights", RES]),
     ("cohomology-res-json", ["cohomology", SEL, "--weights", RES, "--json"]),
     ("cohomology-res-degree1", ["cohomology", SEL, "--weights", RES, "--degree", "1"]),
+    # zero weights: H^0 survives and prints its class
+    ("cohomology-zero", ["cohomology", SEL, "--weights", "0,0,0,0,0"]),
     ("resonance-nonres", ["resonance", SEL, "--weights", NONRES, "--degree", "1"]),
     ("resonance-nonres-json", ["resonance", SEL, "--weights", NONRES, "--json"]),
     ("resonance-res", ["resonance", SEL, "--weights", RES, "--degree", "1"]),

@@ -491,22 +491,14 @@ def affine_empty_by_rank(a):
     """Subsets of [n] of sizes 2..ell+1 with no common affine point, sorted,
     found by comparing the rank of the coefficient rows with that of the
     full rows for every such subset."""
-    def empty(S):
-        full = _integer_rows(a.row(j) for j in S)
-        return bareiss_rank([r[1:] for r in full]) < bareiss_rank(full)
-
     return sorted(S for q in range(2, min(a.ell + 1, a.n) + 1)
-                  for S in combinations(range(1, a.n + 1), q) if empty(S))
-
-
-def _coefficients(rows):
-    """Sparse closure rows without their constant terms."""
-    return [{k: x for k, x in r.items() if k} for r in rows]
+                  for S in combinations(range(1, a.n + 1), q) if not _affine_nonempty(a, S))
 
 
 def subset_rank(a, S):
-    """Rank of the closure rows of S in the realization a."""
-    return rank([a._sparse[j - 1] for j in S])
+    """Rank of the closure rows of S in the realization a, infinity's row
+    included as n+1, by `bareiss_rank` on the rows `a.row` gives."""
+    return bareiss_rank(_integer_rows(a.row(j) for j in S))
 
 
 def dependent_subsets(a, q):
@@ -517,9 +509,10 @@ def dependent_subsets(a, q):
 
 
 def _affine_nonempty(a, S):
-    """Whether the hyperplanes of S (subset of [n]) share an affine point."""
-    full = [a._sparse[j - 1] for j in S]
-    return rank(_coefficients(full)) == rank(full)
+    """Whether the hyperplanes of S (subset of [n]) share an affine point:
+    their coefficient rows have the rank of their full rows."""
+    full = _integer_rows(a.row(j) for j in S)
+    return bareiss_rank([r[1:] for r in full]) == bareiss_rank(full)
 
 
 def type_by_two_walks(a):

@@ -461,31 +461,32 @@ def test_one_walk_matches_the_two_walks_on_the_bundled_files_and_pencils():
                                                           (2, 5)]
 
 
-def test_one_walk_ranks_each_row_set_once(monkeypatch):
-    # each rank test takes closure rows of the realization itself, and no
-    # set of them is ranked twice in one type construction
-    def ranked_sets(a):
+def test_one_walk_eliminates_each_subset_once(monkeypatch):
+    # one elimination per subset S of [n] with 2 <= |S| <= min(ell+1, n),
+    # in the walk's order, on the stored rows of S and no other row
+    def eliminated_sets(a):
         index = {id(row): j for j, row in enumerate(a._sparse, start=1)}
         seen = []
-        real = arrangement.rank
+        real = arrangement._integer_echelon
 
         def counting(rows):
             js = [index.get(id(row)) for row in rows]
-            assert None not in js, "ranked rows that are not closure rows"
-            seen.append(tuple(sorted(js)))
+            assert None not in js, "eliminated rows that are not stored rows"
+            seen.append(tuple(js))
             return real(rows)
 
-        monkeypatch.setattr(arrangement, "rank", counting)
+        monkeypatch.setattr(arrangement, "_integer_echelon", counting)
         CombinatorialType.from_arrangement(a)
-        monkeypatch.setattr(arrangement, "rank", real)
+        monkeypatch.setattr(arrangement, "_integer_echelon", real)
         return seen
 
     cases = [selberg(), selberg_degenerate()] + [
         Arrangement.from_file(path) for path in GOLDEN_INPUTS] + [
         pencil_realization(n, ell, S, r) for n, ell, S, r in PENCIL_SHAPES]
     for a in cases:
-        seen = ranked_sets(a)
-        assert len(seen) == len(set(seen))
-    # Selberg: the 20 subsets of [5] of sizes 2 and 3, then the 10 pairs and
-    # the 2 dependent triples with infinity; a triple of rank 3 needs none
-    assert len(ranked_sets(selberg())) == 32
+        assert len(a._sparse) == a.n
+        assert eliminated_sets(a) == [
+            S for q in range(2, min(a.ell + 1, a.n) + 1)
+            for S in combinations(range(1, a.n + 1), q)]
+    # Selberg: the 20 subsets of [5] of sizes 2 and 3
+    assert len(eliminated_sets(selberg())) == 20

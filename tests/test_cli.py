@@ -252,6 +252,12 @@ def test_spectrum_refuses_a_pencil_on_every_hyperplane_before_the_sum(capsys, mo
                        "hyperplanes, so y_S = 0\n")
 
 
+def test_spectrum_without_a_pencil_exits_2(capsys):
+    for extra in ([], ["--weights", NONRES], ["--json"]):
+        assert run(capsys, "spectrum", SELBERG, *extra) == (
+            2, "", "error: spectrum needs --pencil S r\n")
+
+
 def test_gm_pair_route_builds_one_sum_through_the_pencil(capsys, monkeypatch):
     # the pair is recovered to (S, r), then the pencil route runs: one sum
     # per run, shared by the induced map and the spectrum report
@@ -678,11 +684,16 @@ def test_bad_degree_and_weights_are_refused_before_the_sum(tmp_path, capsys, mon
     import osgm.cli
 
     def refuse(*args):
-        raise AssertionError("pencil sum built")
+        raise AssertionError("pencil sum or cohomology built")
 
     monkeypatch.setattr(osgm.cli, "omega_tilde_sum", refuse)
+    monkeypatch.setattr(osgm.cli, "os_cohomology", refuse)
     for argv, message in [
             (["gm", SELBERG, "--pencil", "3,4,5", "1", "--weights", NONRES, "--degree", "9"],
+             "degree must lie in 0..2"),
+            (["cohomology", SELBERG, "--weights", NONRES, "--degree", "9"],
+             "degree must lie in 0..2"),
+            (["resonance", SELBERG, "--weights", NONRES, "--degree", "-1"],
              "degree must lie in 0..2"),
             (["gm", SELBERG, DEGENERATE, "--weights", NONRES, "--degree", "-1"],
              "degree must lie in 0..2"),

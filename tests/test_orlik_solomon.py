@@ -139,6 +139,8 @@ def test_os_reduce_selberg_printed_examples():
         assert os_reduce({T: one}, t) == {T: one}
     for j in range(1, 6):
         assert os_reduce({(j,): one}, t) == {(j,): one}
+    # a monomial past degree ell lies in the ideal and drops out
+    assert os_reduce({(1, 2, 3): 1, (1, 3): 2}, t) == {(1, 3): 2}
 
 
 def test_os_reduce_polynomial_coefficients():
