@@ -32,7 +32,7 @@ from functools import cache
 from itertools import combinations
 
 from .linalg import _integer_echelon, clear_denominators, rank
-from .poly import parse_rational, format_rational
+from .poly import parse_rational
 
 
 def _whole_number(data, key):
@@ -115,7 +115,7 @@ class Arrangement:
         return {
             "ell": self.ell,
             "n": self.n,
-            "rows": [[format_rational(x) for x in row] for row in self.rows],
+            "rows": [[str(x) for x in row] for row in self.rows],
         }
 
     def row(self, j):
@@ -332,10 +332,3 @@ def check_pencil_rank(S, r, ell):
     if not 1 <= r <= top:
         raise ValueError("pencil rank %d out of range 1..%d" % (r, top))
 
-
-def multiplicity_pencil(K, S, r, ell, n):
-    """Multiplicity |K| - rank of K in the pencil type on (S, r)."""
-    check_pencil_rank(S, r, ell)
-    if not set(K) <= set(range(1, n + 2)):
-        raise ValueError("K must be a subset of [n+1]")
-    return len(K) - pencil_rank(K, S, r, ell)

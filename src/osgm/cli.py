@@ -39,7 +39,7 @@ from .gauss_manin import (
     spectrum_report,
 )
 from .orlik_solomon import betti_numbers, nbc_basis
-from .poly import format_form, format_rational
+from .poly import format_form
 
 
 def _load_type(path):
@@ -142,7 +142,7 @@ def _forms_json(rows, ncols, nvars, pad):
     @cache
     def term(j, c):
         expo = [int(k == j) for k in range(1, nvars + 1)]
-        return tpad + _dumps({"coefficient": format_rational(c), "exponents": expo}, tpad)
+        return tpad + _dumps({"coefficient": str(c), "exponents": expo}, tpad)
 
     def cells(row):
         out = [cpad + "[]"] * ncols
@@ -172,9 +172,9 @@ def _fmt_os_element(elem):
         if T:
             body = "a%s" % _fmt_set(T)
             if abs(c) != 1:
-                body = "%s*%s" % (format_rational(abs(c)), body)
+                body = "%s*%s" % (abs(c), body)
         else:
-            body = format_rational(abs(c))
+            body = str(abs(c))
         sign = "- " if c < 0 else ("+ " if parts else "")
         parts.append(sign + body)
     return " ".join(parts)
@@ -182,7 +182,7 @@ def _fmt_os_element(elem):
 
 def _os_element_json(elem):
     return [
-        {"subset": list(T), "coefficient": format_rational(elem[T])}
+        {"subset": list(T), "coefficient": str(elem[T])}
         for T in sorted(elem)
     ]
 
@@ -365,7 +365,7 @@ def cmd_gm(args):
             print("action on H^%d: zero-dimensional" % q)
             continue
         print("action on H^%d (%dx%d):" % (q, len(gm[q]), len(gm[q])))
-        texts = [{k: format_rational(c) for k, c in enumerate(row)} for row in gm[q]]
+        texts = [{k: str(c) for k, c in enumerate(row)} for row in gm[q]]
         for line in _fmt_table(texts, len(gm[q])):
             print(line)
     _print_spectrum_lines(report)
@@ -459,8 +459,16 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a token that starts with "-" as an option unless it is a
+    # plain number, so "--weights -1/2,..." is passed as "--weights=-1/2,...";
+    # "--w" and longer prefixes abbreviate --weights wherever it is taken
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        if (len(flag) > 2 and "--weights".startswith(flag)
+                and value[:1] == "-" and value[1:2].isdigit()):
+            argv[i - 1:i + 1] = [flag + "=" + value]
+    args = _build_parser().parse_args(argv)
     try:
         args.func(args)
         sys.stdout.flush()

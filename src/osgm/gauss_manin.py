@@ -29,13 +29,12 @@ from .arrangement import (
     compare_types,
     dep_star,
     generic_type,
-    multiplicity_pencil,
     pencil_profile,
     pencil_starred,
 )
 from .linalg import add_scaled, evaluate_int, form_matmul, matmul, rank
 from .orlik_solomon import insertions, projection_matrix, wedge
-from .poly import LinearForm, dense_forms, format_rational
+from .poly import LinearForm, dense_forms
 
 
 class NotCovered(ValueError):
@@ -233,11 +232,13 @@ def pencil_sum_terms(S, r, n, ell):
 
     Keyed by the subsets of [n+1] of size at most ell+1 that the pencil
     forces to be dependent; the value is how far the subset's rank drops.
+    `pencil_profile` lists K as A + B, A in S, |A| >= r+1, |B| <= ell - r:
+    K has rank r + |B|, so it drops by |A| - r.
     """
     S = _clean_subset(S, n)
     check_pencil_rank(S, r, ell)
     forced = sorted(pencil_profile(S, r, n, ell, top=ell + 1), key=lambda K: (len(K), K))
-    return {K: multiplicity_pencil(K, S, r, ell, n) for K in forced}
+    return {K: len(set(K).intersection(S)) - r for K in forced}
 
 
 def _weighted_sum(terms, n, ell):
@@ -470,9 +471,9 @@ def spectrum_report(e, S, r, lam):
             ok = rk == ds and len(m) - rk == d0
         degrees.append({
             "degree": q,
-            "lambda_S": format_rational(lam_s),
+            "lambda_S": str(lam_s),
             "d0": d0,
             "dS": ds,
             "verified": ok,
         })
-    return {"lambda_S": format_rational(lam_s), "degrees": degrees}
+    return {"lambda_S": str(lam_s), "degrees": degrees}

@@ -2,9 +2,11 @@
 
 Elements are dicts {sorted index tuple: coefficient}; coefficients are
 ints or Fractions, or anything else the code can add and scale by integers.
-The quotient has a monomial basis indexed by the subsets that contain no broken
-circuit and have a nonempty affine intersection, and os_reduce rewrites any
-element into that basis.
+`reduce_monomial` rewrites a monomial through the first circuit behind the
+least broken circuit it contains, and drops it when it has an empty affine
+intersection or degree past ell.  The quotient's monomial basis, the nbc
+basis, is the set of monomials that rewriting fixes: those with a nonempty
+intersection and no broken circuit inside.
 """
 
 from itertools import combinations
@@ -57,25 +59,26 @@ def _circuits(t):
     return sorted(out)
 
 
+def _breaking(t):
+    # each broken circuit B, sorted, with the first circuit (k, B), the one
+    # with the smallest k: circuits come sorted, and walking them backwards
+    # writes the first circuit of each B last
+    return dict(sorted({C[1:]: C for C in reversed(circuits(t))}.items()))
+
+
 def broken_circuits(t):
     """Each circuit with its minimum removed, sorted."""
-    return t.derived("broken_circuits", lambda t: sorted({C[1:] for C in circuits(t)}))
+    return list(t.derived("breaking", _breaking))
 
 
 def nbc_basis(t, q):
-    """Degree-q monomial basis: no broken circuit inside, nonempty
-    intersection, lexicographic order."""
+    """Degree-q monomial basis, lexicographic: the q-subsets the rewriting
+    fixes, which are those with a nonempty intersection and no broken
+    circuit inside."""
     if q < 0 or q > t.ell:
         raise ValueError("degree must be between 0 and ell")
-    broken = broken_circuits(t)
-    out = []
-    for S in combinations(range(1, t.n + 1), q):
-        if len(S) >= 2 and t.has_empty_intersection(S):
-            continue
-        if any(set(B) <= set(S) for B in broken):
-            continue
-        out.append(S)
-    return out
+    return [S for S in combinations(range(1, t.n + 1), q)
+            if reduce_monomial(S, t) == {S: 1}]
 
 
 def betti_numbers(t):
@@ -86,35 +89,32 @@ def reduce_monomial(S, t):
     """The monomial e_S, S a sorted tuple, rewritten into the nbc basis as
     {nbc monomial: int}; memoized per type."""
     cache = t.derived("reductions", lambda _: {})
-    if S in cache:
-        return cache[S]
-    if len(S) > t.ell:
-        # every monomial of degree past ell lies in the ideal: a set that
-        # large is dependent or has empty intersection, either way it dies
-        cache[S] = {}
-        return {}
-    if len(S) >= 2 and t.has_empty_intersection(S):
-        cache[S] = {}
+    if S not in cache:
+        cache[S] = _reduce(S, t)
+    return cache[S]
+
+
+def _reduce(S, t):
+    # every monomial of degree past ell lies in the ideal: a set that large
+    # is dependent or has empty intersection, either way it dies
+    if len(S) > t.ell or (len(S) >= 2 and t.has_empty_intersection(S)):
         return {}
     # the lexicographically smallest broken circuit inside S, if any
-    B = next((B for B in broken_circuits(t) if set(B) <= set(S)), None)
+    breaking = t.derived("breaking", _breaking)
+    B = next((B for B in breaking if set(B) <= set(S)), None)
     if B is None:
-        cache[S] = {S: 1}
-        return cache[S]
+        return {S: 1}
     rest = tuple(j for j in S if j not in B)
     _, outer = wedge(B, rest)
     # circuit relation through the first (so smallest-k) circuit (k, B):
     # e_B = sum over c in B of +/- e_{(k,B) minus c}
+    C = breaking[B]
     out = {}
-    C = next(C for C in circuits(t) if C[1:] == B)
     for i in range(1, len(C)):
-        piece = C[:i] + C[i + 1:]
-        w = wedge(piece, rest)
-        if w is None:
-            continue
-        M, inner = w
-        add_scaled(out, reduce_monomial(M, t), (-1) ** (i + 1) * outer * inner)
-    cache[S] = out
+        w = wedge(C[:i] + C[i + 1:], rest)
+        if w is not None:
+            M, inner = w
+            add_scaled(out, reduce_monomial(M, t), (-1) ** (i + 1) * outer * inner)
     return out
 
 

@@ -33,11 +33,6 @@ def parse_rational(s):
     return Fraction(p, q)
 
 
-def format_rational(q):
-    # Fraction.__str__ already gives "p/q" in lowest terms / "p" for integers
-    return str(q)
-
-
 def format_form(terms):
     """The form with nonzero coefficients {j: c} as text, terms by
     ascending j: "0", "y1", "-2*y3 + y4"."""
@@ -45,7 +40,7 @@ def format_form(terms):
         return "0"
     parts = []
     for j, c in sorted(terms.items()):
-        body = "y%d" % j if abs(c) == 1 else "%s*y%d" % (format_rational(abs(c)), j)
+        body = "y%d" % j if abs(c) == 1 else "%s*y%d" % (abs(c), j)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

@@ -27,6 +27,8 @@ SEL = "data/selberg.json"
 DEG = "data/selberg-degenerate.json"
 NONRES = "1/2,1/3,1/5,1/7,1/11"
 RES = "1,2,2,1,-3"
+# a negative first weight, passed as its own token after --weights
+NEGFIRST = "-1/2,1/3,1/5,1/7,1/11"
 # lambda_S = 0 on S = {3,4,5}: the spectrum prediction does not apply
 FLAT = "1/2,1/3,1,-1/2,-1/2"
 INPUTS = "tests/golden/inputs/"
@@ -76,6 +78,7 @@ CASES = [
     ("cohomology-res-degree1", ["cohomology", SEL, "--weights", RES, "--degree", "1"]),
     # zero weights: H^0 survives and prints its class
     ("cohomology-zero", ["cohomology", SEL, "--weights", "0,0,0,0,0"]),
+    ("cohomology-negative-first", ["cohomology", SEL, "--weights", NEGFIRST]),
     ("resonance-nonres", ["resonance", SEL, "--weights", NONRES, "--degree", "1"]),
     ("resonance-nonres-json", ["resonance", SEL, "--weights", NONRES, "--json"]),
     ("resonance-res", ["resonance", SEL, "--weights", RES, "--degree", "1"]),

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import lcm
 
 from osgm.linalg import add_scaled, matmul, rank
-from osgm.poly import LinearForm, format_rational
+from osgm.poly import LinearForm
 
 
 # ---- linear and quadratic forms with arithmetic --------------------------------
@@ -104,7 +104,7 @@ class Form(LinearForm):
         for j, c in sorted(self.terms.items()):
             expo = [0] * self.nvars
             expo[j - 1] = 1
-            out.append({"coefficient": format_rational(c), "exponents": expo})
+            out.append({"coefficient": str(c), "exponents": expo})
         return out
 
 
@@ -152,7 +152,7 @@ def form_matrix_json(m):
 
 
 def rational_matrix_json(m):
-    return [[format_rational(c) for c in row] for row in m]
+    return [[str(c) for c in row] for row in m]
 
 
 def fmt_table(rows):
@@ -584,6 +584,18 @@ def pencil_realization(n, ell, S, r):
     return Arrangement(ell, n, rows)
 
 
+def multiplicity_pencil(K, S, r, ell, n):
+    """Multiplicity |K| - rank of K in the pencil type on (S, r), from the
+    rank rule `pencil_rank` for any subset K of [n+1]: the cross-check of
+    the closed form in `gauss_manin.pencil_sum_terms`."""
+    from osgm.arrangement import check_pencil_rank, pencil_rank
+
+    check_pencil_rank(S, r, ell)
+    if not set(K) <= set(range(1, n + 2)):
+        raise ValueError("K must be a subset of [n+1]")
+    return len(K) - pencil_rank(K, S, r, ell)
+
+
 def type_to_json(t):
     """A combinatorial type as a JSON record, and back."""
     return {
@@ -640,6 +652,55 @@ def circuits_by_walk(t):
                 continue
             out.append(S)
     return sorted(out)
+
+
+def nbc_basis_by_filter(t, q):
+    """Degree-q nbc basis by a direct filter: the q-subsets of [n] with a
+    nonempty intersection and none of the walk's circuits, its minimum
+    removed, inside."""
+    broken = {C[1:] for C in circuits_by_walk(t)}
+    return [S for S in combinations(range(1, t.n + 1), q)
+            if not (len(S) >= 2 and t.has_empty_intersection(S))
+            and not any(set(B) <= set(S) for B in broken)]
+
+
+def breaking_circuit_by_scan(S, circuits):
+    """(B, C) for a sorted set S: B the lexicographically least broken
+    circuit inside S, C the first of the sorted circuits with C minus its
+    minimum equal to B, found by scanning them; None when S holds none."""
+    B = min((C[1:] for C in circuits if set(C[1:]) <= set(S)), default=None)
+    return None if B is None else (B, next(C for C in circuits if C[1:] == B))
+
+
+def reduce_by_scan(S, t, circuits=None):
+    """e_S rewritten into the nbc basis without the library's table or memo:
+    through `breaking_circuit_by_scan` on the walk's circuits, e_B replaced
+    by the alternating sum of e_{C minus c} over c in B."""
+    circuits = circuits_by_walk(t) if circuits is None else circuits
+    if len(S) > t.ell or (len(S) >= 2 and t.has_empty_intersection(S)):
+        return {}
+    found = breaking_circuit_by_scan(S, circuits)
+    if found is None:
+        return {S: 1}
+    B, C = found
+    rest = tuple(j for j in S if j not in B)
+    outer = _sort_sign(B + rest)[1]
+    out = {}
+    for i in range(1, len(C)):
+        seq = C[:i] + C[i + 1:] + rest
+        if len(set(seq)) == len(seq):
+            M, inner = _sort_sign(seq)
+            add_scaled(out, reduce_by_scan(M, t, circuits), (-1) ** (i + 1) * outer * inner)
+    return out
+
+
+def projection_by_scan(t, q):
+    """`orlik_solomon.projection_matrix` from `nbc_basis_by_filter` and
+    `reduce_by_scan`."""
+    col = {T: i for i, T in enumerate(nbc_basis_by_filter(t, q))}
+    circuits = circuits_by_walk(t)
+    return [{col[U]: c for U, c in reduce_by_scan(S, t, circuits).items()}
+            for S in combinations(range(1, t.n + 1), q)]
 
 
 def dep_star_by_walk(t):

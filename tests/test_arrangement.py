@@ -12,7 +12,6 @@ from osgm.arrangement import (
     Arrangement,
     CombinatorialType,
     dep_star,
-    multiplicity_pencil,
     pencil_starred,
     compare_types,
     generic_type,
@@ -21,6 +20,7 @@ from osgm.arrangement import (
 from osgm.gauss_manin import pencil_sum_terms
 from oracles import (
     affine_empty_by_rank,
+    multiplicity_pencil,
     pencil_realization,
     type_from_json,
     type_to_json,
@@ -420,6 +420,24 @@ def test_pencil_profile_matches_the_walk_over_all_subsets(data, ell, n):
     # lexicographically
     forced = sorted((K for K in profile if len(K) <= ell + 1), key=lambda K: (len(K), K))
     assert list(pencil_sum_terms(S, r, n, ell)) == forced
+
+
+def test_pencil_sum_terms_match_the_rank_rule_on_every_small_pencil():
+    # the closed form |K & S| - r against the rank rule on every subset K of
+    # [n+1] of size 2..ell+1: the sum holds exactly the sets whose rank
+    # drops, by size then lexicographically, with that drop
+    count = 0
+    for n in range(1, 7):
+        for ell in range(1, n + 1):
+            subsets = [K for q in range(2, ell + 2) for K in combinations(range(1, n + 2), q)]
+            for s in range(2, n + 2):
+                for S in combinations(range(1, n + 2), s):
+                    for r in range(1, min(ell, s - 1) + 1):
+                        drops = [(K, multiplicity_pencil(K, S, r, ell, n)) for K in subsets]
+                        assert list(pencil_sum_terms(S, r, n, ell).items()) == [
+                            (K, m) for K, m in drops if m]
+                        count += 1
+    assert count == 2328
 
 
 # ---- the one walk against the two-walk oracle -------------------------------

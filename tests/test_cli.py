@@ -585,6 +585,29 @@ def test_weight_errors_name_the_weight():
         assert (code, out, err) == (2, "", message)
 
 
+NEGATIVE_FIRST = "-1/2,1/3,1/5,1/7,1/11"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", SELBERG],
+    ["resonance", SELBERG, "--degree", "2"],
+    ["gm", SELBERG, "--pencil", "3,4,5", "1"],
+    ["spectrum", SELBERG, "--pencil", "3,4,5", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_first_weight_runs_as_its_own_token(argv):
+    # argparse alone reads "-1/2,..." after --weights as an option and
+    # refuses the call; it runs exactly as the "--weights=-1/2,..." form
+    for extra in ([], ["--json"]):
+        joined = run_quiet(argv + ["--weights=" + NEGATIVE_FIRST] + extra)
+        assert joined[0] == 0 and joined[2] == ""
+        assert run_quiet(argv + ["--weights", NEGATIVE_FIRST] + extra) == joined
+        assert run_quiet(argv + ["--weig", NEGATIVE_FIRST] + extra) == joined
+    # an option after --weights is still no value for it
+    code, out, err = run_quiet(argv + ["--weights", "--json"])
+    assert (code, out) == (2, "")
+    assert "argument --weights: expected one argument" in err
+
+
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 

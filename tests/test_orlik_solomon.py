@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osgm import orlik_solomon
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type
 from osgm.orlik_solomon import (
     circuits,
@@ -12,11 +14,18 @@ from osgm.orlik_solomon import (
     nbc_basis,
     betti_numbers,
     os_reduce,
+    reduce_monomial,
     wedge,
     projection_matrix,
 )
 from oracles import Form
 from oracles import circuits_by_walk, exterior_quotient_dims, frac_rank, ideal_span_rows, multiply
+from oracles import (
+    breaking_circuit_by_scan,
+    nbc_basis_by_filter,
+    projection_by_scan,
+    reduce_by_scan,
+)
 from strategies import asserted_types, realized_types
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
@@ -100,6 +109,40 @@ def test_broken_circuits():
     assert broken_circuits(selberg_type()) == [(3, 5), (4, 5)]
     assert broken_circuits(concurrent_type()) == [(2, 3)]
     assert broken_circuits(collapsed_type()) == [(4,), (5,)]
+
+
+def _first_step(S, t):
+    """(B, C) the rewriting of e_S starts from, on a fresh copy of t so no
+    memo answers first: its first wedge is e_B e_rest, its second is C
+    without its second element times e_rest, which gives C = (min C,) + B.
+    None when the rewriting wedges nothing."""
+    fresh = CombinatorialType(t.n, t.ell, t.dep, t.affine_empty)
+    calls = []
+
+    def spy(t1, t2):
+        calls.append(t1)
+        return wedge(t1, t2)
+
+    with mock.patch.object(orlik_solomon, "wedge", spy):
+        reduce_monomial(S, fresh)
+    return (calls[0], calls[1][:1] + calls[0]) if calls else None
+
+
+@given(t=st.one_of(realized_types(), asserted_types()))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_rewriting_matches_the_filter_and_the_scan(t):
+    # the basis is the set of monomials the rewriting fixes: the old filter's
+    # basis, and each other monomial starts from the scanned broken circuit
+    # and circuit and ends where the memo-free rewriting ends
+    circuits = circuits_by_walk(t)
+    assert betti_numbers(t) == [len(nbc_basis_by_filter(t, q)) for q in range(t.ell + 1)]
+    for q in range(t.ell + 1):
+        assert nbc_basis(t, q) == nbc_basis_by_filter(t, q)
+        assert projection_matrix(t, q) == projection_by_scan(t, q)
+        for S in combinations(range(1, t.n + 1), q):
+            assert reduce_monomial(S, t) == reduce_by_scan(S, t, circuits)
+            if len(S) < 2 or not t.has_empty_intersection(S):
+                assert _first_step(S, t) == breaking_circuit_by_scan(S, circuits)
 
 
 def test_nbc_basis():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osgm.poly import LinearForm, parse_rational, format_rational
+from osgm.poly import LinearForm, parse_rational
 from oracles import Form, Quadratic, form_value, quadratic_value
 from strategies import linear_forms, small_rationals
 
@@ -31,14 +31,16 @@ def test_parse_rational_rejects_garbage():
         parse_rational("1.5")  # decimals are not part of the format
 
 
-def test_format_rational_round_trip():
+def test_printed_rational_round_trip():
+    # every rational is printed with str: "p/q" in lowest terms, "p" when
+    # integral, and parse_rational reads it back
     rng = random.Random(7)
     for _ in range(200):
         q = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
-        assert parse_rational(format_rational(q)) == q
-    assert format_rational(Fraction(1, 2)) == "1/2"
-    assert format_rational(Fraction(-6, 4)) == "-3/2"
-    assert format_rational(Fraction(5)) == "5"
+        assert parse_rational(str(q)) == q
+    assert str(Fraction(1, 2)) == "1/2"
+    assert str(Fraction(-6, 4)) == "-3/2"
+    assert str(Fraction(5)) == "5"
 
 
 def test_variable_and_arith():
