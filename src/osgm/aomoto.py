@@ -9,13 +9,15 @@ column col (see `osgm.linalg`): row T holds reduce(e_j e_T) at the keys
 Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
 `os_cohomology` specializes each differential straight to int rows at the
-weights' int point N = D * lam (`Weights.nums`) and eliminates it once.
+weights' int point N = D * lam (`Weights.nums`) and eliminates it once; its
+rows stay int, and a Fraction is made only per class coordinate or view entry.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .arrangement import dep_star
-from .linalg import clear_denominators, echelon_reduce, evaluate_int, image_and_kernel
+from .linalg import add_scaled, clear_denominators, evaluate_int, image_and_kernel
 from .orlik_solomon import insertions, nbc_basis, reduce_monomial
 from .poly import dense_forms, parse_rational
 
@@ -108,37 +110,70 @@ def _build_aomoto(t):
 
 
 class CohomologyData:
-    """Per-degree dimensions and echelon-canonical representative cocycles
-    of the specialized complex, plus the reduced coboundary spaces needed to
-    compare classes, each as sparse rows with its pivot columns."""
+    """Representative cocycles per degree and the coboundaries that compare
+    classes: rep_rows[q] and cob_rows[q] map each pivot, in order, to its int
+    row from `image_and_kernel` (the unit rows {j: 1} at the top degree), which
+    stands for row / row[pivot] and is zero at the other pivots of its dict; a
+    representative is zero at the coboundary pivots too.  Fractions are made
+    only by the views and the coordinates."""
 
-    def __init__(self, dims, reps, rep_pivots, cobound, cob_pivots, bases):
-        self.dims = dims
-        self.reps = reps              # reps[q]: rref rows, reduced mod coboundaries
-        self.rep_pivots = rep_pivots  # their pivots, none of them a coboundary pivot
-        self.cobound = cobound        # cobound[q]: rref rows of the coboundary space
-        self.cob_pivots = cob_pivots
-        self.bases = bases
+    def __init__(self, rep_rows, cob_rows, bases):
+        self.rep_rows, self.cob_rows, self.bases = rep_rows, cob_rows, bases
+        self.dims = [len(reps) for reps in rep_rows]
+        self._index = [{p: k for k, p in enumerate(reps)} for reps in rep_rows]
+
+    rep_pivots = property(lambda self: [list(reps) for reps in self.rep_rows])
+    cob_pivots = property(lambda self: [list(cob) for cob in self.cob_rows])
+    reps = property(lambda self: [[self._rep(q, p) for p in reps]
+                                  for q, reps in enumerate(self.rep_rows)])
+    cobound = property(lambda self: [[_divided(row, p) for p, row in cob.items()]
+                                     for cob in self.cob_rows])
+
+    def _rep(self, q, p):
+        row = self.rep_rows[q][p]
+        return row if q == len(self.dims) - 1 else _divided(row, p)  # top degree: int units
 
     def class_coords(self, q, vec):
-        """Coordinates of a cocycle's class in the representative basis,
-        or None when the sparse vector is not in the cocycle-plus-coboundary
-        span.
+        """Coordinates of the class of a sparse vector of ints or Fractions in
+        the representative basis, or None off the cocycle-plus-coboundary span."""
+        d, nums = clear_denominators(list(vec.values()))
+        return self.int_coords(q, dict(zip(vec, nums)), d)
 
-        After reduction by the coboundaries each coordinate is the entry at
-        its representative's pivot; the vector is a member exactly when
-        nothing is left once the representatives are taken off as well.
-        """
-        reduced = echelon_reduce(vec, self.cobound[q], self.cob_pivots[q])
-        zero = Fraction(0)
-        coords = [reduced.get(p, zero) for p in self.rep_pivots[q]]
-        if echelon_reduce(reduced, self.reps[q], self.rep_pivots[q]):
-            return None
-        return coords
+    def int_coords(self, q, v, s):
+        """`class_coords` of v / s for a sparse int vector v, used up: with the
+        coboundaries cleared, each coordinate is the entry at its representative's
+        pivot over the scale, and nothing is left after the representatives."""
+        s = _clear(v, self.cob_rows[q], s)
+        coords, index = [Fraction(0)] * self.dims[q], self._index[q]
+        for p, x in v.items():
+            if p in index:
+                coords[index[p]] = Fraction(x, s)
+        _clear(v, self.rep_rows[q], 1)
+        return None if v else coords
 
     def element(self, q, k):
         """The k-th representative as {monomial: coefficient}."""
-        return {self.bases[q][j]: c for j, c in sorted(self.reps[q][k].items())}
+        row = self._rep(q, list(self.rep_rows[q])[k])
+        return {self.bases[q][j]: c for j, c in sorted(row.items())}
+
+
+def _clear(v, rows, s):
+    """Clear the int vector v / s in place at the pivots of `rows`, each row
+    zero at the others' pivots, and return its scale: x at the pivot of a row
+    with pivot a goes as (a/g) v - (x/g) row, g = gcd(a, x), scaling s by a/g."""
+    for p in [p for p in v if p in rows]:
+        a, x = rows[p][p], v[p]
+        g = gcd(a, x)
+        if a != g:
+            for j in v:
+                v[j] *= a // g
+            s *= a // g
+        add_scaled(v, rows[p], -(x // g))
+    return s
+
+
+def _divided(row, p):
+    return {j: Fraction(x, row[p]) for j, x in row.items()}
 
 
 def os_cohomology(t, lam):
@@ -156,36 +191,25 @@ def os_cohomology(t, lam):
     coboundary pivot, and there are dim ker - dim im of them, which makes
     them the reduced basis of the closed cochains modulo the coboundaries.
     The pivot inclusion is checked, and a complex whose differentials do
-    not compose to zero is refused.
+    not compose to zero is refused.  All rows stay int.
     """
     c = build_aomoto(t)
-    dims, reps, rep_pivots, cobound, cob_pivots = [], [], [], [], []
-    cob_rows, cob_piv = [], []
+    reps, cobound, cob = [], [], {}
     for q in range(t.ell + 1):
-        cobound.append(cob_rows)
-        cob_pivots.append(cob_piv)
-        taken = set(cob_piv)
+        cobound.append(cob)
         if q < t.ell:
             img, img_piv, closed, closed_piv = image_and_kernel(
                 evaluate_int(c.rows[q], lam.nums, t.n), lam.d)
-            if not taken <= set(closed_piv):
+            if not cob.keys() <= set(closed_piv):
                 raise ValueError("the differentials entering and leaving degree %d "
                                  "do not compose to zero" % q)
-            canon, piv = [], []
-            for z, p in zip(closed, closed_piv):
-                if p not in taken:
-                    canon.append(z)
-                    piv.append(p)
-            cob_rows, cob_piv = img, img_piv
+            reps.append({p: z for z, p in zip(closed, closed_piv) if p not in cob})
+            cob = dict(zip(img_piv, img))
         else:
             # every cochain is closed, and reducing the unit vectors by the
             # coboundaries spans exactly the coordinates off their pivots
-            piv = [j for j in range(len(c.bases[q])) if j not in taken]
-            canon = [{j: 1} for j in piv]
-        dims.append(len(canon))
-        reps.append(canon)
-        rep_pivots.append(piv)
-    return CohomologyData(dims, reps, rep_pivots, cobound, cob_pivots, c.bases)
+            reps.append({j: {j: 1} for j in range(len(c.bases[q])) if j not in cob})
+    return CohomologyData(reps, cobound, c.bases)
 
 
 def in_resonance(t, lam, q, m, h=None):
@@ -209,12 +233,14 @@ def nonresonance_conditions(t):
 
 
 def weights_nonresonant(t, lam):
-    """Whether no condition of `nonresonance_conditions` sums to a
-    nonnegative integer.  Over the weights' common denominator D, with
-    N = D * lam, the sum over S is s / D for the int s = sum of N_j over S,
-    and it is a nonnegative integer exactly when s >= 0 and D divides s."""
+    """Whether no condition of `nonresonance_conditions` (from the type's
+    store) sums to a nonnegative integer.  With N = D * lam, the sum over S
+    is s / D for the int s = sum of N_j over S: a nonnegative integer
+    exactly when s >= 0 and D divides s.  lam has one weight per 1..n."""
+    if lam.n != t.n:
+        raise ValueError("expected %d values, got %d" % (t.n, lam.n))
     d, nums = lam.d, lam.nums + (-sum(lam.nums),)
-    for S in nonresonance_conditions(t):
+    for S in t.derived("nonresonance_conditions", nonresonance_conditions):
         s = sum(nums[j - 1] for j in S)
         if s >= 0 and s % d == 0:
             return False

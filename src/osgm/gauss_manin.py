@@ -19,7 +19,6 @@ and M (M - y_S I) = 0 compare products keyed (col, j, k), and descent
 compares W P with P M keyed (col, j).
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -114,7 +113,7 @@ class ChainEndomorphism:
     checking and specializing cost in proportion to the nonzeros and run
     in int arithmetic: `evaluate_int` specializes a degree at the weights'
     int point N = D * lam, and only `gm_endomorphism` divides by D, in the
-    entries of its images.  `checked` records whether the identity was
+    entries of its matrices.  `checked` records whether the identity was
     checked on construction; `mats` is the dense view.
 
     Instances are treated as immutable once built; sums and induced maps
@@ -337,16 +336,18 @@ def gm_endomorphism(e, lam, q, h=None):
 
     Rows give the image of each cohomology class in the class basis; pass a
     precomputed cohomology object to avoid recomputing it per degree.
-    The map is evaluated over int at N = D * lam, so each image is D times
-    the image at lam; its entries are divided by D, as Fractions.
+    A representative z stands for z / a, a its pivot entry, and the map is
+    evaluated over int at N = D * lam, so the int image of z is a * D times
+    the image at lam: `int_coords` divides by a * D, one Fraction per entry.
     """
     if not 0 <= q < len(e.rows):
         raise ValueError("degree %d out of range 0..%d" % (q, len(e.rows) - 1))
     if h is None:
         h = os_cohomology(e.cx.t, lam)
+    m = evaluate_int(e.rows[q], lam.nums, e.cx.t.n)
     out = []
-    for img in matmul(h.reps[q], evaluate_int(e.rows[q], lam.nums, e.cx.t.n)):
-        coords = h.class_coords(q, {j: Fraction(v, lam.d) for j, v in img.items()})
+    for p, z in h.rep_rows[q].items():
+        coords = h.int_coords(q, matmul([z], m)[0], z[p] * lam.d)
         if coords is None:
             raise NotCovered("image of a closed class is not closed in degree %d" % q)
         out.append(coords)

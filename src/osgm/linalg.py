@@ -8,8 +8,8 @@ rows goes through `add_scaled`, which is where that invariant is kept;
 Linear maps act on row vectors, v -> v @ M, so the kernel of a map is the
 left null space of its matrix and images are spanned by rows.
 Elimination clears each row's denominators once and then runs
-fraction-free over int (`_integer_echelon`); only the reduced rows `rref`
-and `image_and_kernel` return are Fractions again.
+fraction-free over int (`_integer_echelon`); Fractions appear only where
+the returned rows are divided by their pivots.
 
 A matrix of linear forms in the weights y_1..y_n is kept as sparse int
 rows keyed (col, j), the coefficient of y_j in the entry at column col.
@@ -109,11 +109,10 @@ def _integer_echelon(m):
 
 
 def rref(m):
-    """Reduced row echelon form of sparse rows: (rows, pivot_columns),
-    the nonzero rows of the reduced form as Fractions, in pivot order, each
-    with pivot entry Fraction(1).  The form is unique, so equal row spaces
-    give equal results, and each row is an integer echelon row divided by
-    its pivot.  The input is not modified.
+    """Reduced row echelon form of sparse rows: (rows, pivot_columns), the
+    rows of `_integer_echelon` divided by their pivots, as Fractions.  The
+    form is unique, so equal row spaces give equal results.  The input is
+    not modified.
     """
     rows, pivots = _integer_echelon(m)
     return [{j: Fraction(x, row[p]) for j, x in row.items()}
@@ -129,12 +128,12 @@ def image_and_kernel(m, d=1):
     """One integer elimination of d * [M | I], where m holds the rows of
     d * M: (rows, pivots, kernel, kernel_pivots).
 
-    `rows` and `pivots` are the reduced row echelon form of M, as `rref`
-    gives them; `kernel` is the reduced row echelon basis of the left null
-    space {v : v @ M = 0}, with its pivot columns.  Row i of m carries d
-    times the unit vector e_i in a block right of M's columns, so each
-    reduced row records the combination of M's rows it is; the rows whose
-    pivot falls in that block are zero on M, and they are the kernel.
+    Each row is an int row of `_integer_echelon` standing for row / row[pivot]:
+    so divided, `rows` and `pivots` are `rref` of M, and `kernel` is the reduced
+    basis of the left null space {v : v @ M = 0}.  Row i of m carries d times
+    the unit vector e_i in a block right of M's columns, so each reduced row
+    records the combination of M's rows it is; the rows whose pivot falls in
+    that block are zero on M, and they are the kernel.
 
     The results do not depend on d.  For a rational M, pass its common
     denominator d and the int rows d * M: row i is then d * [M_i | e_i],
@@ -144,37 +143,11 @@ def image_and_kernel(m, d=1):
     is 1, up to d times larger than that row.
     """
     width = 1 + max((max(row) for row in m if row), default=-1)
-    aug = []
-    for i, row in enumerate(m):
-        row = dict(row)
-        row[width + i] = d
-        aug.append(row)
-    red, piv = _integer_echelon(aug)
+    red, piv = _integer_echelon([{**row, width + i: d} for i, row in enumerate(m)])
     r = sum(p < width for p in piv)
-    # as in rref, each returned entry is divided by its row's pivot
-    rows = [{j: Fraction(x, row[p]) for j, x in row.items() if j < width}
-            for row, p in zip(red[:r], piv)]
-    kernel = [{j - width: Fraction(x, row[p]) for j, x in row.items()}
-              for row, p in zip(red[r:], piv[r:])]
+    rows = [{j: x for j, x in row.items() if j < width} for row in red[:r]]
+    kernel = [{j - width: x for j, x in row.items()} for row in red[r:]]
     return rows, piv[:r], kernel, [p - width for p in piv[r:]]
-
-
-def echelon_reduce(v, rows, pivots):
-    """The sparse vector v minus the combination of rows that clears every
-    pivot column.
-
-    `rows` and `pivots` are the nonzero rows of a reduced row echelon form
-    and their pivot columns, as `rref` returns them; the coefficient of
-    row i is the entry of v at its pivot, since no other row touches that
-    column.  The result is empty exactly when v lies in the row span.
-    """
-    v = dict(v)
-    for row, p in zip(rows, pivots):
-        f = v.get(p)
-        if f:
-            # row[p] is 1, so this also clears the pivot entry of v
-            add_scaled(v, row, -f)
-    return v
 
 
 def solve_row_combination(rows, w):

@@ -834,12 +834,13 @@ def dense_left_null_space(m):
 def class_coords_by_solving(h, q, vec):
     """Class coordinates of the sparse vector vec by the solving route:
     reduce modulo the coboundaries with a fresh elimination, then solve for
-    a combination of the representatives.  None when vec is not a
-    cocycle."""
-    from osgm.linalg import echelon_reduce, rref, solve_row_combination
+    a combination of the representatives, each divided by its pivot entry
+    here.  None when vec is not a cocycle."""
+    from osgm.linalg import rref, solve_row_combination
 
     rows, pivots = rref(h.cobound[q])
-    return solve_row_combination(h.reps[q], echelon_reduce(vec, rows, pivots))
+    reps = divided_by_pivots(h.reps[q], h.rep_pivots[q])
+    return solve_row_combination(reps, echelon_reduce(vec, rows, pivots))
 
 
 def rows_at(rows, lam, nvars):
@@ -870,11 +871,11 @@ def boundary_at(cx, lam, q):
 def cohomology_by_two_eliminations(t, lam):
     """(dims, reps, rep_pivots, cobound, cob_pivots) of `os_cohomology` by
     two eliminations per degree: the Fraction differential through
-    `image_and_kernel`, then the closed cochains reduced by the coboundaries
-    of the degree below with `echelon_reduce` and echelonized by a second
-    `rref`."""
+    `image_and_kernel`, its rows divided by their pivots here, then the
+    closed cochains reduced by the coboundaries of the degree below with
+    `echelon_reduce` and echelonized by a second `rref`."""
     from osgm.aomoto import build_aomoto
-    from osgm.linalg import echelon_reduce, image_and_kernel, rref
+    from osgm.linalg import image_and_kernel, rref
 
     c = build_aomoto(t)
     dims, reps, rep_pivots, cobound, cob_pivots = [], [], [], [], []
@@ -883,9 +884,10 @@ def cohomology_by_two_eliminations(t, lam):
         cobound.append(cob_rows)
         cob_pivots.append(cob_piv)
         if q < t.ell:
-            img, img_piv, closed, _ = image_and_kernel(boundary_at(c, lam, q))
+            img, img_piv, closed, closed_piv = image_and_kernel(boundary_at(c, lam, q))
+            closed = divided_by_pivots(closed, closed_piv)
             canon, piv = rref([echelon_reduce(z, cob_rows, cob_piv) for z in closed])
-            cob_rows, cob_piv = img, img_piv
+            cob_rows, cob_piv = divided_by_pivots(img, img_piv), img_piv
         else:
             taken = set(cob_piv)
             piv = [j for j in range(len(c.bases[q])) if j not in taken]
@@ -1016,6 +1018,30 @@ def coset_reduce(v, basis):
         if f:
             v = [a - f * b for a, b in zip(v, row)]
     return v
+
+
+def echelon_reduce(v, rows, pivots):
+    """The sparse vector v minus the combination of rows that clears every
+    pivot column.
+
+    `rows` and `pivots` are the nonzero rows of a reduced row echelon form
+    and their pivot columns, as `rref` returns them; the coefficient of
+    row i is the entry of v at its pivot, since no other row touches that
+    column.  The result is empty exactly when v lies in the row span.
+    """
+    v = dict(v)
+    for row, p in zip(rows, pivots):
+        f = v.get(p)
+        if f:
+            # row[p] is 1, so this also clears the pivot entry of v
+            add_scaled(v, row, -f)
+    return v
+
+
+def divided_by_pivots(rows, pivots):
+    """Sparse rows each divided by its entry at its pivot, as Fractions:
+    the reduced rows that the int rows of `image_and_kernel` stand for."""
+    return [{j: Fraction(x) / row[p] for j, x in row.items()} for row, p in zip(rows, pivots)]
 
 
 def identity_matrix(n):

@@ -15,6 +15,7 @@ from osgm.aomoto import (
     weights_nonresonant,
 )
 from osgm.linalg import form_matmul, matmul
+from strategies import realized_types
 from oracles import (
     Form,
     pencil_realization,
@@ -246,6 +247,63 @@ def test_class_coords_match_the_solving_oracle(name, weights):
         for _ in range(12):
             v = sparse_vector([Fraction(rng.choice((0, 0, 1, -2))) for _ in range(size)])
             assert h.class_coords(q, v) == class_coords_by_solving(h, q, v)
+
+
+@given(t=realized_types(), data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_class_coords_match_the_solving_oracle_on_realized_types(t, data):
+    # the int pivot read-off at nonresonant weights, at weights resonant on
+    # a starred set and at zero, against a fresh reduction and solve
+    n = t.n
+    kind = data.draw(st.sampled_from(["nonresonant", "starred", "zero"]))
+    vals = [Fraction(data.draw(st.integers(-3000, 3000).filter(bool)), 1009) for _ in range(n)]
+    if kind == "zero":
+        vals = [Fraction(0)] * n
+    elif kind == "starred":
+        starred = [S for S in nonresonance_conditions(t) if len(S) > 1]
+        if starred:
+            S = data.draw(st.sampled_from(starred))
+            vals = [x if j in S else Fraction(0) for j, x in enumerate(vals, start=1)]
+            if n + 1 not in S:
+                vals[S[-1] - 1] -= Weights(vals).subset_sum(S)
+            assert Weights(vals).subset_sum(S) == 0
+    elif not weights_nonresonant(t, Weights(vals)):
+        return
+    lam = Weights(vals)
+    h = os_cohomology(t, lam)
+    assert all(type(x) is int for rows in h.rep_rows + h.cob_rows
+               for row in rows.values() for x in row.values())
+    c = build_aomoto(t)
+    rng = random.Random(repr((vals, t.dep)))
+    for q in range(t.ell + 1):
+        size, dim = len(c.bases[q]), h.dims[q]
+        reps, cob = dense(h.reps[q], size, Fraction(0)), dense(h.cobound[q], size, Fraction(0))
+        zero = h.class_coords(q, {})
+        assert zero == [Fraction(0)] * dim and all(type(x) is Fraction for x in zero)
+        for k, z in enumerate(h.reps[q]):
+            unit = [Fraction(int(i == k)) for i in range(dim)]
+            assert h.class_coords(q, z) == class_coords_by_solving(h, q, z) == unit
+        for _ in range(4):
+            a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in reps]
+            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in cob]
+            v = sparse_vector([sum((x * r[j] for x, r in zip(a + b, reps + cob)), Fraction(0))
+                               for j in range(size)])
+            assert h.class_coords(q, v) == class_coords_by_solving(h, q, v) == a
+        # a cocycle plus a basis vector the differential does not kill
+        for i, row in enumerate(boundary_at(c, lam, q)):
+            if row:
+                v = sparse_vector([x + (j == i) for j, x in enumerate(reps[0] if reps else
+                                                                     [Fraction(0)] * size)])
+                assert h.class_coords(q, v) is None
+                assert class_coords_by_solving(h, q, v) is None
+
+
+def test_weights_nonresonant_refuses_a_weight_vector_of_the_wrong_length():
+    t = selberg_type()
+    with pytest.raises(ValueError, match="^expected 5 values, got 6$"):
+        weights_nonresonant(t, Weights(["1/2", "1/3", "1/5", "1/7", "1/11", "1"]))
+    with pytest.raises(ValueError, match="^expected 5 values, got 4$"):
+        weights_nonresonant(t, Weights(["1/2", "1/3", "1/5", "1/7"]))
 
 
 def test_os_cohomology_eliminates_each_differential_once(monkeypatch):

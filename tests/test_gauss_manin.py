@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type, read_json
-from osgm.aomoto import AomotoComplex, Weights, build_aomoto, os_cohomology, weights_nonresonant
+from osgm.aomoto import (
+    AomotoComplex,
+    Weights,
+    build_aomoto,
+    nonresonance_conditions,
+    os_cohomology,
+    weights_nonresonant,
+)
 from osgm.gauss_manin import (
     ChainEndomorphism,
     NotCovered,
@@ -584,8 +591,8 @@ def _gm_case(name):
 @pytest.mark.parametrize("name", ["four-fold-8-2", "selberg-nonres", "selberg-res",
                                   "generic-7-3"])
 def test_gm_matrices_are_fractions_and_match_the_dense_route(name):
-    # top-degree representatives are int unit rows, so an image can reach
-    # class_coords as ints; every entry must still come out a Fraction
+    # representatives and images stay int rows up to the class coordinates;
+    # every entry must still come out a Fraction
     t, S, r, weights = _gm_case(name)
     e = induce_on_type(omega_tilde_sum(S, r, t.n, t.ell), t)
     if name == "four-fold-8-2":
@@ -917,6 +924,42 @@ def test_sums_and_induced_maps_match_the_dense_route(data):
     for t in (generic_type(n, ell), _pencil_type(n, ell, S, r), _pencil_type(n, ell, *other)):
         assert _induced(e, t) == _dense_induced(e.mats, t), (n, ell, S, r, other)
         assert _nonzeros_only(build_aomoto(t).rows)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_gm_matrices_match_the_dense_route_for_a_random_pencil(data):
+    # the int representatives times the int map, one Fraction per GM entry,
+    # against the Fraction images and the solving route, on the generic type
+    # and on another pencil's type where the sum descends there, at random
+    # and zero weights and at weights resonant on a starred set of the type
+    draw = data.draw
+    n, ell = draw(st.sampled_from(SMALL))
+    S, r = draw(st.sampled_from(_pencils(n, ell)))
+    t = generic_type(n, ell)
+    if draw(st.booleans()):
+        t = _pencil_type(n, ell, *draw(st.sampled_from(_pencils(n, ell))))
+    try:
+        e = induce_on_type(omega_tilde_sum(S, r, n, ell), t)
+    except NotCovered:
+        return
+    kind = draw(st.sampled_from(["random", "zero", "resonant"]))
+    dens = st.sampled_from([1, 2, 5, 1009])
+    vals = [Fraction(draw(st.integers(-12, 12).filter(bool)), draw(dens)) for _ in range(n)]
+    starred = [K for K in nonresonance_conditions(t) if len(K) > 2]
+    if kind == "zero":
+        vals = [Fraction(0)] * n
+    elif kind == "resonant" and starred:
+        K = draw(st.sampled_from(starred))
+        vals = [x if j in K else Fraction(0) for j, x in enumerate(vals, start=1)]
+        if n + 1 not in K:
+            vals[K[-1] - 1] -= Weights(vals).subset_sum(K)
+    lam = Weights(vals)
+    h = os_cohomology(t, lam)
+    for q in range(ell + 1):
+        got = gm_endomorphism(e, lam, q, h=h)
+        assert got == gm_by_solving(e, lam, q, h)
+        assert all(type(c) is Fraction for row in got for c in row)
 
 
 @given(pair=type_pairs())

@@ -12,7 +12,6 @@ from osgm.linalg import (
     rank,
     rref,
     image_and_kernel,
-    echelon_reduce,
     evaluate_int,
     solve_row_combination,
     form_matmul,
@@ -26,6 +25,8 @@ from oracles import (
     dense_left_null_space,
     dense_product,
     dense_rref,
+    divided_by_pivots,
+    echelon_reduce,
     form_value,
     fraction_rref,
     identity_matrix,
@@ -118,6 +119,7 @@ def test_kernel_vectors_annihilate_and_are_normalized():
         ncols = rng.randint(1, 6)
         m = sparse(frac_matrix(random_int_matrix(rng, nrows, ncols)))
         _, _, ker, ker_pivots = image_and_kernel(m)
+        ker = divided_by_pivots(ker, ker_pivots)
         assert len(ker) == nrows - rank(m)
         for v in ker:
             assert matmul([v], m) == [{}]
@@ -366,6 +368,8 @@ def _matrices_with_zero_rows(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_image_and_kernel_match_the_dense_oracles(m):
     rows, pivots, kernel, kernel_pivots = image_and_kernel(sparse(m))
+    assert all(type(x) is int for row in rows + kernel for x in row.values())
+    rows, kernel = divided_by_pivots(rows, pivots), divided_by_pivots(kernel, kernel_pivots)
     dense_rows, dense_pivots = dense_rref(m)
     assert (rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
     null_rows, null_pivots = dense_rref(dense_left_null_space(m))
@@ -424,8 +428,11 @@ def test_integer_elimination_matches_the_fraction_route(m):
     assert all(type(row[p]) is Fraction and row[p] == 1 for row, p in zip(rows, pivots))
     ints = [[int(x * lcm(*(Fraction(y).denominator for y in row))) for x in row] for row in m]
     assert rank(sm) == len(pivots) == bareiss_rank(ints)
-    img, img_pivots, kernel, kernel_pivots = image_and_kernel(sm)
+    result = image_and_kernel(sm)
     assert sm == before
+    img, img_pivots, kernel, kernel_pivots = result
+    assert all(type(x) is int for row in img + kernel for x in row.values())
+    img, kernel = divided_by_pivots(img, img_pivots), divided_by_pivots(kernel, kernel_pivots)
     assert (img, img_pivots) == (rows, pivots)
     null_rows, null_pivots = dense_rref(dense_left_null_space(m))
     assert (kernel, kernel_pivots) == (sparse(null_rows[:len(null_pivots)]), null_pivots)
@@ -433,7 +440,7 @@ def test_integer_elimination_matches_the_fraction_route(m):
     # the same results from the int rows d*M with the identity block scaled by d
     d = lcm(*(Fraction(x).denominator for row in m for x in row))
     scaled = [{j: int(d * x) for j, x in row.items()} for row in sm]
-    assert image_and_kernel(scaled, d) == (img, img_pivots, kernel, kernel_pivots)
+    assert image_and_kernel(scaled, d) == result
 
 
 def test_clear_denominators():
