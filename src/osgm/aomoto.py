@@ -10,7 +10,7 @@ Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
 `os_cohomology` specializes each differential straight to int rows at the
 weights' int point N = D * lam (`Weights.nums`) and eliminates it once; its
-rows stay int, and a Fraction is made only per class coordinate or view entry.
+rows stay int, and only `element` and class coordinates make Fractions.
 """
 
 from fractions import Fraction
@@ -56,6 +56,11 @@ class Weights:
         if j == self.n + 1:
             return -sum(self.values)
         raise ValueError("weight index %d out of range 1..%d" % (j, self.n + 1))
+
+    def check_length(self, n):
+        """Refuse a vector that does not hold one weight per hyperplane 1..n."""
+        if self.n != n:
+            raise ValueError("expected %d values, got %d" % (n, self.n))
 
     def subset_sum(self, S):
         return sum((self[j] for j in S), Fraction(0))
@@ -115,23 +120,12 @@ class CohomologyData:
     row from `image_and_kernel` (the unit rows {j: 1} at the top degree), which
     stands for row / row[pivot] and is zero at the other pivots of its dict; a
     representative is zero at the coboundary pivots too.  Fractions are made
-    only by the views and the coordinates."""
+    only by `element` and the coordinates."""
 
     def __init__(self, rep_rows, cob_rows, bases):
         self.rep_rows, self.cob_rows, self.bases = rep_rows, cob_rows, bases
         self.dims = [len(reps) for reps in rep_rows]
         self._index = [{p: k for k, p in enumerate(reps)} for reps in rep_rows]
-
-    rep_pivots = property(lambda self: [list(reps) for reps in self.rep_rows])
-    cob_pivots = property(lambda self: [list(cob) for cob in self.cob_rows])
-    reps = property(lambda self: [[self._rep(q, p) for p in reps]
-                                  for q, reps in enumerate(self.rep_rows)])
-    cobound = property(lambda self: [[_divided(row, p) for p, row in cob.items()]
-                                     for cob in self.cob_rows])
-
-    def _rep(self, q, p):
-        row = self.rep_rows[q][p]
-        return row if q == len(self.dims) - 1 else _divided(row, p)  # top degree: int units
 
     def class_coords(self, q, vec):
         """Coordinates of the class of a sparse vector of ints or Fractions in
@@ -152,9 +146,9 @@ class CohomologyData:
         return None if v else coords
 
     def element(self, q, k):
-        """The k-th representative as {monomial: coefficient}."""
-        row = self._rep(q, list(self.rep_rows[q])[k])
-        return {self.bases[q][j]: c for j, c in sorted(row.items())}
+        """The k-th representative as {monomial: Fraction}, over its pivot entry."""
+        p, row = list(self.rep_rows[q].items())[k]
+        return {self.bases[q][j]: Fraction(c, row[p]) for j, c in sorted(row.items())}
 
 
 def _clear(v, rows, s):
@@ -170,10 +164,6 @@ def _clear(v, rows, s):
             s *= a // g
         add_scaled(v, rows[p], -(x // g))
     return s
-
-
-def _divided(row, p):
-    return {j: Fraction(x, row[p]) for j, x in row.items()}
 
 
 def os_cohomology(t, lam):
@@ -193,6 +183,7 @@ def os_cohomology(t, lam):
     The pivot inclusion is checked, and a complex whose differentials do
     not compose to zero is refused.  All rows stay int.
     """
+    lam.check_length(t.n)
     c = build_aomoto(t)
     reps, cobound, cob = [], [], {}
     for q in range(t.ell + 1):
@@ -237,8 +228,7 @@ def weights_nonresonant(t, lam):
     store) sums to a nonnegative integer.  With N = D * lam, the sum over S
     is s / D for the int s = sum of N_j over S: a nonnegative integer
     exactly when s >= 0 and D divides s.  lam has one weight per 1..n."""
-    if lam.n != t.n:
-        raise ValueError("expected %d values, got %d" % (t.n, lam.n))
+    lam.check_length(t.n)
     d, nums = lam.d, lam.nums + (-sum(lam.nums),)
     for S in t.derived("nonresonance_conditions", nonresonance_conditions):
         s = sum(nums[j - 1] for j in S)

@@ -2,9 +2,10 @@
 
 Loads arrangement files, dispatches one operation, and prints either an
 aligned human-readable table or the JSON records the library defines.
-The matrices of `gm` and `aomoto` and the sets of `deps` are written in
-pieces straight from the library's sparse rows and generators, byte for
-byte as a dense table and `json.dumps(..., indent=2)` would print them.
+The matrices of `gm` and `aomoto` and the sets of `deps` are written one
+row at a time, byte for byte as a dense table and `json.dumps(..., indent=2)`
+would print them: only nonzero entries become text, a table takes its column
+widths from them, and JSON goes out in pieces of about 64 kB.
 Exit codes: 0 on success, 1 when stdout is closed before the output is
 written, 2 for input/validation problems, 3 when a mathematical
 precondition fails and the library raises `NotCovered` (a map that does
@@ -18,7 +19,7 @@ import os
 import sys
 from collections.abc import Iterator
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations
 
 from .aomoto import (
     Weights,
@@ -73,14 +74,23 @@ def _fmt_set(S):
     return "{%s}" % ",".join(str(j) for j in S)
 
 
-def _fmt_table(rows, ncols):
-    """Aligned lines of a matrix given as sparse rows {col: text}, "0" off
-    their support, each column as wide as its widest entry."""
+def _write_table(rows, ncols):
+    """Write a matrix given as sparse rows {col: text} as aligned lines, "0"
+    off their support, each column as wide as its widest entry: the widths
+    come from the texts in one pass, and each line is written once built."""
     if not rows or not ncols:
-        return ["  (empty)"]
-    widths = [max([1] + [len(row[k]) for row in rows if k in row]) for k in range(ncols)]
-    return ["  [ " + "   ".join(row.get(k, "0").rjust(w) for k, w in enumerate(widths)) + " ]"
-            for row in rows]
+        print("  (empty)")
+        return
+    widths = [1] * ncols
+    for row in rows:
+        for k, text in row.items():
+            widths[k] = max(widths[k], len(text))
+    zeros = ["0".rjust(w) for w in widths]
+    for row in rows:
+        cells = zeros.copy()
+        for k, text in row.items():
+            cells[k] = text.rjust(widths[k])
+        sys.stdout.write("  [ " + "   ".join(cells) + " ]\n")
 
 
 def _form_cells(row):
@@ -100,13 +110,15 @@ def _form_texts(rows):
 
 def _joined(items, sep, head, tail, empty):
     """Pieces of head + sep.join(items) + tail, or `empty` when there are
-    no items, joined a few thousand items at a time."""
-    items = iter(items)
-    batch = list(islice(items, 4096))
-    yield head + sep.join(batch) if batch else empty
-    while batch:
-        batch = list(islice(items, 4096))
-        yield sep + sep.join(batch) if batch else tail
+    no items, each cut once its items reach 64 kB."""
+    batch, size, lead = [], 0, head
+    for item in items:
+        if size >= 1 << 16:
+            yield lead + sep.join(batch)
+            batch, size, lead = [], 0, sep
+        batch.append(item)
+        size += len(item)
+    yield lead + sep.join(batch) + tail if batch else empty
 
 
 def _jlist(items, pad):
@@ -154,7 +166,8 @@ def _forms_json(rows, ncols, nvars, pad):
 
 
 def _rationals_json(m, pad):
-    return _matrix_json((['%s    "%s"' % (pad, c) for c in row] for row in m), pad)
+    cell, zero = pad + '    "%s"', pad + '    "0"'  # every zero entry shares one cell
+    return _matrix_json(([cell % c if c else zero for c in row] for row in m), pad)
 
 
 def _sets_json(fam, q):
@@ -181,10 +194,7 @@ def _fmt_os_element(elem):
 
 
 def _os_element_json(elem):
-    return [
-        {"subset": list(T), "coefficient": str(elem[T])}
-        for T in sorted(elem)
-    ]
+    return [{"subset": list(T), "coefficient": str(elem[T])} for T in sorted(elem)]
 
 
 def cmd_deps(args):
@@ -261,8 +271,7 @@ def cmd_aomoto(args):
         return
     for q in range(t.ell):
         print("boundary leaving degree %d (%dx%d):" % (q, widths[q], widths[q + 1]))
-        for line in _fmt_table(_form_texts(cx.rows[q]), widths[q + 1]):
-            print(line)
+        _write_table(_form_texts(cx.rows[q]), widths[q + 1])
 
 
 def cmd_cohomology(args):
@@ -356,8 +365,7 @@ def cmd_gm(args):
     print("pencil (S, r): S = %s, r = %d" % (_fmt_set(S), r))
     for q, m in enumerate(ind.rows):
         print("induced connection matrix, degree %d (%dx%d):" % (q, len(m), len(m)))
-        for line in _fmt_table(_form_texts(m), len(m)):
-            print(line)
+        _write_table(_form_texts(m), len(m))
     print("weights: %s" % ", ".join(lam.to_json()))
     print("cohomology dimensions: %s" % " ".join(str(d) for d in h.dims))
     for q in degrees:
@@ -365,9 +373,8 @@ def cmd_gm(args):
             print("action on H^%d: zero-dimensional" % q)
             continue
         print("action on H^%d (%dx%d):" % (q, len(gm[q]), len(gm[q])))
-        texts = [{k: str(c) for k, c in enumerate(row)} for row in gm[q]]
-        for line in _fmt_table(texts, len(gm[q])):
-            print(line)
+        _write_table([{k: str(c) for k, c in enumerate(row) if c} for row in gm[q]],
+                     len(gm[q]))
     _print_spectrum_lines(report)
 
 

@@ -340,6 +340,7 @@ def gm_endomorphism(e, lam, q, h=None):
     evaluated over int at N = D * lam, so the int image of z is a * D times
     the image at lam: `int_coords` divides by a * D, one Fraction per entry.
     """
+    lam.check_length(e.cx.t.n)
     if not 0 <= q < len(e.rows):
         raise ValueError("degree %d out of range 0..%d" % (q, len(e.rows) - 1))
     if h is None:
@@ -453,6 +454,7 @@ def spectrum_report(e, S, r, lam):
     and rank M_N = rank M.
     """
     n = e.cx.t.n
+    lam.check_length(n)
     S = _clean_subset(S, n)
     lam_s = lam.subset_sum(S)
     if lam_s == 0:

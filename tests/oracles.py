@@ -838,8 +838,8 @@ def class_coords_by_solving(h, q, vec):
     here.  None when vec is not a cocycle."""
     from osgm.linalg import rref, solve_row_combination
 
-    rows, pivots = rref(h.cobound[q])
-    reps = divided_by_pivots(h.reps[q], h.rep_pivots[q])
+    rows, pivots = rref(reduced(h.cob_rows[q]))
+    reps = reduced(h.rep_rows[q])
     return solve_row_combination(reps, echelon_reduce(vec, rows, pivots))
 
 
@@ -856,7 +856,7 @@ def gm_by_solving(e, lam, q, h):
     class coordinates of each image from `class_coords_by_solving`."""
     zero = Fraction(0)
     m = mat_evaluate(e.mats[q], lam.values)
-    images = dense_product(dense(h.reps[q], len(m), zero), m, zero)
+    images = dense_product(dense(reduced(h.rep_rows[q]), len(m), zero), m, zero)
     return [class_coords_by_solving(h, q, sparse_vector(img)) for img in images]
 
 
@@ -891,7 +891,7 @@ def cohomology_by_two_eliminations(t, lam):
         else:
             taken = set(cob_piv)
             piv = [j for j in range(len(c.bases[q])) if j not in taken]
-            canon = [{j: 1} for j in piv]
+            canon = [{j: Fraction(1)} for j in piv]
         dims.append(len(canon))
         reps.append(canon)
         rep_pivots.append(piv)
@@ -1042,6 +1042,12 @@ def divided_by_pivots(rows, pivots):
     """Sparse rows each divided by its entry at its pivot, as Fractions:
     the reduced rows that the int rows of `image_and_kernel` stand for."""
     return [{j: Fraction(x) / row[p] for j, x in row.items()} for row, p in zip(rows, pivots)]
+
+
+def reduced(rows):
+    """The reduced rows a {pivot: int_row} dict of `CohomologyData` stands
+    for, by `divided_by_pivots`."""
+    return divided_by_pivots(rows.values(), rows)
 
 
 def identity_matrix(n):

@@ -28,6 +28,7 @@ from oracles import (
     dense_product,
     frac_rank,
     mat_evaluate,
+    reduced,
     rows_at,
     sparse,
     sparse_vector,
@@ -145,9 +146,9 @@ def test_cohomology_nonresonant_selberg():
     lam = Weights(["1/2", "1/3", "1/5", "1/7", "1/11"])
     h = os_cohomology(t, lam)
     assert h.dims == [0, 0, 2]
-    assert len(h.reps[2]) == 2
+    assert len(h.rep_rows[2]) == 2
     # representatives really are independent modulo coboundaries
-    assert frac_rank(dense(h.reps[2], 6, 0)) == 2
+    assert frac_rank(dense(reduced(h.rep_rows[2]), 6, 0)) == 2
 
 
 def test_cohomology_resonant_selberg():
@@ -210,7 +211,7 @@ def test_cohomology_reps_match_dense_elimination(name, weights):
     t = _coord_type(name)
     h = os_cohomology(t, Weights(weights))
     expected = cohomology_reps_by_elimination(t, Weights(weights))
-    assert [(h.reps[q], h.rep_pivots[q]) for q in range(t.ell + 1)] == [
+    assert [(reduced(h.rep_rows[q]), list(h.rep_rows[q])) for q in range(t.ell + 1)] == [
         (sparse(reps), piv) for reps, piv in expected]
     assert h.dims == [len(reps) for reps, _ in expected]
 
@@ -226,8 +227,9 @@ def test_class_coords_match_the_solving_oracle(name, weights):
     for q in range(t.ell + 1):
         size = len(c.bases[q])
         d_out = boundary_at(c, lam, q)
-        reps, cob = dense(h.reps[q], size, Fraction(0)), dense(h.cobound[q], size, Fraction(0))
-        for k, z in enumerate(h.reps[q]):
+        reps = dense(reduced(h.rep_rows[q]), size, Fraction(0))
+        cob = dense(reduced(h.cob_rows[q]), size, Fraction(0))
+        for k, z in enumerate(reduced(h.rep_rows[q])):
             unit = [Fraction(int(i == k)) for i in range(len(reps))]
             assert h.class_coords(q, z) == class_coords_by_solving(h, q, z) == unit
         for _ in range(12):
@@ -277,10 +279,11 @@ def test_class_coords_match_the_solving_oracle_on_realized_types(t, data):
     rng = random.Random(repr((vals, t.dep)))
     for q in range(t.ell + 1):
         size, dim = len(c.bases[q]), h.dims[q]
-        reps, cob = dense(h.reps[q], size, Fraction(0)), dense(h.cobound[q], size, Fraction(0))
+        reps = dense(reduced(h.rep_rows[q]), size, Fraction(0))
+        cob = dense(reduced(h.cob_rows[q]), size, Fraction(0))
         zero = h.class_coords(q, {})
         assert zero == [Fraction(0)] * dim and all(type(x) is Fraction for x in zero)
-        for k, z in enumerate(h.reps[q]):
+        for k, z in enumerate(reduced(h.rep_rows[q])):
             unit = [Fraction(int(i == k)) for i in range(dim)]
             assert h.class_coords(q, z) == class_coords_by_solving(h, q, z) == unit
         for _ in range(4):
@@ -304,6 +307,15 @@ def test_weights_nonresonant_refuses_a_weight_vector_of_the_wrong_length():
         weights_nonresonant(t, Weights(["1/2", "1/3", "1/5", "1/7", "1/11", "1"]))
     with pytest.raises(ValueError, match="^expected 5 values, got 4$"):
         weights_nonresonant(t, Weights(["1/2", "1/3", "1/5", "1/7"]))
+
+
+def test_os_cohomology_refuses_a_weight_vector_of_the_wrong_length():
+    # a type with ell = 0 has no differential to evaluate at the weights
+    for t in (generic_type(3, 0), selberg_type()):
+        for values in (["1/2"] * (t.n - 1), ["1/2"] * (t.n + 1)):
+            with pytest.raises(ValueError, match="^expected %d values, got %d$"
+                               % (t.n, len(values))):
+                os_cohomology(t, Weights(values))
 
 
 def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
@@ -389,10 +401,18 @@ def test_os_cohomology_matches_the_two_elimination_route(data):
     h = os_cohomology(t, lam)
     dims, reps, rep_pivots, cobound, cob_pivots = cohomology_by_two_eliminations(t, lam)
     assert h.dims == dims
-    assert h.rep_pivots == rep_pivots
-    assert h.cob_pivots == cob_pivots
-    assert [_typed(r) for r in h.reps] == [_typed(r) for r in reps]
-    assert [_typed(r) for r in h.cobound] == [_typed(r) for r in cobound]
+    assert [list(r) for r in h.rep_rows] == rep_pivots
+    assert [list(r) for r in h.cob_rows] == cob_pivots
+    assert [_typed(reduced(r)) for r in h.rep_rows] == [_typed(r) for r in reps]
+    assert [_typed(reduced(r)) for r in h.cob_rows] == [_typed(r) for r in cobound]
+    # the rows stay int; `element` divides one of them by its pivot entry
+    assert all(type(x) is int for rows in h.rep_rows + h.cob_rows
+               for row in rows.values() for x in row.values())
+    bases = build_aomoto(t).bases
+    for q, rows in enumerate(reps):
+        for k, row in enumerate(rows):
+            elem = h.element(q, k)
+            assert _typed([elem]) == _typed([{bases[q][j]: x for j, x in row.items()}])
 
 
 def test_os_cohomology_refuses_differentials_that_do_not_compose_to_zero(monkeypatch):

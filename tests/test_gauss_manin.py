@@ -62,6 +62,7 @@ from oracles import (
     relabeling_inverse,
     relabeling_mats,
     principal_dependence_by_walk,
+    reduced,
     rows_at,
     sigma_for,
     sparse,
@@ -614,7 +615,7 @@ def test_gm_classes_are_representative_independent():
     w2 = dense(rows_at(ind.rows[2], lam.values, 5), 6, Fraction(0))
     d1 = dense(boundary_at(cx, lam, 1), 6, Fraction(0))
     rng = random.Random(5)
-    for z in dense(h.reps[2], 6, Fraction(0)):
+    for z in dense(reduced(h.rep_rows[2]), 6, Fraction(0)):
         v = [Fraction(rng.randint(-4, 4)) for _ in range(5)]
         db = dense_product([v], d1, Fraction(0))[0]
         shifted = [a + b for a, b in zip(z, db)]
@@ -838,6 +839,28 @@ def test_gm_endomorphism_refuses_classes_of_other_weights():
     h = os_cohomology(t, Weights(RES))
     with pytest.raises(NotCovered, match="not closed in degree 1"):
         gm_endomorphism(ind, Weights(NONRES), 1, h=h)
+
+
+def test_gm_endomorphism_refuses_a_weight_vector_of_the_wrong_length():
+    # the induced map of the four-fold pencil is zero, so nothing evaluates
+    # it at the weights, and the cohomology is passed in
+    t, S, r, weights = _gm_case("four-fold-8-2")
+    ind = induce_on_type(omega_tilde_sum(S, r, t.n, t.ell), t)
+    h = os_cohomology(t, Weights(weights))
+    for q in range(t.ell + 1):
+        with pytest.raises(ValueError, match="^expected 8 values, got 2$"):
+            gm_endomorphism(ind, Weights(weights[:2]), q, h=h)
+        with pytest.raises(ValueError, match="^expected 8 values, got 9$"):
+            gm_endomorphism(ind, Weights(weights + ["1"]), q)
+
+
+def test_spectrum_report_refuses_a_weight_vector_of_the_wrong_length():
+    # two weights on a five-hyperplane map would give lambda_S = 0 over S = {1, 2}
+    e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
+    with pytest.raises(ValueError, match="^expected 5 values, got 2$"):
+        spectrum_report(e, (1, 2), 1, Weights(["1", "-1"]))
+    with pytest.raises(ValueError, match="^expected 5 values, got 6$"):
+        spectrum_report(e, (3, 4, 5), 1, Weights(NONRES + ["1"]))
 
 
 def test_principal_dependence_failures_are_not_covered():
