@@ -9,15 +9,24 @@ column col (see `osgm.linalg`): row T holds reduce(e_j e_T) at the keys
 Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
 `os_cohomology` specializes each differential straight to int rows at the
-weights' int point N = D * lam (`Weights.nums`) and eliminates it once; its
-rows stay int, and only `element` and class coordinates make Fractions.
+weights' int point N = D * lam (`Weights.nums`) and eliminates it alone;
+only a degree whose rank count leaves cohomology also eliminates it beside
+an identity block for the kernel.  Its rows stay int, and only `element`
+and class coordinates make Fractions.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .arrangement import dep_star
-from .linalg import add_scaled, clear_denominators, evaluate_int, image_and_kernel
+from .linalg import (
+    _integer_echelon,
+    add_scaled,
+    clear_denominators,
+    evaluate_int,
+    image_and_kernel,
+    matmul,
+)
 from .orlik_solomon import insertions, nbc_basis, reduce_monomial
 from .poly import dense_forms, parse_rational
 
@@ -117,15 +126,17 @@ def _build_aomoto(t):
 class CohomologyData:
     """Representative cocycles per degree and the coboundaries that compare
     classes: rep_rows[q] and cob_rows[q] map each pivot, in order, to its int
-    row from `image_and_kernel` (the unit rows {j: 1} at the top degree), which
-    stands for row / row[pivot] and is zero at the other pivots of its dict; a
-    representative is zero at the coboundary pivots too.  Fractions are made
-    only by `element` and the coordinates."""
+    row from `linalg._integer_echelon` (the unit rows {j: 1} at the top degree),
+    which stands for row / row[pivot] and is zero at the other pivots of its
+    dict; a representative is zero at the coboundary pivots too.  `element`
+    finds the k-th pivot in a list kept per degree.  Fractions are made only
+    by `element` and the coordinates."""
 
     def __init__(self, rep_rows, cob_rows, bases):
         self.rep_rows, self.cob_rows, self.bases = rep_rows, cob_rows, bases
         self.dims = [len(reps) for reps in rep_rows]
-        self._index = [{p: k for k, p in enumerate(reps)} for reps in rep_rows]
+        self._pivots = [list(reps) for reps in rep_rows]
+        self._index = [{p: k for k, p in enumerate(piv)} for piv in self._pivots]
 
     def class_coords(self, q, vec):
         """Coordinates of the class of a sparse vector of ints or Fractions in
@@ -147,7 +158,8 @@ class CohomologyData:
 
     def element(self, q, k):
         """The k-th representative as {monomial: Fraction}, over its pivot entry."""
-        p, row = list(self.rep_rows[q].items())[k]
+        p = self._pivots[q][k]
+        row = self.rep_rows[q][p]
         return {self.bases[q][j]: Fraction(c, row[p]) for j, c in sorted(row.items())}
 
 
@@ -167,21 +179,32 @@ def _clear(v, rows, s):
 
 
 def os_cohomology(t, lam):
-    """Cohomology of the Aomoto complex of t at the weights lam, with one
-    integer elimination per differential.
+    """Cohomology of the Aomoto complex of t at the weights lam, eliminating
+    only what each degree needs.
 
     With D the common denominator of lam and N = D * lam, the differential
-    D_q evaluated at N is the int matrix D * D_q(lam), and
-    `image_and_kernel` eliminates D * [D_q(lam) | I] once.  Its image rows
-    are the coboundaries of degree q+1, its kernel rows the closed cochains
-    of degree q.  The representatives of degree q are the kernel rows whose
-    pivot is not a coboundary pivot.  Proof: im D_{q-1} lies in ker D_q, so
-    every coboundary pivot is a kernel pivot; a reduced kernel row is zero
-    at every other kernel pivot, so the rows kept are zero at every
-    coboundary pivot, and there are dim ker - dim im of them, which makes
-    them the reduced basis of the closed cochains modulo the coboundaries.
-    The pivot inclusion is checked, and a complex whose differentials do
-    not compose to zero is refused.  All rows stay int.
+    D_q evaluated at N is the int matrix m = D * D_q(lam).  In degree q < ell:
+
+    - The coboundaries of degree q, the image rows of D_{q-1}, times m must
+      be zero, or the complex is refused: that is im D_{q-1} in ker D_q,
+      checked exactly.
+    - m alone is eliminated; its rows are the coboundaries of degree q+1.
+    - If rank m + dim im D_{q-1} = |nbc_q|, degree q is exact and has no
+      representatives.  Proof: dim ker D_q = |nbc_q| - rank m, so the
+      coboundaries, which lie in ker D_q, span a subspace of its dimension,
+      hence all of it.  This count decides, not `weights_nonresonant`, so
+      no theorem stands in for arithmetic; at nonresonant weights it finds
+      every degree below ell exact.
+    - Otherwise `image_and_kernel` eliminates D * [D_q(lam) | I] once and
+      its kernel rows are the closed cochains of degree q.  The
+      representatives are the kernel rows whose pivot is not a coboundary
+      pivot.  Proof: im D_{q-1} lies in ker D_q, so every coboundary pivot
+      is a kernel pivot; a reduced kernel row is zero at every other kernel
+      pivot, so the rows kept are zero at every coboundary pivot, and there
+      are dim ker - dim im of them, which makes them the reduced basis of
+      the closed cochains modulo the coboundaries.
+
+    In the top degree every cochain is closed.  All rows stay int.
     """
     lam.check_length(t.n)
     c = build_aomoto(t)
@@ -189,12 +212,16 @@ def os_cohomology(t, lam):
     for q in range(t.ell + 1):
         cobound.append(cob)
         if q < t.ell:
-            img, img_piv, closed, closed_piv = image_and_kernel(
-                evaluate_int(c.rows[q], lam.nums, t.n), lam.d)
-            if not cob.keys() <= set(closed_piv):
+            m = evaluate_int(c.rows[q], lam.nums, t.n)
+            if any(matmul(cob.values(), m)):
                 raise ValueError("the differentials entering and leaving degree %d "
                                  "do not compose to zero" % q)
-            reps.append({p: z for z, p in zip(closed, closed_piv) if p not in cob})
+            img, img_piv = _integer_echelon(m)
+            if len(img_piv) + len(cob) == len(c.bases[q]):
+                reps.append({})
+            else:
+                closed, closed_piv = image_and_kernel(m, lam.d)[2:]
+                reps.append({p: z for z, p in zip(closed, closed_piv) if p not in cob})
             cob = dict(zip(img_piv, img))
         else:
             # every cochain is closed, and reducing the unit vectors by the

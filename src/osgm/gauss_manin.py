@@ -19,6 +19,7 @@ and M (M - y_S I) = 0 compare products keyed (col, j, k), and descent
 compares W P with P M keyed (col, j).
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -338,17 +339,20 @@ def gm_endomorphism(e, lam, q, h=None):
     precomputed cohomology object to avoid recomputing it per degree.
     A representative z stands for z / a, a its pivot entry, and the map is
     evaluated over int at N = D * lam, so the int image of z is a * D times
-    the image at lam: `int_coords` divides by a * D, one Fraction per entry.
+    the image at lam.  All representatives go through one product per
+    degree; a zero image is a row of Fraction(0), and `int_coords` divides
+    any other by a * D, one Fraction per entry.
     """
     lam.check_length(e.cx.t.n)
     if not 0 <= q < len(e.rows):
         raise ValueError("degree %d out of range 0..%d" % (q, len(e.rows) - 1))
     if h is None:
         h = os_cohomology(e.cx.t, lam)
-    m = evaluate_int(e.rows[q], lam.nums, e.cx.t.n)
+    reps = h.rep_rows[q]
+    images = matmul(reps.values(), evaluate_int(e.rows[q], lam.nums, e.cx.t.n))
     out = []
-    for p, z in h.rep_rows[q].items():
-        coords = h.int_coords(q, matmul([z], m)[0], z[p] * lam.d)
+    for (p, z), w in zip(reps.items(), images):
+        coords = h.int_coords(q, w, z[p] * lam.d) if w else [Fraction(0)] * h.dims[q]
         if coords is None:
             raise NotCovered("image of a closed class is not closed in degree %d" % q)
         out.append(coords)

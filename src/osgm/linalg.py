@@ -8,8 +8,9 @@ rows goes through `add_scaled`, which is where that invariant is kept;
 Linear maps act on row vectors, v -> v @ M, so the kernel of a map is the
 left null space of its matrix and images are spanned by rows.
 Elimination clears each row's denominators once and then runs
-fraction-free over int (`_integer_echelon`); Fractions appear only where
-the returned rows are divided by their pivots.
+fraction-free over int (`_integer_echelon`), taking as each pivot row the
+sparsest row that can serve; Fractions appear only where the returned
+rows are divided by their pivots.
 
 A matrix of linear forms in the weights y_1..y_n is kept as sparse int
 rows keyed (col, j), the coefficient of y_j in the entry at column col.
@@ -61,8 +62,13 @@ def _integer_echelon(m):
     pivot.  Each row is first scaled to a primitive int row, which changes
     neither its span nor its reduced form; a pivot a clears the entry b of
     a row as (a/g) row - (b/g) prow with g = gcd(a, b), and the row is
-    divided by its content again, so its entries stay small.  The input is
-    not modified.
+    divided by its content again, so its entries stay small.  The pivot row
+    of column c is, of the rows not yet used that hold c, the one with the
+    fewest entries (the first on a tie), since clearing c adds it to every
+    other row holding c.  The reduced form is unique, so that choice moves
+    only the fill: each returned row is the primitive int multiple, up to
+    sign, of the same reduced row, at the same pivot.  The input is not
+    modified.
     """
     rows = []
     for row in m:
@@ -76,10 +82,12 @@ def _integer_echelon(m):
     pivots = []
     r = 0
     for c in sorted(set().union(*rows)):
-        for i in range(r, nrows):
-            if c in rows[i]:
-                break
-        else:
+        i, size = None, None
+        for k in range(r, nrows):
+            row = rows[k]
+            if c in row and (i is None or len(row) < size):
+                i, size = k, len(row)
+        if i is None:
             continue
         prow = rows[i]
         rows[i] = rows[r]

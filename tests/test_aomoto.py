@@ -320,27 +320,40 @@ def test_os_cohomology_refuses_a_weight_vector_of_the_wrong_length():
 
 def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
     # every elimination, through rref, rank or image_and_kernel, runs the
-    # integer kernel; the only one per differential is of D * [D_q(lam) | I],
-    # with D the common denominator of lam, as int rows
+    # integer kernel.  Each differential is eliminated once as the int rows
+    # D * D_q(lam), D the common denominator of lam, with no identity block;
+    # only a degree left with cohomology, degree 1 at the resonant weight,
+    # eliminates D * [D_q(lam) | I] as well, for its kernel
+    import osgm.aomoto
     import osgm.linalg
 
     t = _coord_type("four-fold-8-2")
-    lam = Weights(_COORD_CASES[5][1])
-    d = lam.d
-    assert d > 1
     c = build_aomoto(t)
     eliminated = []
     kernel = osgm.linalg._integer_echelon
-    monkeypatch.setattr(osgm.linalg, "_integer_echelon",
-                        lambda m: eliminated.append(m) or kernel(m))
-    os_cohomology(t, lam)
-    assert len(eliminated) == t.ell
-    for q, x in enumerate(eliminated):
-        m = rows_at(c.rows[q], lam.values, t.n)
-        width = 1 + max(max(row) for row in m if row)
-        assert x == [{**{j: d * v for j, v in row.items()}, width + i: d}
-                     for i, row in enumerate(m)]
-        assert all(type(v) is int for row in x for v in row.values())
+
+    def spy(m):
+        eliminated.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(osgm.linalg, "_integer_echelon", spy)
+    monkeypatch.setattr(osgm.aomoto, "_integer_echelon", spy)
+    for case, dims in [(5, [0, 0, 18]), (6, [0, 2, 20])]:
+        lam = Weights(_COORD_CASES[case][1])
+        d = lam.d
+        assert (d > 1) == (case == 5)
+        eliminated.clear()
+        assert os_cohomology(t, lam).dims == dims
+        expected = []
+        for q in range(t.ell):
+            m = [{j: d * v for j, v in row.items()} for row in rows_at(c.rows[q], lam.values, t.n)]
+            expected.append(m)
+            if dims[q]:
+                width = 1 + max(max(row) for row in m if row)
+                expected.append([{**row, width + i: d} for i, row in enumerate(m)])
+        assert len(expected) == t.ell + (case == 6)
+        assert eliminated == expected
+        assert all(type(v) is int for x in eliminated for row in x for v in row.values())
 
 
 _TWO_ELIMINATION_TYPES = {
@@ -430,6 +443,27 @@ def test_os_cohomology_refuses_differentials_that_do_not_compose_to_zero(monkeyp
     with pytest.raises(ValueError, match="^the differentials entering and leaving degree 1 "
                                          "do not compose to zero$"):
         os_cohomology(t, Weights(_COORD_CASES[0][1]))
+
+
+def test_os_cohomology_refuses_a_bad_differential_whose_kernel_holds_the_coboundary_pivot(
+        monkeypatch):
+    import osgm.aomoto
+    from osgm.aomoto import AomotoComplex
+
+    t = selberg_type()
+    c = build_aomoto(t)
+    lam = Weights(_COORD_CASES[0][1])
+    # D_1 kills a_1 and sends a_i, i > 1, to y_1 times the i-th degree-2
+    # basis vector: its kernel at lambda_1 != 0 is spanned by a_1, so it
+    # holds the pivot column 0 of omega = D_0, yet omega D_1 is not zero
+    bad_rows = [{}] + [{(i, 1): 1} for i in range(1, len(c.bases[1]))]
+    bad = AomotoComplex(t, c.bases, [c.rows[0], bad_rows])
+    assert list(os_cohomology(t, lam).cob_rows[1]) == [0]
+    assert any(form_matmul(c.rows[0], bad_rows)[0].values())
+    monkeypatch.setattr(osgm.aomoto, "build_aomoto", lambda t: bad)
+    with pytest.raises(ValueError, match="^the differentials entering and leaving degree 1 "
+                                         "do not compose to zero$"):
+        os_cohomology(t, lam)
 
 
 def test_euler_characteristic_invariant():

@@ -33,7 +33,7 @@ from osgm.gauss_manin import (
     spectrum_check,
     spectrum_report,
 )
-from osgm.linalg import evaluate_int, rank
+from osgm.linalg import evaluate_int, matmul, rank
 from oracles import (
     Form,
     Quadratic,
@@ -604,6 +604,50 @@ def test_gm_matrices_are_fractions_and_match_the_dense_route(name):
         got = gm_endomorphism(e, lam, q, h=h)
         assert got == gm_by_solving(e, lam, q, h)
         assert all(type(c) is Fraction for row in got for c in row)
+
+
+_FOUR_FOLD_WEIGHTS = [
+    # generic, resonant on the four-fold point 1..4 (H^1 of dimension 2), zero
+    ["1/2", "1/3", "1/5", "1/7", "1/11", "1/13", "1/17", "1/19"],
+    ["1/2", "1/3", "-1/2", "-1/3", "0", "0", "0", "0"],
+    ["0"] * 8,
+]
+
+
+@pytest.mark.parametrize("S", [(1, 2, 3), (5, 6, 7)])
+def test_gm_images_zero_and_nonzero_match_the_solving_route(S):
+    # the one product per degree gives some zero images, read off as rows of
+    # Fraction(0), and some not, read off by int_coords; both must agree
+    # with the dense solving route at generic, resonant and zero weights
+    t, _, _, _ = _gm_case("four-fold-8-2")
+    e = induce_on_type(omega_tilde_sum(S, 1, t.n, t.ell), t)
+    assert [sum(map(len, rows)) for rows in e.rows] == [0, 12, 56 if S == (1, 2, 3) else 69]
+    zero = nonzero = 0
+    for weights in _FOUR_FOLD_WEIGHTS:
+        lam = Weights(weights)
+        h = os_cohomology(t, lam)
+        for q in range(t.ell + 1):
+            images = matmul(h.rep_rows[q].values(), evaluate_int(e.rows[q], lam.nums, t.n))
+            zero += images.count({})
+            nonzero += len(images) - images.count({})
+            got = gm_endomorphism(e, lam, q, h=h)
+            assert got == gm_by_solving(e, lam, q, h)
+            assert len(got) == h.dims[q] and all(len(row) == h.dims[q] for row in got)
+            assert all(type(c) is Fraction for row in got for c in row)
+    assert zero and nonzero
+
+
+def test_gm_endomorphism_of_the_zero_map_is_a_square_of_fractions():
+    t, S, r, _ = _gm_case("four-fold-8-2")
+    e = induce_on_type(omega_tilde_sum(S, r, t.n, t.ell), t)
+    assert not any(any(rows) for rows in e.rows)
+    for weights in _FOUR_FOLD_WEIGHTS:
+        lam = Weights(weights)
+        h = os_cohomology(t, lam)
+        for q, d in enumerate(h.dims):
+            got = gm_endomorphism(e, lam, q, h=h)
+            assert got == [[0] * d for _ in range(d)]
+            assert all(type(c) is Fraction for row in got for c in row)
 
 
 def test_gm_classes_are_representative_independent():

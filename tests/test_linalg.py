@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -377,6 +377,42 @@ def test_image_and_kernel_match_the_dense_oracles(m):
     assert len(kernel) + len(rows) == len(m)
     ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
     assert rank(sparse(m)) == len(pivots) == bareiss_rank(ints)
+
+
+def test_integer_echelon_pivots_on_the_sparsest_row(monkeypatch):
+    # of the rows holding column 0 the first has four entries and the second
+    # two, the fewest, so the second is the pivot row; the reduced form is
+    # unique, so the results are still those of the dense and first-row routes
+    import osgm.linalg
+
+    m = [[1, 2, 3, 4], [2, 0, 0, 1], [0, 1, 5, 0], [1, 3, 8, 4],
+         [Fraction(3, 2), 0, 1, Fraction(-1, 4)]]
+    sm = sparse(m)
+    added = []
+    add = osgm.linalg.add_scaled
+    monkeypatch.setattr(osgm.linalg, "add_scaled",
+                        lambda acc, row, f: added.append(dict(row)) or add(acc, row, f))
+    rows, pivots = rref(sm)
+    # the first row cleared by the pivot row [2, 0, 0, 1] gets it without
+    # its pivot entry, which the elimination pops before clearing
+    assert added[0] == {3: 1}
+    monkeypatch.undo()
+    dense_rows, dense_pivots = dense_rref(m)
+    assert (rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
+    assert (rows, pivots) == fraction_rref(sm)
+    int_rows, int_pivots = osgm.linalg._integer_echelon(sm)
+    img, img_pivots, kernel, kernel_pivots = image_and_kernel(sm)
+    assert int_pivots == img_pivots == pivots
+    assert all(type(x) is int for row in int_rows + img + kernel for x in row.values())
+    # a kernel row is zero left of the identity block, so it is a whole
+    # primitive row of the elimination; an image row drops that block
+    assert all(gcd(*row.values()) == 1 for row in int_rows + kernel)
+    assert divided_by_pivots(int_rows, int_pivots) == rows
+    assert divided_by_pivots(img, img_pivots) == rows
+    null_rows, null_pivots = dense_rref(dense_left_null_space(m))
+    assert (divided_by_pivots(kernel, kernel_pivots), kernel_pivots) == (
+        sparse(null_rows[:len(null_pivots)]), null_pivots)
+    assert len(kernel) == 1
 
 
 # Large rationals, so that clearing denominators, content removal and the
