@@ -9,10 +9,13 @@ column col (see `osgm.linalg`): row T holds reduce(e_j e_T) at the keys
 Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
 `os_cohomology` specializes each differential straight to int rows at the
-weights' int point N = D * lam (`Weights.nums`) and eliminates it alone;
-only a degree whose rank count leaves cohomology also eliminates it beside
-an identity block for the kernel.  Its rows stay int, and only `element`
-and class coordinates make Fractions.
+weights' int point N = D * lam (`Weights.nums`), drops the rows at the
+coboundary pivots, which the other rows span once the complex is checked,
+and eliminates the rest, R, alone.  The degree is exact exactly when R is
+independent; otherwise R is eliminated again beside an identity block, and
+since ker = span(coboundaries) + ker R, a direct sum, the kernel of R read
+back through the kept indices gives the representatives.  Its rows stay
+int, and only `element` and class coordinates make Fractions.
 """
 
 from fractions import Fraction
@@ -187,22 +190,28 @@ def os_cohomology(t, lam):
 
     - The coboundaries of degree q, the image rows of D_{q-1}, times m must
       be zero, or the complex is refused: that is im D_{q-1} in ker D_q,
-      checked exactly.
-    - m alone is eliminated; its rows are the coboundaries of degree q+1.
-    - If rank m + dim im D_{q-1} = |nbc_q|, degree q is exact and has no
-      representatives.  Proof: dim ker D_q = |nbc_q| - rank m, so the
-      coboundaries, which lie in ker D_q, span a subspace of its dimension,
-      hence all of it.  This count decides, not `weights_nonresonant`, so
-      no theorem stands in for arithmetic; at nonresonant weights it finds
-      every degree below ell exact.
-    - Otherwise `image_and_kernel` eliminates D * [D_q(lam) | I] once and
-      its kernel rows are the closed cochains of degree q.  The
-      representatives are the kernel rows whose pivot is not a coboundary
-      pivot.  Proof: im D_{q-1} lies in ker D_q, so every coboundary pivot
-      is a kernel pivot; a reduced kernel row is zero at every other kernel
-      pivot, so the rows kept are zero at every coboundary pivot, and there
-      are dim ker - dim im of them, which makes them the reduced basis of
-      the closed cochains modulo the coboundaries.
+      checked exactly.  The row drop below rests on this check.
+    - `keep` lists the indices of m that are not coboundary pivots, and R
+      holds the rows of m at them.  R alone is eliminated; its rows are the
+      coboundaries of degree q+1.  Proof: a coboundary row z is reduced, so
+      it is zero at the other coboundary pivots, and z m = 0; so the row of
+      m at z's pivot is a combination of rows of R, and im m = row space R.
+    - Degree q is exact exactly when R is independent, rank R = len(keep).
+      Proof: from a closed v, subtracting v_p / z_p times each coboundary z
+      at its pivot p leaves a closed cochain on `keep`, which R kills, and
+      no nonzero sum of coboundaries vanishes on every pivot; so ker m =
+      span(coboundaries) + ker R, a direct sum, and H^q = 0 iff ker R = 0.
+      This rank test decides, not `weights_nonresonant`, so no theorem
+      stands in for arithmetic; at nonresonant weights it finds every
+      degree below ell exact.
+    - Otherwise `image_and_kernel` eliminates D * [R | I] once, and its
+      kernel rows, with their indices read back through `keep`, are the
+      representatives.  Proof: by the direct sum they are a basis of the
+      closed cochains modulo the coboundaries, zero at every coboundary
+      pivot; `keep` is increasing, so they stay reduced.  The reduced form
+      is unique, so they are the kernel rows of m whose pivot is not a
+      coboundary pivot, and the reduced rows of R are those of m, each up
+      to the sign of its int multiple.
 
     In the top degree every cochain is closed.  All rows stay int.
     """
@@ -216,12 +225,15 @@ def os_cohomology(t, lam):
             if any(matmul(cob.values(), m)):
                 raise ValueError("the differentials entering and leaving degree %d "
                                  "do not compose to zero" % q)
-            img, img_piv = _integer_echelon(m)
-            if len(img_piv) + len(cob) == len(c.bases[q]):
+            keep = [i for i in range(len(m)) if i not in cob]
+            sub = [m[i] for i in keep]
+            img, img_piv = _integer_echelon(sub)
+            if len(img_piv) == len(keep):
                 reps.append({})
             else:
-                closed, closed_piv = image_and_kernel(m, lam.d)[2:]
-                reps.append({p: z for z, p in zip(closed, closed_piv) if p not in cob})
+                closed, closed_piv = image_and_kernel(sub, lam.d)[2:]
+                reps.append({keep[p]: {keep[j]: x for j, x in z.items()}
+                             for z, p in zip(closed, closed_piv)})
             cob = dict(zip(img_piv, img))
         else:
             # every cochain is closed, and reducing the unit vectors by the

@@ -340,8 +340,9 @@ def gm_endomorphism(e, lam, q, h=None):
     A representative z stands for z / a, a its pivot entry, and the map is
     evaluated over int at N = D * lam, so the int image of z is a * D times
     the image at lam.  All representatives go through one product per
-    degree; a zero image is a row of Fraction(0), and `int_coords` divides
-    any other by a * D, one Fraction per entry.
+    degree; a zero image is a row holding one shared Fraction(0), which is
+    immutable, and `int_coords` divides any other by a * D, one Fraction
+    per entry.
     """
     lam.check_length(e.cx.t.n)
     if not 0 <= q < len(e.rows):
@@ -350,9 +351,9 @@ def gm_endomorphism(e, lam, q, h=None):
         h = os_cohomology(e.cx.t, lam)
     reps = h.rep_rows[q]
     images = matmul(reps.values(), evaluate_int(e.rows[q], lam.nums, e.cx.t.n))
-    out = []
+    out, zero = [], Fraction(0)
     for (p, z), w in zip(reps.items(), images):
-        coords = h.int_coords(q, w, z[p] * lam.d) if w else [Fraction(0)] * h.dims[q]
+        coords = h.int_coords(q, w, z[p] * lam.d) if w else [zero] * h.dims[q]
         if coords is None:
             raise NotCovered("image of a closed class is not closed in degree %d" % q)
         out.append(coords)

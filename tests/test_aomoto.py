@@ -321,9 +321,11 @@ def test_os_cohomology_refuses_a_weight_vector_of_the_wrong_length():
 def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
     # every elimination, through rref, rank or image_and_kernel, runs the
     # integer kernel.  Each differential is eliminated once as the int rows
-    # D * D_q(lam), D the common denominator of lam, with no identity block;
-    # only a degree left with cohomology, degree 1 at the resonant weight,
-    # eliminates D * [D_q(lam) | I] as well, for its kernel
+    # of D * D_q(lam), D the common denominator of lam, at the indices off
+    # the coboundary pivots of degree q, in index order, with no identity
+    # block: the rows at those pivots are combinations of the others.  Only
+    # a degree left with cohomology, degree 1 at the resonant weight, also
+    # eliminates those rows beside an identity block, for its kernel
     import osgm.aomoto
     import osgm.linalg
 
@@ -343,15 +345,17 @@ def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
         d = lam.d
         assert (d > 1) == (case == 5)
         eliminated.clear()
-        assert os_cohomology(t, lam).dims == dims
+        h = os_cohomology(t, lam)
+        assert h.dims == dims
         expected = []
         for q in range(t.ell):
             m = [{j: d * v for j, v in row.items()} for row in rows_at(c.rows[q], lam.values, t.n)]
-            expected.append(m)
+            sub = [row for i, row in enumerate(m) if i not in h.cob_rows[q]]
+            expected.append(sub)
             if dims[q]:
-                width = 1 + max(max(row) for row in m if row)
-                expected.append([{**row, width + i: d} for i, row in enumerate(m)])
-        assert len(expected) == t.ell + (case == 6)
+                width = 1 + max(max(row) for row in sub if row)
+                expected.append([{**row, width + i: d} for i, row in enumerate(sub)])
+        assert [len(x) for x in expected] == [1, 7] + [7] * (case == 6)
         assert eliminated == expected
         assert all(type(v) is int for x in eliminated for row in x for v in row.values())
 
@@ -426,6 +430,23 @@ def test_os_cohomology_matches_the_two_elimination_route(data):
         for k, row in enumerate(rows):
             elem = h.element(q, k)
             assert _typed([elem]) == _typed([{bases[q][j]: x for j, x in row.items()}])
+
+
+def test_os_cohomology_reindexes_the_kernel_where_a_degree_has_coboundaries_and_classes():
+    # degrees 1 and 2 each hold coboundaries and classes, so the kernel of
+    # the rows off the coboundary pivots is read back through their indices
+    t = CombinatorialType.from_arrangement(pencil_realization(8, 3, (1, 2, 3, 4), 2))
+    lam = Weights(["1/7", "2/7", "3/7", "-6/7", "0", "0", "0", "0"])
+    h = os_cohomology(t, lam)
+    dims, reps, rep_pivots, cobound, cob_pivots = cohomology_by_two_eliminations(t, lam)
+    assert h.dims == dims == [0, 2, 10, 30]
+    assert [len(r) for r in h.cob_rows] == [0, 1, 5, 10]
+    assert [list(r) for r in h.rep_rows] == rep_pivots
+    assert [list(r) for r in h.cob_rows] == cob_pivots
+    assert [_typed(reduced(r)) for r in h.rep_rows] == [_typed(r) for r in reps]
+    assert [_typed(reduced(r)) for r in h.cob_rows] == [_typed(r) for r in cobound]
+    assert not any(p in row for q in range(t.ell + 1)
+                   for row in h.rep_rows[q].values() for p in h.cob_rows[q])
 
 
 def test_os_cohomology_refuses_differentials_that_do_not_compose_to_zero(monkeypatch):
