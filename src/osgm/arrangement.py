@@ -118,12 +118,6 @@ class Arrangement:
             "rows": [[str(x) for x in row] for row in self.rows],
         }
 
-    def row(self, j):
-        """Row of the projective closure matrix, 1-based; j = n+1 is infinity."""
-        if j == self.n + 1:
-            return (Fraction(1),) + (Fraction(0),) * self.ell
-        return self.rows[j - 1]
-
 
 class CombinatorialType:
     """The graded family of dependent subsets of [n+1], with the extra
@@ -287,33 +281,26 @@ def compare_types(t1, t2):
     return "incomparable"
 
 
-def pencil_rank(K, S, r, ell):
-    """Rank of the rows of K when the rows of S lie in a generic rank-r
-    subspace and everything else is generic."""
-    K, S = set(K), set(S)
-    return min(ell + 1, min(len(K & S), r) + len(K - S))
-
-
 def pencil_starred(K, S, r, ell):
-    """Whether K is a starred dependent set of the pencil type built on (S, r).
-
-    For |K| <= ell+1 this reduces to |K & S| >= r+1; larger sets need the
-    rank form, which also enforces the common-point condition.
-    """
-    if len(K) < 2:
-        return False
-    return pencil_rank(K, S, r, ell) <= min(len(K) - 1, ell)
+    """Whether K is a starred dependent set of the pencil type built on
+    (S, r): |K & S| >= r+1 and |K - S| <= ell - r, the rule that
+    `pencil_profile` derives from the rank of K."""
+    K, S = set(K), set(S)
+    return len(K & S) >= r + 1 and len(K - S) <= ell - r
 
 
 def pencil_profile(S, r, n, ell, top=None):
     """The starred sets of the pencil type on (S, r), as sorted tuples of at
     most `top` elements (all sizes by default), in no particular order.
 
-    Write K = A + B with A inside S and B outside.  `pencil_starred` asks
-    min(ell+1, min(|A|, r) + |B|) <= min(|K|-1, ell); the right side is at
-    most ell, so this is min(|A|, r) + |B| <= |A| + |B| - 1 and <= ell, that
-    is |A| >= r+1 and |B| <= ell - r.  The sets are listed straight from
-    that, without looking at any other subset of [n+1].
+    Write K = A + B with A inside S and B outside.  With the rows of S in
+    a generic rank-r subspace and every other row generic, K has rank
+    min(ell+1, min(|A|, r) + |B|), and K is starred when that rank is at
+    most min(|K|-1, ell): dependent, with a common point in the projective
+    closure.  The right side is at most ell, so this is
+    min(|A|, r) + |B| <= |A| + |B| - 1 and <= ell, that is |A| >= r+1 and
+    |B| <= ell - r.  The sets are listed straight from that, without
+    looking at any other subset of [n+1]; `pencil_starred` tests one K.
     """
     S = tuple(sorted(S))
     rest = [j for j in range(1, n + 2) if j not in S]

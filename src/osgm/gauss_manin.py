@@ -32,7 +32,7 @@ from .arrangement import (
     pencil_profile,
     pencil_starred,
 )
-from .linalg import add_scaled, evaluate_int, form_matmul, matmul, rank
+from .linalg import add_scaled, evaluate_int, form_matmul, matmul
 from .orlik_solomon import insertions, projection_matrix, wedge
 from .poly import LinearForm, dense_forms
 
@@ -340,9 +340,9 @@ def gm_endomorphism(e, lam, q, h=None):
     A representative z stands for z / a, a its pivot entry, and the map is
     evaluated over int at N = D * lam, so the int image of z is a * D times
     the image at lam.  All representatives go through one product per
-    degree; a zero image is a row holding one shared Fraction(0), which is
-    immutable, and `int_coords` divides any other by a * D, one Fraction
-    per entry.
+    degree, none when the evaluated map is zero; a zero image is a row
+    holding one shared Fraction(0), which is immutable, and `int_coords`
+    divides any other by a * D, one Fraction per entry.
     """
     lam.check_length(e.cx.t.n)
     if not 0 <= q < len(e.rows):
@@ -350,7 +350,8 @@ def gm_endomorphism(e, lam, q, h=None):
     if h is None:
         h = os_cohomology(e.cx.t, lam)
     reps = h.rep_rows[q]
-    images = matmul(reps.values(), evaluate_int(e.rows[q], lam.nums, e.cx.t.n))
+    m = evaluate_int(e.rows[q], lam.nums, e.cx.t.n)
+    images = matmul(reps.values(), m) if any(m) else [{}] * len(reps)
     out, zero = [], Fraction(0)
     for (p, z), w in zip(reps.items(), images):
         coords = h.int_coords(q, w, z[p] * lam.d) if w else [zero] * h.dims[q]
@@ -448,15 +449,21 @@ def spectrum_report(e, S, r, lam):
 
     Per degree: the two predicted multiplicities and whether the
     specialized M satisfies M (M - lambda_S I) = 0 with rank M = dS and
-    rank (M - lambda_S I) = d0.  Once the relation holds with lambda_S
-    nonzero, the second rank is size - rank M: the image of M lies in the
-    kernel of M - lambda_S I, and the two differ by -lambda_S I.  A zero
-    lambda_S collapses the two eigenvalues and the prediction does not apply.
+    rank (M - lambda_S I) = d0.  A zero lambda_S collapses the two
+    eigenvalues and the prediction does not apply.
 
     All of it runs over int: with D the weights' common denominator,
     M_N = D M(lambda) is the int matrix `evaluate_int` gives at N = D lambda
     and s_N = D lambda_S is an int, M_N (M_N - s_N I) = D^2 M (M - lambda_S I),
     and rank M_N = rank M.
+
+    Neither rank needs an elimination.  Once M_N (M_N - s_N I) = 0 is
+    checked with s_N nonzero, the minimal polynomial of M_N divides
+    x (x - s_N), whose roots 0 and s_N are distinct and rational, so M_N is
+    diagonalizable over Q with eigenvalues in {0, s_N}.  The eigenvalue s_N
+    then has multiplicity rank M_N, so tr M_N = s_N rank M_N, and the
+    eigenvalue 0 has multiplicity size - rank M_N = rank (M_N - s_N I).
+    So rank M_N is tr M_N / s_N, an exact quotient, which is asserted.
     """
     n = e.cx.t.n
     lam.check_length(n)
@@ -475,7 +482,8 @@ def spectrum_report(e, S, r, lam):
         m = evaluate_int(e.rows[q], lam.nums, n)
         ok = not any(_square_defect(m, [{i: s} for i in range(len(m))], matmul))
         if ok:
-            rk = rank(m)
+            rk, rest = divmod(sum(row.get(i, 0) for i, row in enumerate(m)), s)
+            assert not rest, "trace of M_N is not a multiple of s_N in degree %d" % q
             ok = rk == ds and len(m) - rk == d0
         degrees.append({
             "degree": q,

@@ -66,11 +66,6 @@ def _breaking(t):
     return dict(sorted({C[1:]: C for C in reversed(circuits(t))}.items()))
 
 
-def broken_circuits(t):
-    """Each circuit with its minimum removed, sorted."""
-    return list(t.derived("breaking", _breaking))
-
-
 def nbc_basis(t, q):
     """Degree-q monomial basis, lexicographic: the q-subsets the rewriting
     fixes, which are those with a nonempty intersection and no broken

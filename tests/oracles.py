@@ -254,12 +254,12 @@ def ideal_span_rows(arr, q):
     n, ell = arr.n, arr.ell
 
     def affine_nonempty(S):
-        rows_full = [arr.row(j) for j in S]
+        rows_full = [closure_row(arr, j) for j in S]
         rows_coef = [r[1:] for r in rows_full]
         return frac_rank(rows_coef) == frac_rank(rows_full)
 
     def dependent(S):
-        return frac_rank([arr.row(j) for j in S]) < len(S)
+        return frac_rank([closure_row(arr, j) for j in S]) < len(S)
 
     gens = []  # (degree, {monomial: coeff})
     for size in range(1, ell + 2):
@@ -487,6 +487,14 @@ def _integer_rows(rows):
     return out
 
 
+def closure_row(a, j):
+    """Row j of the projective closure matrix of the realization a,
+    1-based; j = n+1 is infinity's row (1, 0, ..., 0)."""
+    if j == a.n + 1:
+        return (Fraction(1),) + (Fraction(0),) * a.ell
+    return a.rows[j - 1]
+
+
 def affine_empty_by_rank(a):
     """Subsets of [n] of sizes 2..ell+1 with no common affine point, sorted,
     found by comparing the rank of the coefficient rows with that of the
@@ -497,8 +505,8 @@ def affine_empty_by_rank(a):
 
 def subset_rank(a, S):
     """Rank of the closure rows of S in the realization a, infinity's row
-    included as n+1, by `bareiss_rank` on the rows `a.row` gives."""
-    return bareiss_rank(_integer_rows(a.row(j) for j in S))
+    included as n+1, by `bareiss_rank` on the rows `closure_row` gives."""
+    return bareiss_rank(_integer_rows(closure_row(a, j) for j in S))
 
 
 def dependent_subsets(a, q):
@@ -511,7 +519,7 @@ def dependent_subsets(a, q):
 def _affine_nonempty(a, S):
     """Whether the hyperplanes of S (subset of [n]) share an affine point:
     their coefficient rows have the rank of their full rows."""
-    full = _integer_rows(a.row(j) for j in S)
+    full = _integer_rows(closure_row(a, j) for j in S)
     return bareiss_rank([r[1:] for r in full]) == bareiss_rank(full)
 
 
@@ -584,11 +592,18 @@ def pencil_realization(n, ell, S, r):
     return Arrangement(ell, n, rows)
 
 
+def pencil_rank(K, S, r, ell):
+    """Rank of the rows of K when the rows of S lie in a generic rank-r
+    subspace and everything else is generic."""
+    K, S = set(K), set(S)
+    return min(ell + 1, min(len(K & S), r) + len(K - S))
+
+
 def multiplicity_pencil(K, S, r, ell, n):
     """Multiplicity |K| - rank of K in the pencil type on (S, r), from the
     rank rule `pencil_rank` for any subset K of [n+1]: the cross-check of
     the closed form in `gauss_manin.pencil_sum_terms`."""
-    from osgm.arrangement import check_pencil_rank, pencil_rank
+    from osgm.arrangement import check_pencil_rank
 
     check_pencil_rank(S, r, ell)
     if not set(K) <= set(range(1, n + 2)):
@@ -623,7 +638,7 @@ def generic_type_by_rank(n, ell):
     rows = [tuple(Fraction(j) ** k for k in range(ell + 1)) for j in range(1, n + 1)]
     a = Arrangement(ell, n, rows)
     dep = {q: [S for S in combinations(range(1, n + 2), q)
-               if bareiss_rank([a.row(j) for j in S]) < q]
+               if bareiss_rank([closure_row(a, j) for j in S]) < q]
            for q in range(2, min(ell + 1, n + 1) + 1)}
     return CombinatorialType(n, ell, dep, affine_empty_by_rank(a), realization=a)
 
@@ -652,6 +667,15 @@ def circuits_by_walk(t):
                 continue
             out.append(S)
     return sorted(out)
+
+
+def broken_circuits(t):
+    """Each circuit of `orlik_solomon.circuits` with its minimum removed,
+    sorted and listed once: what the library's "breaking" table must be
+    keyed by."""
+    from osgm.orlik_solomon import circuits
+
+    return sorted({C[1:] for C in circuits(t)})
 
 
 def nbc_basis_by_filter(t, q):

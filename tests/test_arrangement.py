@@ -20,6 +20,7 @@ from osgm.arrangement import (
 from osgm.gauss_manin import pencil_sum_terms
 from oracles import (
     affine_empty_by_rank,
+    closure_row,
     multiplicity_pencil,
     pencil_realization,
     type_from_json,
@@ -30,6 +31,7 @@ from oracles import (
     is_starred,
     multiplicity,
     pencil_profile_by_walk,
+    pencil_rank,
     type_by_two_walks,
 )
 from strategies import (
@@ -74,8 +76,8 @@ def generic_lines(n, seed=7):
 def test_load_and_rows():
     a = selberg()
     assert a.n == 5 and a.ell == 2
-    assert a.row(1) == (Fraction(0), Fraction(1), Fraction(0))
-    assert a.row(6) == (Fraction(1), Fraction(0), Fraction(0))
+    assert closure_row(a, 1) == (Fraction(0), Fraction(1), Fraction(0))
+    assert closure_row(a, 6) == (Fraction(1), Fraction(0), Fraction(0))
     # round trip
     b = Arrangement.from_json(a.to_json())
     assert b.rows == a.rows
@@ -124,7 +126,7 @@ def test_dependent_subsets_match_rank_oracle():
             want = [
                 S
                 for S in combinations(range(1, n + 2), q)
-                if frac_rank([a.row(j) for j in S]) < q
+                if frac_rank([closure_row(a, j) for j in S]) < q
             ]
             # above ell+1 every set is dependent, and the type stores none
             assert want == (t.dep[q] if q <= ell + 1
@@ -140,7 +142,7 @@ def test_dep_star_selberg():
     for q in range(4, 7):
         assert star[q] == []
         for S in combinations(range(1, 7), q):
-            assert frac_rank([a.row(j) for j in S]) == 3
+            assert frac_rank([closure_row(a, j) for j in S]) == 3
     # {1,2} is independent even though the lines are affinely parallel
     assert (1, 2) not in set(star[2])
 
@@ -163,7 +165,7 @@ def test_is_starred_big_sets_agree_with_rank():
         star = dep_star(t)
         for q in range(a.ell + 2, a.n + 2):
             for S in combinations(range(1, a.n + 2), q):
-                starred = frac_rank([a.row(j) for j in S]) <= a.ell
+                starred = frac_rank([closure_row(a, j) for j in S]) <= a.ell
                 assert is_starred(t, S) == starred
                 assert (S in star[q]) == starred
 
@@ -218,6 +220,20 @@ def test_pencil_starred_printed_characterization():
     assert not pencil_starred((1, 2, 3, 4), (1, 3, 4, 5), 2, 2)
 
 
+def test_pencil_starred_matches_the_rank_form():
+    # the rule |K & S| >= r+1, |K - S| <= ell - r against its source: K has
+    # rank at most min(|K|-1, ell), dependent with a common point
+    for ell in range(1, 5):
+        for n in range(max(2, ell), 7):
+            subsets = [K for q in range(n + 2) for K in combinations(range(1, n + 2), q)]
+            for S in subsets:
+                for r in range(1, min(ell, len(S) - 1) + 1):
+                    for K in subsets:
+                        rank_form = (len(K) >= 2
+                                     and pencil_rank(K, S, r, ell) <= min(len(K) - 1, ell))
+                        assert pencil_starred(K, S, r, ell) == rank_form, (K, S, r, ell)
+
+
 def test_pencil_realization_matches_closed_form():
     # the closed-form multiplicity and starredness must agree with honest
     # rank computations on an explicit rational pencil realization
@@ -230,7 +246,7 @@ def test_pencil_realization_matches_closed_form():
                     t = CombinatorialType.from_arrangement(a)
                     for q in range(1, n + 2):
                         for K in combinations(range(1, n + 2), q):
-                            rk = frac_rank([a.row(j) for j in K])
+                            rk = frac_rank([closure_row(a, j) for j in K])
                             assert len(K) - rk == multiplicity_pencil(K, S, r, ell, n)
                             if q >= 2:
                                 assert is_starred(t, K) == pencil_starred(K, S, r, ell)
@@ -243,7 +259,7 @@ def test_pencil_realization_with_infinity_member():
     a = pencil_realization(n, ell, S, r)
     for q in range(2, n + 2):
         for K in combinations(range(1, n + 2), q):
-            rk = frac_rank([a.row(j) for j in K])
+            rk = frac_rank([closure_row(a, j) for j in K])
             assert len(K) - rk == multiplicity_pencil(K, S, r, ell, n)
     with pytest.raises(ValueError):
         pencil_realization(n, ell, (2, 4, 6), 1)

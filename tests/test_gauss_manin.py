@@ -43,6 +43,7 @@ from oracles import (
     chain_failure_by_evaluation,
     chain_failure_by_forms,
     checked_term_sum,
+    closure_row,
     dense_chain_failure,
     dense_induce_on_type,
     dense_omega_tilde,
@@ -403,7 +404,7 @@ def test_relative_multiplicities_selberg_pair():
     # multiplicities agree with |K| - rank over the degenerate realization
     a = Arrangement.from_json(COLLAPSED)
     for K, m in terms.items():
-        rows = [[int(x) for x in a.row(j)] for j in K]
+        rows = [[int(x) for x in closure_row(a, j)] for j in K]
         assert m == len(K) - bareiss_rank(rows)
 
 
@@ -637,15 +638,24 @@ def test_gm_images_zero_and_nonzero_match_the_solving_route(S):
     assert zero and nonzero
 
 
-def test_gm_endomorphism_of_the_zero_map_is_a_square_of_fractions():
+def test_gm_endomorphism_of_the_zero_map_is_a_square_of_fractions(monkeypatch):
+    # a zero evaluated map needs no product with the representatives
+    import osgm.gauss_manin
+
     t, S, r, _ = _gm_case("four-fold-8-2")
     e = induce_on_type(omega_tilde_sum(S, r, t.n, t.ell), t)
     assert not any(any(rows) for rows in e.rows)
+    products = []
+    real = osgm.gauss_manin.matmul
+    monkeypatch.setattr(osgm.gauss_manin, "matmul",
+                        lambda a, b: products.append(1) or real(a, b))
     for weights in _FOUR_FOLD_WEIGHTS:
         lam = Weights(weights)
         h = os_cohomology(t, lam)
         for q, d in enumerate(h.dims):
             got = gm_endomorphism(e, lam, q, h=h)
+            assert not products
+            assert got == gm_by_solving(e, lam, q, h)
             assert got == [[0] * d for _ in range(d)]
             assert all(type(c) is Fraction for row in got for c in row)
 
@@ -840,14 +850,21 @@ def _two_rank_verdicts(e, S, r, lam):
     return out
 
 
-def test_spectrum_report_ranks_each_degree_once(monkeypatch):
-    # once M (M - lambda_S I) = 0 with lambda_S != 0, rank (M - lambda_S I)
-    # is size - rank M, so one rank per degree gives the two-rank verdict
-    import osgm.gauss_manin
+def test_spectrum_report_makes_no_elimination(monkeypatch):
+    # once M (M - lambda_S I) = 0 with lambda_S != 0, M is diagonalizable
+    # with eigenvalues 0 and lambda_S, so rank M = tr M / lambda_S and
+    # rank (M - lambda_S I) = size - rank M: the two-rank verdict, read off
+    # the trace with no elimination
+    import osgm.linalg
 
-    calls = []
-    real = osgm.gauss_manin.rank
-    monkeypatch.setattr(osgm.gauss_manin, "rank", lambda m: calls.append(len(m)) or real(m))
+    def refuse(*args):
+        raise AssertionError("elimination called")
+
+    def report_without_elimination(e, S, r, lam):
+        with monkeypatch.context() as patch:
+            patch.setattr(osgm.linalg, "_integer_echelon", refuse)
+            return spectrum_report(e, S, r, lam)
+
     six = ["1/2", "1/3", "1/5", "1/7", "1/11", "1/13"]
     cases = [((3, 4, 5), 1, 5, 2, NONRES), ((3, 4, 5), 1, 5, 2, ["1", "2", "2", "1", "-2"]),
              ((1, 2, 6), 1, 5, 2, NONRES), ((1, 2, 4, 7), 2, 6, 3, six),
@@ -855,24 +872,36 @@ def test_spectrum_report_ranks_each_degree_once(monkeypatch):
     for S, r, n, ell, weights in cases:
         e = omega_tilde_sum(S, r, n, ell)
         lam = Weights(weights)
-        calls.clear()
-        report = spectrum_report(e, S, r, lam)
+        report = report_without_elimination(e, S, r, lam)
         assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(e, S, r, lam)
-        assert calls == [len(m) for m in e.rows], (S, r, n, ell)
     e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
     broken = [e.mats[0], [[c * 2 for c in row] for row in lift(e.mats[1])], e.mats[2]]
     broken = ChainEndomorphism(e.cx, sparse_rows(broken), validate=False)
     lam = Weights(NONRES)
-    report = spectrum_report(broken, (3, 4, 5), 1, lam)
+    report = report_without_elimination(broken, (3, 4, 5), 1, lam)
     assert [d["verified"] for d in report["degrees"]] == [True, False, True]
     assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(broken, (3, 4, 5), 1, lam)
     # on a smaller complex d0 + dS need not be the size, so rank M = dS alone
     # does not verify a degree: here y1 + y2 on four of six degree-2 rows
     rows = [[{}], [{}] * 5, [{(i, 1): 1, (i, 2): 1} if i < 4 else {} for i in range(6)]]
     diagonal = ChainEndomorphism(build_aomoto(selberg_type()), rows, validate=False)
-    report = spectrum_report(diagonal, (1, 2), 1, lam)
+    report = report_without_elimination(diagonal, (1, 2), 1, lam)
     assert [d["verified"] for d in report["degrees"]] == [True, False, False]
     assert [d["verified"] for d in report["degrees"]] == _two_rank_verdicts(diagonal, (1, 2), 1, lam)
+
+
+@pytest.mark.parametrize("S, r, n, ell", [
+    ((1, 2, 3, 4), 1, 8, 3), ((1, 2, 3, 4), 2, 12, 2), ((1, 2, 3, 4, 11), 2, 10, 4),
+    ((1, 2, 3, 4), 1, 12, 4)])
+def test_spectrum_report_matches_the_fraction_route_on_larger_pencils(S, r, n, ell):
+    # degrees with hundreds of rows, where the trace sum stands in for a
+    # rank over many pivots; weights 1/p
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    e = omega_tilde_sum(S, r, n, ell)
+    lam = Weights(["1/%d" % p for p in primes[:n]])
+    report = spectrum_report(e, S, r, lam)
+    assert report == spectrum_report_by_fractions(e, S, r, lam)
+    assert all(d["verified"] for d in report["degrees"])
 
 
 def test_gm_endomorphism_refuses_classes_of_other_weights():
