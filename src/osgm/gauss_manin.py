@@ -340,9 +340,9 @@ def gm_endomorphism(e, lam, q, h=None):
     A representative z stands for z / a, a its pivot entry, and the map is
     evaluated over int at N = D * lam, so the int image of z is a * D times
     the image at lam.  All representatives go through one product per
-    degree, none when the evaluated map is zero; a zero image is a row
-    holding one shared Fraction(0), which is immutable, and `int_coords`
-    divides any other by a * D, one Fraction per entry.
+    degree; a zero image is a row holding one shared Fraction(0), which is
+    immutable, and `int_coords` divides any other by a * D, one Fraction
+    per entry.
     """
     lam.check_length(e.cx.t.n)
     if not 0 <= q < len(e.rows):
@@ -350,8 +350,7 @@ def gm_endomorphism(e, lam, q, h=None):
     if h is None:
         h = os_cohomology(e.cx.t, lam)
     reps = h.rep_rows[q]
-    m = evaluate_int(e.rows[q], lam.nums, e.cx.t.n)
-    images = matmul(reps.values(), m) if any(m) else [{}] * len(reps)
+    images = matmul(reps.values(), evaluate_int(e.rows[q], lam.nums, e.cx.t.n))
     out, zero = [], Fraction(0)
     for (p, z), w in zip(reps.items(), images):
         coords = h.int_coords(q, w, z[p] * lam.d) if w else [zero] * h.dims[q]
