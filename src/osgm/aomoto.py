@@ -8,27 +8,34 @@ column col (see `osgm.linalg`): row T holds reduce(e_j e_T) at the keys
 (col, j), one j at a time, so no two variables ever meet in one sum.
 Specializing the variables at a rational weight vector gives the complex
 whose cohomology is computed here, together with resonance queries.
-`os_cohomology` specializes each differential straight to int rows at the
-weights' int point N = D * lam (`Weights.nums`), drops the rows at the
-coboundary pivots, which the other rows span once the complex is checked,
-and eliminates the rest, R, alone.  The degree is exact exactly when R is
-independent; otherwise R is eliminated again beside an identity block, and
-since ker = span(coboundaries) + ker R, a direct sum, the kernel of R read
-back through the kept indices gives the representatives.  Its rows stay
-int, and only `element` and class coordinates make Fractions.
+What depends on the complex alone is done once per complex, the first
+time it is specialized (`AomotoComplex.layouts`): the check that
+D_{q-1} D_q = 0 as quadratic forms, and each differential's terms grouped
+by column.  Per weight, `os_cohomology` specializes each differential
+straight to int rows at the weights' int point N = D * lam
+(`Weights.nums`), drops the rows at the coboundary pivots, which the other
+rows span in a checked complex, and eliminates the rest, R, alone.  The
+degree is exact exactly when R is independent; otherwise R, cut down to
+the pivot columns of that elimination, is eliminated again beside an
+identity block, and since ker = span(coboundaries) + ker R, a direct sum,
+the kernel read back through the kept indices gives the representatives.
+Its rows stay int, and only `element` and class coordinates make
+Fractions.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .arrangement import dep_star
 from .linalg import (
     _integer_echelon,
     add_scaled,
+    by_column,
     clear_denominators,
     evaluate_int,
+    form_matmul,
     image_and_kernel,
-    matmul,
 )
 from .orlik_solomon import insertions, nbc_basis, reduce_monomial
 from .poly import dense_forms, parse_rational
@@ -93,6 +100,18 @@ class AomotoComplex:
         self.t = t
         self.bases = bases  # bases[q] = nbc monomials of degree q
         self.rows = rows    # rows[q][i] = {(k, j): c}, |nbc_q| rows, degrees q < ell
+
+    @cached_property
+    def layouts(self):
+        """Each differential in the layout of `by_column`, built the first
+        time the complex is specialized, once the complex is checked: for
+        1 <= q < ell, D_{q-1} D_q must store no entry as a `form_matmul`,
+        that is be zero as a matrix of quadratic forms, or it is refused."""
+        for q in range(1, len(self.rows)):
+            if any(form_matmul(self.rows[q - 1], self.rows[q])):
+                raise ValueError("the differentials entering and leaving degree %d "
+                                 "do not compose to zero" % q)
+        return [by_column(rows) for rows in self.rows]
 
     @property
     def boundary(self):
@@ -186,11 +205,18 @@ def os_cohomology(t, lam):
     only what each degree needs.
 
     With D the common denominator of lam and N = D * lam, the differential
-    D_q evaluated at N is the int matrix m = D * D_q(lam).  In degree q < ell:
+    D_q evaluated at N is the int matrix m_q = D * D_q(lam).  In degree
+    q < ell, with m = m_q:
 
-    - The coboundaries of degree q, the image rows of D_{q-1}, times m must
-      be zero, or the complex is refused: that is im D_{q-1} in ker D_q,
-      checked exactly.  The row drop below rests on this check.
+    - The coboundaries of degree q times m must be zero.  That is checked
+      once per complex, not per weight: `AomotoComplex.layouts` refuses the
+      complex unless D_{q-1} D_q stores no entry as a `form_matmul`, for
+      1 <= q < ell, which is exact, as quadratic forms.  Proof that this
+      covers every weight: the coboundaries of degree q are
+      `_integer_echelon` rows of rows of m_{q-1}, so they lie in its row
+      space, and m_{q-1} m_q = D^2 (D_{q-1} D_q)(lam) = 0; so coboundaries
+      times m_q are zero at every lam.  The row drop below rests on this
+      check, not on a theorem.
     - `keep` lists the indices of m that are not coboundary pivots, and R
       holds the rows of m at them.  R alone is eliminated; its rows are the
       coboundaries of degree q+1.  Proof: a coboundary row z is reduced, so
@@ -204,12 +230,15 @@ def os_cohomology(t, lam):
       This rank test decides, not `weights_nonresonant`, so no theorem
       stands in for arithmetic; at nonresonant weights it finds every
       degree below ell exact.
-    - Otherwise `image_and_kernel` eliminates D * [R | I] once, and its
+    - Otherwise `image_and_kernel` eliminates D * [R' | I] once, R' the
+      rows of R cut down to the pivot columns of R's elimination, and its
       kernel rows, with their indices read back through `keep`, are the
-      representatives.  Proof: by the direct sum they are a basis of the
-      closed cochains modulo the coboundaries, zero at every coboundary
-      pivot; `keep` is increasing, so they stay reduced.  The reduced form
-      is unique, so they are the kernel rows of m whose pivot is not a
+      representatives.  Proof: the pivot columns of R span its column
+      space, so v R = 0 exactly when v R' = 0; the kernel is the same
+      subspace, and its reduced basis is unique.  By the direct sum that
+      basis is a basis of the closed cochains modulo the coboundaries, zero
+      at every coboundary pivot; `keep` is increasing, so it stays reduced.
+      So the representatives are the kernel rows of m whose pivot is not a
       coboundary pivot, and the reduced rows of R are those of m, each up
       to the sign of its int multiple.
 
@@ -217,21 +246,21 @@ def os_cohomology(t, lam):
     """
     lam.check_length(t.n)
     c = build_aomoto(t)
+    layouts = c.layouts
     reps, cobound, cob = [], [], {}
     for q in range(t.ell + 1):
         cobound.append(cob)
         if q < t.ell:
-            m = evaluate_int(c.rows[q], lam.nums, t.n)
-            if any(matmul(cob.values(), m)):
-                raise ValueError("the differentials entering and leaving degree %d "
-                                 "do not compose to zero" % q)
+            m = evaluate_int(layouts[q], lam.nums, t.n)
             keep = [i for i in range(len(m)) if i not in cob]
             sub = [m[i] for i in keep]
             img, img_piv = _integer_echelon(sub)
             if len(img_piv) == len(keep):
                 reps.append({})
             else:
-                closed, closed_piv = image_and_kernel(sub, lam.d)[2:]
+                piv = set(img_piv)
+                closed, closed_piv = image_and_kernel(
+                    [{j: x for j, x in row.items() if j in piv} for row in sub], lam.d)[2:]
                 reps.append({keep[p]: {keep[j]: x for j, x in z.items()}
                              for z, p in zip(closed, closed_piv)})
             cob = dict(zip(img_piv, img))

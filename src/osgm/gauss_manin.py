@@ -20,6 +20,7 @@ compares W P with P M keyed (col, j).
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -32,7 +33,7 @@ from .arrangement import (
     pencil_profile,
     pencil_starred,
 )
-from .linalg import add_scaled, evaluate_int, form_matmul, matmul
+from .linalg import add_scaled, by_column, evaluate_int, form_matmul, matmul
 from .orlik_solomon import insertions, projection_matrix, wedge
 from .poly import LinearForm, dense_forms
 
@@ -112,10 +113,11 @@ class ChainEndomorphism:
     Each degree is kept as sparse int rows, rows[q][i] = {(col, j): c},
     the nonzero coefficient c of y_j at column col, so building, summing,
     checking and specializing cost in proportion to the nonzeros and run
-    in int arithmetic: `evaluate_int` specializes a degree at the weights'
-    int point N = D * lam, and only `gm_endomorphism` divides by D, in the
-    entries of its matrices.  `checked` records whether the identity was
-    checked on construction; `mats` is the dense view.
+    in int arithmetic: `evaluate_int` specializes a degree, through its
+    `layouts` entry, at the weights' int point N = D * lam, and only
+    `gm_endomorphism` divides by D, in the entries of its matrices.
+    `checked` records whether the identity was checked on construction;
+    `mats` is the dense view.
 
     Instances are treated as immutable once built; sums and induced maps
     always allocate fresh rows.
@@ -135,6 +137,12 @@ class ChainEndomorphism:
         if validate:
             self._check_chain()
         self.checked = validate
+
+    @cached_property
+    def layouts(self):
+        """Each degree in the layout of `by_column`, built the first time the
+        endomorphism is specialized."""
+        return [by_column(m) for m in self.rows]
 
     @property
     def mats(self):
@@ -350,7 +358,7 @@ def gm_endomorphism(e, lam, q, h=None):
     if h is None:
         h = os_cohomology(e.cx.t, lam)
     reps = h.rep_rows[q]
-    images = matmul(reps.values(), evaluate_int(e.rows[q], lam.nums, e.cx.t.n))
+    images = matmul(reps.values(), evaluate_int(e.layouts[q], lam.nums, e.cx.t.n))
     out, zero = [], Fraction(0)
     for (p, z), w in zip(reps.items(), images):
         coords = h.int_coords(q, w, z[p] * lam.d) if w else [zero] * h.dims[q]
@@ -478,7 +486,7 @@ def spectrum_report(e, S, r, lam):
     degrees = []
     for q in range(len(e.rows)):
         d0, ds = eigenspace_dims(n, len(S), r, q)
-        m = evaluate_int(e.rows[q], lam.nums, n)
+        m = evaluate_int(e.layouts[q], lam.nums, n)
         ok = not any(_square_defect(m, [{i: s} for i in range(len(m))], matmul))
         if ok:
             rk, rest = divmod(sum(row.get(i, 0) for i, row in enumerate(m)), s)

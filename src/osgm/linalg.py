@@ -20,9 +20,11 @@ exactly when all its coefficients are, so comparing the rows compares the
 products exactly.  Times an int matrix on the right the keys stay
 (col, j); times one on the left it is a plain `matmul`.  Specializing
 has one route: a weight vector clears its denominators once
-(`clear_denominators`, in `aomoto.Weights`) and `evaluate_int` evaluates
-at the int point N = D * lam, so a specialized map is D times its value
-at lam, in int.  Nothing here is numerical, modular or probabilistic.
+(`clear_denominators`, in `aomoto.Weights`), a matrix of forms is grouped
+by column once (`by_column`, kept by the complex or endomorphism that
+owns it), and `evaluate_int` evaluates that layout at the int point
+N = D * lam, so a specialized map is D times its value at lam, in int.
+Nothing here is numerical, modular or probabilistic.
 """
 
 from fractions import Fraction
@@ -70,18 +72,21 @@ def _integer_echelon(m):
     sign, of the same reduced row, at the same pivot.  The input is not
     modified.
     """
-    rows = []
+    rows, cols = [], set()
     for row in m:
         if row:
             ints = list(row.values())
-            if set(map(type, ints)) != {int}:
-                ints = clear_denominators(ints)[1]
+            for x in ints:
+                if x.__class__ is not int:
+                    ints = clear_denominators(ints)[1]
+                    break
             g = gcd(*ints)
-            rows.append(dict(zip(row, [x // g for x in ints])))
+            rows.append(dict(zip(row, [x // g for x in ints] if g > 1 else ints)))
+            cols.update(row)
     nrows = len(rows)
     pivots = []
     r = 0
-    for c in sorted(set().union(*rows)):
+    for c in sorted(cols):
         i, size = None, None
         for k in range(r, nrows):
             row = rows[k]
@@ -228,20 +233,42 @@ def form_matmul(a, b):
     return out
 
 
-def evaluate_int(rows, nums, nvars):
-    """Sparse rows of linear forms in nvars variables, keyed (col, j), at
-    the point nums, as sparse rows {col: value}; zero values are dropped.
-    An entry takes the value sum c_j nums_j, an int for int coefficients
-    and int nums."""
-    if not any(rows):
-        return [{} for _ in rows]  # a zero map, as induced maps often are
+def by_column(rows):
+    """The evaluation layout of sparse rows of linear forms keyed (col, j):
+    per row, a tuple of (col, ((j, c), ...)), the terms of each stored entry
+    gathered under its column, columns in the order the row first holds
+    them.  A complex or an endomorphism builds it once (`layouts`), and
+    `evaluate_int` reads it at every weight."""
+    out = []
+    for row in rows:
+        cols = {}
+        for (col, j), c in row.items():
+            if col in cols:
+                cols[col] += ((j, c),)
+            else:
+                cols[col] = ((j, c),)
+        out.append(tuple(cols.items()))
+    return out
+
+
+def evaluate_int(layout, nums, nvars):
+    """Sparse rows of linear forms in nvars variables, in the layout of
+    `by_column`, at the point nums, as sparse rows {col: value}; zero values
+    are dropped.  An entry takes the value sum c_j nums_j, an int for int
+    coefficients and int nums."""
+    if not any(layout):
+        return [{} for _ in layout]  # a zero map, as induced maps often are
     if len(nums) != nvars:
         raise ValueError("expected %d values, got %d" % (nvars, len(nums)))
     point = (0,) + tuple(nums)
     out = []
-    for row in rows:
+    for row in layout:
         vals = {}
-        for (col, j), c in row.items():
-            vals[col] = vals.get(col, 0) + c * point[j]
-        out.append({col: v for col, v in vals.items() if v})
+        for col, terms in row:
+            v = 0
+            for j, c in terms:
+                v += c * point[j]
+            if v:
+                vals[col] = v
+        out.append(vals)
     return out

@@ -325,7 +325,9 @@ def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
     # the coboundary pivots of degree q, in index order, with no identity
     # block: the rows at those pivots are combinations of the others.  Only
     # a degree left with cohomology, degree 1 at the resonant weight, also
-    # eliminates those rows beside an identity block, for its kernel
+    # eliminates those rows beside an identity block, for its kernel, cut
+    # down to the pivot columns of the first elimination, which are the
+    # pivots of the coboundaries of degree q+1
     import osgm.aomoto
     import osgm.linalg
 
@@ -353,8 +355,10 @@ def test_os_cohomology_eliminates_each_differential_once(monkeypatch):
             sub = [row for i, row in enumerate(m) if i not in h.cob_rows[q]]
             expected.append(sub)
             if dims[q]:
-                width = 1 + max(max(row) for row in sub if row)
-                expected.append([{**row, width + i: d} for i, row in enumerate(sub)])
+                cut = [{j: x for j, x in row.items() if j in h.cob_rows[q + 1]} for row in sub]
+                assert cut != sub
+                width = 1 + max(max(row) for row in cut if row)
+                expected.append([{**row, width + i: d} for i, row in enumerate(cut)])
         assert [len(x) for x in expected] == [1, 7] + [7] * (case == 6)
         assert eliminated == expected
         assert all(type(v) is int for x in eliminated for row in x for v in row.values())
@@ -447,6 +451,32 @@ def test_os_cohomology_reindexes_the_kernel_where_a_degree_has_coboundaries_and_
     assert [_typed(reduced(r)) for r in h.cob_rows] == [_typed(r) for r in cobound]
     assert not any(p in row for q in range(t.ell + 1)
                    for row in h.rep_rows[q].values() for p in h.cob_rows[q])
+
+
+def test_os_cohomology_checks_the_composition_once_per_complex(monkeypatch):
+    # D_{q-1} D_q = 0 is checked as quadratic forms, one product for each
+    # 1 <= q < ell, and each differential is grouped by column once, both
+    # when the complex is first specialized; a later weight, resonant or
+    # not, repeats neither, and building the complex alone runs neither
+    import osgm.aomoto
+
+    t = CombinatorialType.from_arrangement(pencil_realization(8, 3, (1, 2, 3, 4), 2))
+    c = build_aomoto(t)
+    products, grouped = [], []
+    product, group = osgm.aomoto.form_matmul, osgm.aomoto.by_column
+    monkeypatch.setattr(osgm.aomoto, "form_matmul",
+                        lambda a, b: products.append((a, b)) or product(a, b))
+    monkeypatch.setattr(osgm.aomoto, "by_column", lambda rows: grouped.append(rows) or group(rows))
+    assert "layouts" not in vars(c)
+    dims = []
+    for weights in (["1/7", "2/7", "3/7", "-6/7", "0", "0", "0", "0"],
+                    ["1/2", "1/3", "1/5", "1/7", "1/11", "1/13", "1/17", "1/19"],
+                    ["1", "2", "3", "-6", "0", "0", "0", "0"]):
+        dims.append(os_cohomology(t, Weights(weights)).dims)
+        assert len(products) == t.ell - 1 and len(grouped) == t.ell
+    assert dims[0] == [0, 2, 10, 30] and dims[1] == [0, 0, 0, 22]
+    assert all(a is c.rows[q] and b is c.rows[q + 1] for q, (a, b) in enumerate(products))
+    assert all(rows is c.rows[q] for q, rows in enumerate(grouped))
 
 
 def test_os_cohomology_refuses_differentials_that_do_not_compose_to_zero(monkeypatch):

@@ -628,7 +628,7 @@ def test_gm_images_zero_and_nonzero_match_the_solving_route(S):
         lam = Weights(weights)
         h = os_cohomology(t, lam)
         for q in range(t.ell + 1):
-            images = matmul(h.rep_rows[q].values(), evaluate_int(e.rows[q], lam.nums, t.n))
+            images = matmul(h.rep_rows[q].values(), evaluate_int(e.layouts[q], lam.nums, t.n))
             zero += images.count({})
             nonzero += len(images) - images.count({})
             got = gm_endomorphism(e, lam, q, h=h)
@@ -1164,8 +1164,8 @@ def test_specialize_matches_the_dense_route():
     cx = build_aomoto(t)
     e = omega_tilde_sum((3, 4, 5), 1, 5, 2)
     ind = induce_on_type(e, t)
-    for rows, mats in ((e.rows, e.mats), (ind.rows, ind.mats), (cx.rows, cx.boundary)):
-        for r, m in zip(rows, mats):
+    for layouts, mats in ((e.layouts, e.mats), (ind.layouts, ind.mats), (cx.layouts, cx.boundary)):
+        for r, m in zip(layouts, mats):
             values = mat_evaluate(m, lam.values)
             ints = evaluate_int(r, lam.nums, t.n)
             assert ints == sparse([[lam.d * x for x in row] for row in values])

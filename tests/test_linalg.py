@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from osgm.linalg import (
     add_scaled,
+    by_column,
     clear_denominators,
     rank,
     rref,
@@ -34,6 +35,7 @@ from oracles import (
     mat_evaluate,
     products_agree_by_evaluation,
     quadratic_value,
+    rows_at,
     sparse,
     sparse_vector,
 )
@@ -415,6 +417,39 @@ def test_integer_echelon_pivots_on_the_sparsest_row(monkeypatch):
     assert len(kernel) == 1
 
 
+def test_integer_echelon_normalizes_content_one_integral_fraction_and_mixed_rows():
+    # each row is first scaled to a primitive int row: a row of content 1
+    # as it is, integral Fractions such as Fraction(4, 1) to ints, and
+    # mixed int and Fraction rows over their common denominator; a single
+    # row is returned as that first scaling leaves it, a new dict
+    import osgm.linalg
+
+    f = Fraction
+    for m, first in [
+        ([[2, 3, 0]], {0: 2, 1: 3}),
+        ([[f(4, 1), f(6, 1), 0]], {0: 2, 1: 3}),
+        ([[f(4, 1), 0, f(-3, 1)]], {0: 4, 2: -3}),
+        ([[3, f(1, 2), 0, 4]], {0: 6, 1: 1, 3: 8}),
+        ([[f(9, 1), 6, 0, f(-3, 2)]], {0: 6, 1: 4, 3: -1}),
+        ([[2, 3, 0], [0, 5, 7], [1, 1, 1]], None),
+        ([[f(4, 1), f(6, 1), 0], [0, f(-8, 1), f(12, 1)], [f(2, 1), 0, f(5, 1)]], None),
+        ([[3, f(1, 2), 0, 4], [f(4, 1), 6, 2, 0], [1, f(-2, 3), 5, f(7, 1)]], None),
+        ([[6, 4, 2], [f(9, 1), 6, 3], [1, f(2, 3), f(1, 3)]], None),
+    ]:
+        sm = sparse(m)
+        before = [[(j, type(x), x) for j, x in row.items()] for row in sm]
+        rows, pivots = osgm.linalg._integer_echelon(sm)
+        assert [[(j, type(x), x) for j, x in row.items()] for row in sm] == before
+        assert all(type(x) is int for row in rows for x in row.values())
+        assert all(gcd(*row.values()) == 1 for row in rows)
+        if first is not None:
+            assert rows == [first] and rows[0] is not sm[0]
+        reduced_rows = divided_by_pivots(rows, pivots)
+        assert (reduced_rows, pivots) == fraction_rref(sm)
+        dense_rows, dense_pivots = dense_rref(m)
+        assert (reduced_rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
+
+
 # Large rationals, so that clearing denominators, content removal and the
 # gcd of pivot and entry all act: numerators up to 10^30 over primes whose
 # products run far past a machine word.  Some rows are int only, some are
@@ -525,11 +560,62 @@ def test_evaluate_int_matches_entrywise_evaluation(data):
     d, nums = clear_denominators(lam)
     expected = [{j: d * v for j, f in row.items() if (v := form_value(f, lam))}
                 for row in rows]
-    got = evaluate_int(key_rows(rows), nums, nvars)
+    got = evaluate_int(by_column(key_rows(rows)), nums, nvars)
     assert got == expected
     # int coefficients, as every library matrix has, give int values
     if all(type(c) is int for row in rows for f in row.values() for c in f.terms.values()):
         assert all(type(v) is int for row in got for v in row.values())
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_grouped_evaluation_matches_the_entrywise_oracle(data):
+    # int rows keyed (col, j), their keys in any order, so that a column's
+    # terms need not be adjacent; some entries have terms built to cancel at
+    # the point.  Grouped by `by_column` and evaluated at N = D * lam, every
+    # value is D times the Fraction value of `rows_at`, an int, cancelled
+    # entries are dropped, and the columns keep the order the row first
+    # holds them.  A vector of the wrong length is refused unless no entry
+    # is stored
+    draw = data.draw
+    nvars = draw(st.integers(1, 5))
+    den = draw(st.sampled_from([1, 7, 1009, 2 ** 61 - 1]))
+    lam = [Fraction(draw(st.sampled_from([0, 1]) | st.integers(-3 * den, 3 * den)), den)
+           for _ in range(nvars)]
+    d, nums = clear_denominators(lam)
+    coeffs = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+    rows, cancelled = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        terms, gone = {}, set()
+        for col in draw(st.sets(st.integers(0, 6), max_size=5)):
+            js = draw(st.lists(st.integers(1, nvars), min_size=1, max_size=nvars, unique=True))
+            cs = [draw(coeffs) for _ in js]
+            last = [j for j in range(1, nvars + 1) if j not in js and nums[j - 1]]
+            if last and draw(st.booleans()):
+                # c_j N_last for each drawn term and -(sum c_j N_j) at `last`
+                k = draw(st.sampled_from(last))
+                s = sum(c * nums[j - 1] for j, c in zip(js, cs))
+                cs = [c * nums[k - 1] for c in cs]
+                if s:
+                    js, cs = js + [k], cs + [-s]
+                gone.add(col)
+            terms.update({(col, j): c for j, c in zip(js, cs)})
+        keys = draw(st.permutations(list(terms)))
+        rows.append({key: terms[key] for key in keys})
+        cancelled.append(gone)
+    layout = by_column(rows)
+    got = evaluate_int(layout, nums, nvars)
+    assert got == [{col: d * v for col, v in row.items()} for row in rows_at(rows, lam, nvars)]
+    assert all(type(v) is int for row in got for v in row.values())
+    for row, vals, gone in zip(rows, got, cancelled):
+        assert not gone & set(vals)
+        assert list(vals) == [col for col in dict.fromkeys(col for col, _ in row) if col in vals]
+    wrong = draw(st.integers(0, nvars + 2).filter(lambda k: k != nvars))
+    if any(rows):
+        with pytest.raises(ValueError, match="^expected %d values, got %d$" % (nvars, wrong)):
+            evaluate_int(layout, [1] * wrong, nvars)
+    else:
+        assert evaluate_int(layout, [1] * wrong, nvars) == [{} for _ in rows]
 
 
 def test_evaluate_int_refuses_a_weight_vector_of_the_wrong_length():
@@ -538,7 +624,7 @@ def test_evaluate_int_refuses_a_weight_vector_of_the_wrong_length():
         with pytest.raises(ValueError) as exc:
             form_value(rows[0][0], nums)
         with pytest.raises(ValueError, match=re.escape(str(exc.value))):
-            evaluate_int(key_rows(rows), nums, 3)
+            evaluate_int(by_column(key_rows(rows)), nums, 3)
     assert str(exc.value) == "expected 3 values, got 4"
     # no stored entry, nothing to evaluate
-    assert evaluate_int([{}], [1], 3) == [{}]
+    assert evaluate_int(by_column([{}]), [1], 3) == [{}]
