@@ -9,6 +9,7 @@ from pathlib import Path
 from osgm.aomoto import Weights, build_aomoto, os_cohomology
 from osgm.arrangement import Arrangement, CombinatorialType
 from osgm.gauss_manin import gm_endomorphism, induce_on_type, omega_tilde_sum
+from osgm.linalg import by_column
 from osgm.orlik_solomon import betti_numbers, nbc_basis
 from osgm.poly import format_form
 
@@ -18,10 +19,10 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 def form_texts(row, ncols):
     """The entries of a sparse row keyed (col, j), the coefficient of y_j
     at column col, as text, one per column."""
-    cells = [{} for _ in range(ncols)]
-    for (col, j), c in row.items():
-        cells[col][j] = c
-    return [format_form(f) for f in cells]
+    cells = ["0"] * ncols
+    for col, terms in by_column([row])[0]:
+        cells[col] = format_form(terms)
+    return cells
 
 
 arr = Arrangement.from_file(DATA / "selberg.json")

@@ -42,9 +42,11 @@ from .poly import dense_forms, parse_rational
 
 
 class Weights:
-    """Rational weight per hyperplane; index n+1 carries minus their sum.
-    `d` is their common denominator D and `nums` the int point N = D * lam
-    at which every map is specialized."""
+    """Rational weight per hyperplane 1..n.  `d` is their common
+    denominator D and `nums` the int point N = D * lam at which every map
+    is specialized; `point` is N followed by D times the weight of the
+    hyperplane at infinity, -(N_1 + ... + N_n), the one place that rule is
+    evaluated (`poly.y_coeffs` states it symbolically)."""
 
     def __init__(self, values):
         vals = []
@@ -64,17 +66,11 @@ class Weights:
         self.values = tuple(vals)
         self.d, nums = clear_denominators(vals)
         self.nums = tuple(nums)
+        self.point = self.nums + (-sum(nums),)
 
     @property
     def n(self):
         return len(self.values)
-
-    def __getitem__(self, j):
-        if 1 <= j <= self.n:
-            return self.values[j - 1]
-        if j == self.n + 1:
-            return -sum(self.values)
-        raise ValueError("weight index %d out of range 1..%d" % (j, self.n + 1))
 
     def check_length(self, n):
         """Refuse a vector that does not hold one weight per hyperplane 1..n."""
@@ -82,7 +78,11 @@ class Weights:
             raise ValueError("expected %d values, got %d" % (n, self.n))
 
     def subset_sum(self, S):
-        return sum((self[j] for j in S), Fraction(0))
+        """lambda_S, the sum of the weights over S in [n+1], as a Fraction."""
+        for j in S:
+            if not 1 <= j <= self.n + 1:
+                raise ValueError("weight index %d out of range 1..%d" % (j, self.n + 1))
+        return Fraction(sum(self.point[j - 1] for j in S), self.d)
 
     def to_json(self):
         return [str(v) for v in self.values]
@@ -294,12 +294,12 @@ def nonresonance_conditions(t):
 def weights_nonresonant(t, lam):
     """Whether no condition of `nonresonance_conditions` (from the type's
     store) sums to a nonnegative integer.  With N = D * lam, the sum over S
-    is s / D for the int s = sum of N_j over S: a nonnegative integer
+    is s / D for the int s = sum of `lam.point` over S: a nonnegative integer
     exactly when s >= 0 and D divides s.  lam has one weight per 1..n."""
     lam.check_length(t.n)
-    d, nums = lam.d, lam.nums + (-sum(lam.nums),)
+    d, point = lam.d, lam.point
     for S in t.derived("nonresonance_conditions", nonresonance_conditions):
-        s = sum(nums[j - 1] for j in S)
+        s = sum(point[j - 1] for j in S)
         if s >= 0 and s % d == 0:
             return False
     return True

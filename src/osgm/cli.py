@@ -39,6 +39,7 @@ from .gauss_manin import (
     spectrum_check,
     spectrum_report,
 )
+from .linalg import by_column
 from .orlik_solomon import betti_numbers, nbc_basis
 from .poly import format_form
 
@@ -93,16 +94,9 @@ def _write_table(rows, ncols):
         sys.stdout.write("  [ " + "   ".join(cells) + " ]\n")
 
 
-def _form_cells(row):
-    """A sparse row keyed (col, j) as {col: {j: c}}, one form per column."""
-    cells = {}
-    for (col, j), c in row.items():
-        cells.setdefault(col, {})[j] = c
-    return cells
-
-
-def _form_texts(rows):
-    return [{col: format_form(f) for col, f in _form_cells(row).items()} for row in rows]
+def _form_texts(layout):
+    """A matrix of forms in the layout of `by_column` as rows {col: text}."""
+    return [{col: format_form(terms) for col, terms in row} for row in layout]
 
 
 # JSON pieces as `json.dumps(value, indent=2)` prints them: `pad` is the indent
@@ -145,8 +139,8 @@ def _matrix_json(rows, pad):
     return _jlist((pad + "  " + "".join(_jlist(row, pad + "  ")) for row in rows), pad)
 
 
-def _forms_json(rows, ncols, nvars, pad):
-    """A matrix of forms from sparse rows keyed (col, j): each form is the
+def _forms_json(layout, ncols, nvars, pad):
+    """A matrix of forms in the layout of `by_column`: each form is the
     list of its terms {"coefficient", "exponents"}, by ascending j.  Every
     zero form is one shared "[]" line, and each term is rendered once."""
     cpad, tpad = pad + "    ", pad + "      "
@@ -158,11 +152,11 @@ def _forms_json(rows, ncols, nvars, pad):
 
     def cells(row):
         out = [cpad + "[]"] * ncols
-        for col, f in _form_cells(row).items():
-            out[col] = cpad + "".join(_jlist([term(j, f[j]) for j in sorted(f)], cpad))
+        for col, terms in row:
+            out[col] = cpad + "".join(_jlist([term(j, c) for j, c in sorted(terms)], cpad))
         return out
 
-    return _matrix_json(map(cells, rows), pad)
+    return _matrix_json(map(cells, layout), pad)
 
 
 def _rationals_json(m, pad):
@@ -261,17 +255,19 @@ def cmd_aomoto(args):
     t = _load_type(args.file)
     cx = build_aomoto(t)
     widths = [len(b) for b in cx.bases]
+    # each boundary grouped here: `cx.layouts` would check D^2 = 0 first
     if args.json:
         sys.stdout.writelines(_jdict([
             ("bases", {str(q): [list(T) for T in cx.bases[q]] for q in range(t.ell + 1)}),
-            ("boundary", _jdict([(str(q), _forms_json(cx.rows[q], widths[q + 1], t.n, "    "))
-                                 for q in range(t.ell)], "  ")),
+            ("boundary", _jdict((
+                (str(q), _forms_json(by_column(rows), widths[q + 1], t.n, "    "))
+                for q, rows in enumerate(cx.rows)), "  ")),
         ], ""))
         print()
         return
     for q in range(t.ell):
         print("boundary leaving degree %d (%dx%d):" % (q, widths[q], widths[q + 1]))
-        _write_table(_form_texts(cx.rows[q]), widths[q + 1])
+        _write_table(_form_texts(by_column(cx.rows[q])), widths[q + 1])
 
 
 def cmd_cohomology(args):
@@ -354,7 +350,7 @@ def cmd_gm(args):
             ("S", list(S)),
             ("r", r),
             ("omega", _jdict([(str(q), _forms_json(m, len(m), n, "    "))
-                              for q, m in enumerate(ind.rows)], "  ")),
+                              for q, m in enumerate(ind.layouts)], "  ")),
             ("weights", lam.to_json()),
             ("dims", h.dims),
             ("gm", _jdict([(str(q), _rationals_json(gm[q], "    ")) for q in degrees], "  ")),
@@ -363,7 +359,7 @@ def cmd_gm(args):
         print()
         return
     print("pencil (S, r): S = %s, r = %d" % (_fmt_set(S), r))
-    for q, m in enumerate(ind.rows):
+    for q, m in enumerate(ind.layouts):
         print("induced connection matrix, degree %d (%dx%d):" % (q, len(m), len(m)))
         _write_table(_form_texts(m), len(m))
     print("weights: %s" % ", ".join(lam.to_json()))

@@ -35,7 +35,7 @@ from .arrangement import (
 )
 from .linalg import add_scaled, by_column, evaluate_int, form_matmul, matmul
 from .orlik_solomon import insertions, projection_matrix, wedge
-from .poly import LinearForm, dense_forms
+from .poly import dense_forms, y_coeffs
 
 
 class NotCovered(ValueError):
@@ -55,8 +55,8 @@ class SigmaAction:
     `images[i-1]` is where index i goes; index n+1 is the extra hyperplane
     at infinity.  The action is semilinear: coefficients transform by
     `subst`, y_j -> y_images(j), where y_{n+1} stands for minus the sum of
-    the others, and the degree-p monomials by rows[p], int rows keyed col
-    (row T holds the image of e_T).
+    the others (`y_coeffs`), and the degree-p monomials by rows[p], int
+    rows keyed col (row T holds the image of e_T).
 
     The map is written in closed form.  The closure classes are relabeled,
     f_i -> f_a with a = images(i), and e_i = f_i - f_{n+1}, so with
@@ -75,8 +75,7 @@ class SigmaAction:
         self.n = n
         self.ell = ell
         # y_j -> y_images(j), as {k: coefficient of y_k}
-        self.subst = {j: {a: 1} if a <= n else {k: -1 for k in range(1, n + 1)}
-                      for j, a in enumerate(images[:n], start=1)}
+        self.subst = {j: y_coeffs((a,), n) for j, a in enumerate(images[:n], start=1)}
         self.rows = [self._degree_rows(p) for p in range(ell + 1)]
         if validate:
             self._check_chain()
@@ -186,8 +185,8 @@ def _closure_images(K, n, index):
     Keyed by closure monomial U; each image is a sparse int row keyed
     (col, j), the coefficient of y_j at the affine monomial numbered col,
     already stripped of the closure monomials that contain n+1; y_{n+1} is
-    -1 on every y_j.  A wedge sign is that of moving j to its place in a
-    sorted tuple, see `insertions`.
+    read through `y_coeffs`.  A wedge sign is that of moving j to its place
+    in a sorted tuple, see `insertions`.
     """
     p = len(K) - 1
     if p >= len(index):
@@ -197,7 +196,7 @@ def _closure_images(K, n, index):
     images = {}
     for a, j in enumerate(K):
         sgn = -1 if a % 2 else 1
-        yj = [(j, sgn)] if j <= n else [(k, -sgn) for k in range(1, n + 1)]
+        yj = [(k, sgn * c) for k, c in y_coeffs((j,), n).items()]
         images[K[:a] + K[a + 1:]] = {(col, k): s * c for col, s in cols for k, c in yj}
     if p + 1 < len(index):
         # omega wedge the boundary, one term y_j e_j at a time; for one j
@@ -436,12 +435,13 @@ def spectrum_check(e, S):
     """Symbolically verify M (M - y_S I) = 0 in each degree.
 
     y_S is the sum of the variables indexed by S (index n+1 contributing
-    minus the total).  Returns (True, None) or (False, witness) with the
-    first failing degree and entry in row-major order: the product's rows
-    are keyed (col, j, k), so the least key of a nonzero row names its
-    first nonzero column.
+    minus the total), S refused as `spectrum_report` refuses it.  Returns
+    (True, None) or (False, witness) with the first failing degree and
+    entry in row-major order: the product's rows are keyed (col, j, k), so
+    the least key of a nonzero row names its first nonzero column.
     """
-    ys = LinearForm.subset_sum(tuple(S), e.cx.t.n).terms.items()
+    n = e.cx.t.n
+    ys = y_coeffs(_clean_subset(S, n), n).items()
     for q, m in enumerate(e.rows):
         diag = [{(i, j): c for j, c in ys} for i in range(len(m))]
         for i, row in enumerate(_square_defect(m, diag, form_matmul)):
@@ -460,9 +460,10 @@ def spectrum_report(e, S, r, lam):
     eigenvalues and the prediction does not apply.
 
     All of it runs over int: with D the weights' common denominator,
-    M_N = D M(lambda) is the int matrix `evaluate_int` gives at N = D lambda
-    and s_N = D lambda_S is an int, M_N (M_N - s_N I) = D^2 M (M - lambda_S I),
-    and rank M_N = rank M.
+    M_N = D M(lambda) is the int matrix `evaluate_int` gives at N = D lambda,
+    s_N = D lambda_S is the int sum of `lam.point` over S, and
+    M_N (M_N - s_N I) = D^2 M (M - lambda_S I), and rank M_N = rank M;
+    lambda_S = s_N / D is made only to be printed.
 
     Neither rank needs an elimination.  Once M_N (M_N - s_N I) = 0 is
     checked with s_N nonzero, the minimal polynomial of M_N divides
@@ -475,14 +476,14 @@ def spectrum_report(e, S, r, lam):
     n = e.cx.t.n
     lam.check_length(n)
     S = _clean_subset(S, n)
-    lam_s = lam.subset_sum(S)
-    if lam_s == 0:
+    s = sum(lam.point[j - 1] for j in S)
+    if s == 0:
         return {
             "lambda_S": "0",
             "message": "spectrum theorem inapplicable: lambda_S = 0",
             "degrees": [],
         }
-    s = lam_s.numerator * (lam.d // lam_s.denominator)
+    lam_s = str(Fraction(s, lam.d))
     degrees = []
     for q in range(len(e.rows)):
         d0, ds = eigenspace_dims(n, len(S), r, q)
@@ -494,9 +495,9 @@ def spectrum_report(e, S, r, lam):
             ok = rk == ds and len(m) - rk == d0
         degrees.append({
             "degree": q,
-            "lambda_S": str(lam_s),
+            "lambda_S": lam_s,
             "d0": d0,
             "dS": ds,
             "verified": ok,
         })
-    return {"lambda_S": str(lam_s), "degrees": degrees}
+    return {"lambda_S": lam_s, "degrees": degrees}

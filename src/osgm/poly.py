@@ -5,18 +5,22 @@ a pencil or pair sum, an induced map) is a form c_1 y_1 + ... + c_n y_n
 with integer coefficients and no constant term: the differential
 multiplies by the weighted one-form sum y_j e_j, and every map built from
 it is linear in the weights too.  The weight of the projective extra
-hyperplane never appears as a variable: y_{n+1} is eliminated everywhere
-as -(y_1 + ... + y_n), see LinearForm.subset_sum.
+hyperplane never appears as a variable: y_{n+1} = -(y_1 + ... + y_n),
+a rule stated once symbolically, in `y_coeffs`, and once at a weight
+vector, in `aomoto.Weights.point`.
 
 The library does not compute with forms.  It keeps a matrix of them as
 sparse int rows keyed (col, j), the coefficient of y_j at column col (see
-`osgm.linalg`), and the command line and the demos print from those rows
-with `format_form`; `dense_forms` gives the list-of-lists of `LinearForm`s
-the tests and the benchmark's tracer read.  A form stores {j: c}
-for its nonzero coefficients only, so equality is dict equality.
+`osgm.linalg`), and the command line and the demos print from the layout
+`linalg.by_column` groups them in, with `format_form`; `dense_forms` is
+the list-of-lists view of `LinearForm`s behind `ChainEndomorphism.mats`
+and `AomotoComplex.boundary`.  A form stores {j: c} for its nonzero
+coefficients only, so equality is dict equality.
 """
 
 from fractions import Fraction
+
+from .linalg import by_column
 
 
 def parse_rational(s):
@@ -33,13 +37,22 @@ def parse_rational(s):
     return Fraction(p, q)
 
 
+def y_coeffs(S, n):
+    """The coefficients {k: c} of y_S, the sum of y_j over the subset S of
+    [n+1], in y_1..y_n, zeros dropped: y_{n+1} is -(y_1 + ... + y_n), so
+    with n+1 in S every y_k outside S takes -1 and every other cancels."""
+    if n + 1 not in S:
+        return dict.fromkeys(S, 1)
+    return {k: -1 for k in range(1, n + 1) if k not in S}
+
+
 def format_form(terms):
-    """The form with nonzero coefficients {j: c} as text, terms by
-    ascending j: "0", "y1", "-2*y3 + y4"."""
+    """The form with the nonzero coefficients c of y_j given as (j, c)
+    pairs as text, terms by ascending j: "0", "y1", "-2*y3 + y4"."""
     if not terms:
         return "0"
     parts = []
-    for j, c in sorted(terms.items()):
+    for j, c in sorted(terms):
         body = "y%d" % j if abs(c) == 1 else "%s*y%d" % (abs(c), j)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
@@ -65,19 +78,6 @@ class LinearForm:
     def zero(cls, nvars):
         return cls._of(nvars, {})
 
-    @classmethod
-    def subset_sum(cls, S, nvars):
-        """y_S = sum of y_j over j in S, where j = nvars+1 means the infinity
-        weight -(y_1 + ... + y_nvars)."""
-        coeffs = [0] * (nvars + 1)
-        for j in S:
-            if j == nvars + 1:
-                for k in range(1, nvars + 1):
-                    coeffs[k] -= 1
-            else:
-                coeffs[j] += 1
-        return cls._of(nvars, {j: c for j, c in enumerate(coeffs) if c})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -89,23 +89,20 @@ class LinearForm:
     # ---- presentation ---------------------------------------------------
 
     def __str__(self):
-        return format_form(self.terms)
+        return format_form(self.terms.items())
 
     __repr__ = __str__
 
 
 def dense_forms(rows, ncols, nvars):
     """The list-of-lists view of sparse rows keyed (col, j): entry (i, col)
-    is the form whose y_j coefficient is row i's value at (col, j), and
+    is the form of row i's terms at col in the layout of `by_column`, and
     every entry off the rows' support is one shared zero form."""
     zero = LinearForm.zero(nvars)
     out = []
-    for row in rows:
+    for row in by_column(rows):
         view = [zero] * ncols
-        for (col, j), c in row.items():
-            f = view[col]
-            if f is zero:
-                f = view[col] = LinearForm._of(nvars, {})
-            f.terms[j] = c
+        for col, terms in row:
+            view[col] = LinearForm._of(nvars, dict(terms))
         out.append(view)
     return out

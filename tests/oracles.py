@@ -46,6 +46,19 @@ class Form(LinearForm):
         self.terms = {j: _exact(Fraction(c)) for j, c in terms.items() if c} if terms else {}
 
     @classmethod
+    def subset_sum(cls, S, nvars):
+        """y_S = sum of y_j over j in S, where j = nvars+1 means the infinity
+        weight -(y_1 + ... + y_nvars)."""
+        coeffs = [0] * (nvars + 1)
+        for j in S:
+            if j == nvars + 1:
+                for k in range(1, nvars + 1):
+                    coeffs[k] -= 1
+            else:
+                coeffs[j] += 1
+        return cls._of(nvars, {j: c for j, c in enumerate(coeffs) if c})
+
+    @classmethod
     def variable(cls, j, nvars):
         """The variable y_j, 1-based, 1 <= j <= nvars."""
         if not 1 <= j <= nvars:
@@ -834,7 +847,7 @@ def weights_nonresonant_by_subset_sums(t, lam):
     from osgm.aomoto import nonresonance_conditions
 
     for S in nonresonance_conditions(t):
-        s = lam.subset_sum(S)
+        s = fraction_subset_sum(lam.values, S)
         if s.denominator == 1 and s >= 0:
             return False
     return True
@@ -1077,6 +1090,13 @@ def reduced(rows):
 def identity_matrix(n):
     """The dense n x n identity over Fraction."""
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def fraction_subset_sum(values, S):
+    """lambda_S as a Fraction from the weights `values` of hyperplanes
+    1..n, index n+1 standing for minus their sum."""
+    n = len(values)
+    return sum((values[j - 1] if j <= n else -sum(values) for j in S), Fraction(0))
 
 
 def form_value(f, lam):
@@ -1329,7 +1349,7 @@ def spectrum_report_by_fractions(e, S, r, lam):
 
     n = e.cx.t.n
     S = tuple(sorted(S))
-    lam_s = lam.subset_sum(S)
+    lam_s = fraction_subset_sum(lam.values, S)
     if lam_s == 0:
         return {"lambda_S": "0", "message": "spectrum theorem inapplicable: lambda_S = 0",
                 "degrees": []}

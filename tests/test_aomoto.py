@@ -15,6 +15,7 @@ from osgm.aomoto import (
     weights_nonresonant,
 )
 from osgm.linalg import form_matmul, matmul
+from osgm.poly import y_coeffs
 from strategies import realized_types
 from oracles import (
     Form,
@@ -32,6 +33,7 @@ from oracles import (
     rows_at,
     sparse,
     sparse_vector,
+    fraction_subset_sum,
     weights_nonresonant_by_subset_sums,
 )
 
@@ -58,16 +60,19 @@ def y(*js):
 def test_weights():
     lam = Weights(["1/2", "1/3", "1/5", "1/7", "1/11"])
     assert lam.n == 5
-    assert lam[1] == Fraction(1, 2)
-    assert lam[6] == -(Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5) + Fraction(1, 7) + Fraction(1, 11))
+    assert lam.subset_sum((1,)) == Fraction(1, 2)
+    assert lam.subset_sum((6,)) == \
+        -(Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5) + Fraction(1, 7) + Fraction(1, 11))
     assert lam.subset_sum((3, 4, 5)) == Fraction(1, 5) + Fraction(1, 7) + Fraction(1, 11)
     assert lam.subset_sum((3, 4, 5)) == Fraction(167, 385)
-    with pytest.raises(ValueError):
-        lam[7]
+    with pytest.raises(ValueError, match=r"^weight index 7 out of range 1\.\.6$"):
+        lam.subset_sum((7,))
     # the int point N = D * lam at which every map is specialized
     assert (lam.d, lam.nums) == (2310, (1155, 770, 462, 330, 210))
     mixed = Weights([3, "-1/4", 0])
     assert (mixed.d, mixed.nums) == (4, (12, -1, 0))
+    # followed by D times the weight of the hyperplane at infinity
+    assert mixed.point == (12, -1, 0, -11)
     assert all(type(v) is int for v in lam.nums + mixed.nums)
     with pytest.raises(ValueError, match="^weight 2: zero denominator"):
         Weights(["1/2", "1/0"])
@@ -596,6 +601,27 @@ def test_weights_nonresonant_at_the_boundary_sums():
     assert weights_nonresonant(t, minus)
     for lam in (zero, minus):
         assert weights_nonresonant(t, lam) == weights_nonresonant_by_subset_sums(t, lam)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_the_infinity_weight_is_minus_the_sum_in_both_statements(data):
+    # y_{n+1} = -(y_1 + ... + y_n) is stated symbolically in `y_coeffs` and
+    # at a weight vector in `Weights.point`; both must give the oracle's
+    # Fraction subset sum, which states the rule itself from lam.values
+    n = data.draw(st.integers(1, 8))
+    rationals = st.fractions(min_value=-7, max_value=7, max_denominator=30)
+    lam = Weights(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    S = tuple(sorted(data.draw(st.sets(st.integers(1, n + 1)))))
+    expected = fraction_subset_sum(lam.values, S)
+    assert Fraction(sum(lam.point[j - 1] for j in S), lam.d) == expected
+    assert lam.subset_sum(S) == expected
+    coeffs = y_coeffs(S, n)
+    assert all(1 <= k <= n and type(c) is int and c for k, c in coeffs.items())
+    assert sum((c * lam.values[k - 1] for k, c in coeffs.items()), Fraction(0)) == expected
+    # y_S is the zero form for a nonempty S exactly when S is all of [n+1]
+    assert (coeffs == {}) == (S in ((), tuple(range(1, n + 2))))
+    assert y_coeffs(tuple(range(1, n + 2)), n) == {}
 
 
 def test_nonresonant_weights_concentrate_cohomology():

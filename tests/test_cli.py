@@ -16,6 +16,7 @@ from osgm import cli
 from osgm.aomoto import build_aomoto
 from osgm.arrangement import Arrangement, CombinatorialType
 from osgm.cli import main
+from osgm.linalg import by_column
 from osgm.poly import dense_forms
 from oracles import fmt_table, form_matrix_json, rational_matrix_json
 
@@ -119,7 +120,7 @@ def test_sparse_writer_matches_the_dense_route(data):
                 for _ in range(nrows)]
         degrees.append((rows, ncols))
         dense_view = dense_forms(rows, ncols, nvars)
-        assert written_table(cli._form_texts(rows), ncols) == fmt_table(dense_view)
+        assert written_table(cli._form_texts(by_column(rows)), ncols) == fmt_table(dense_view)
     size = draw(st.integers(0, 3))
     gm = [draw(st.lists(st.just(0) | nonzero_rationals, min_size=size, max_size=size))
           for _ in range(size)]
@@ -135,7 +136,7 @@ def test_sparse_writer_matches_the_dense_route(data):
     }
     written = "".join(cli._jdict([
         ("S", [1, 2]),
-        ("omega", cli._jdict([(str(q), cli._forms_json(rows, ncols, nvars, "    "))
+        ("omega", cli._jdict([(str(q), cli._forms_json(by_column(rows), ncols, nvars, "    "))
                               for q, (rows, ncols) in enumerate(degrees)], "  ")),
         ("gm", cli._jdict([("0", cli._rationals_json(gm, "    "))], "  ")),
         ("empty", cli._jdict([], "  ")),
@@ -519,6 +520,44 @@ def test_gm_builds_each_type_complex_once(capsys, monkeypatch):
         assert code == 0
         # the Selberg type and the generic type, one complex each
         assert len(built) == len(set(built)) == 2
+
+
+def test_gm_prints_from_the_layouts_it_evaluated(capsys, monkeypatch):
+    # printing groups no row by column on its own: a gm run calls `by_column`
+    # exactly as often as the cohomology, the GM action and the spectrum alone
+    import osgm.aomoto
+    import osgm.gauss_manin
+    import osgm.linalg
+    import osgm.poly
+    from osgm.aomoto import Weights, os_cohomology
+    from osgm.gauss_manin import (gm_endomorphism, induce_on_type, omega_tilde_sum,
+                                  spectrum_report)
+
+    calls = []
+    real = osgm.linalg.by_column
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    for module in (osgm.linalg, osgm.aomoto, osgm.gauss_manin, osgm.poly, osgm.cli):
+        monkeypatch.setattr(module, "by_column", counted)
+    t = CombinatorialType.from_arrangement(Arrangement.from_file(SELBERG))
+    lam = Weights(NONRES.split(","))
+    e = omega_tilde_sum((3, 4, 5), 1, t.n, t.ell)
+    ind = induce_on_type(e, t)
+    h = os_cohomology(t, lam)
+    for q in range(t.ell + 1):
+        gm_endomorphism(ind, lam, q, h=h)
+    spectrum_report(e, (3, 4, 5), 1, lam)
+    alone = sorted(calls)
+    assert alone
+    for fmt in ([], ["--json"]):
+        calls.clear()
+        code, out, _ = run(capsys, "gm", SELBERG, "--pencil", "3,4,5", "1",
+                           "--weights", NONRES, *fmt)
+        assert code == 0 and out
+        assert sorted(calls) == alone, fmt
 
 
 # ---- malformed input never ends in a traceback --------------------------------

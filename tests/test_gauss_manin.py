@@ -762,6 +762,11 @@ def test_spectrum_check_symbolic_and_witness():
     ok, witness = spectrum_check(bad, (3, 4, 5))
     assert not ok
     assert witness["degree"] == 1
+    # y_S is a sum over a subset of [n+1]; anything else is refused, as
+    # spectrum_report refuses it, not summed with a repeat counted once
+    for S, message in (((3, 3, 4), "repeated index"), ((3, 7), "indices must lie in 1..6")):
+        with pytest.raises(ValueError, match=message):
+            spectrum_check(e, S)
 
 
 def test_spectrum_witness_is_first_failing_entry_row_major():
