@@ -11,14 +11,36 @@ closure actually share a point, i.e. when the rows have rank at most ell.
 For sets of size at most ell+1 dependence already forces this, so the star
 filter only thins out the larger sets.
 
-A realization's type comes from one integer elimination per subset S of
-[n] with 2 <= |S| <= ell+1.  Rows are stored with the constant b0 last,
-in column ell, so the pivots of the echelon form answer everything: r of
-them make S dependent when r < |S|, and column ell is a pivot exactly
-when S has no common affine point (Rouche-Capelli).  Infinity's row is
-the unit vector of column ell, so S + {n+1} is dependent when S is or
-column ell is a pivot.  A pair {j, n+1} is dependent only when row j
-has no coefficient part, so the singletons need no elimination.
+A realization's type comes from one depth-first walk over the subsets of
+[n], in `combinations` order, up to size min(ell+1, n), and no
+elimination.  Rows are stored as ints with the constant b0 last, in
+column ell, and the walk carries for each subset S a primitive int basis
+of the null space N(S) = {v : row . v = 0 for every row of S}, starting
+from the unit basis at the empty set.  The row space of S is N(S)^perp.
+Adding row j takes one dot product d_m = row_j . v_m per basis vector:
+
+- If every d_m is zero, row_j lies in N(S)^perp, the row space of S, so
+  N(S + j) = N(S) and the rank stays.
+- Otherwise, with i the first index where d_i != 0, the vectors
+  w_m = d_i v_m - d_m v_i for m != i, each divided by its content, are a
+  basis of N(S + j).  Each lies in N(S), and row_j . w_m =
+  d_i d_m - d_m d_i = 0.  They are independent, since v_m appears in w_m
+  alone, with the coefficient d_i != 0.  And there are |N(S)| - 1 of
+  them, which is the dimension of N(S + j) now that row_j is outside
+  N(S)^perp.
+
+So rank T = ell+1 - |N(T)|, and T is dependent when that is less than
+|T|: exactly when its parent is, or when every d_m is zero.  Row j is
+the zero set of row_j . (u, 1), so T has a common affine point u exactly
+when some v in N(T) has v_ell != 0 (scale it to 1), that is when some
+basis vector is nonzero at column ell.  So T is empty exactly when every
+vector of N(T) is zero at column ell, which says e_ell lies in N(T)^perp,
+the row space of T (Rouche-Capelli).  Infinity's row is e_ell, so
+S + {n+1} is dependent when S is dependent or empty; for a singleton
+that is a row with no coefficient part.  A leaf, of size min(ell+1, n),
+builds no basis: it reads only column ell of each w_m, and under an
+independent parent of size ell, where N(S) is one vector, it costs one
+dot product.
 
 Repeated hyperplanes are valid input.  Two identical rows i, j (or rows
 that are multiples of each other) make {i, j} a dependent pair, the rank-1
@@ -30,8 +52,10 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
+from operator import mul
 
-from .linalg import _integer_echelon, clear_denominators, rank
+from .linalg import clear_denominators, rank
 from .poly import parse_rational
 
 
@@ -61,16 +85,15 @@ def read_json(path):
 
 class Arrangement:
 
-    __slots__ = ("n", "ell", "rows", "_sparse")
+    __slots__ = ("n", "ell", "rows", "_int_rows")
 
     def __init__(self, ell, n, rows):
         self.ell = ell
         self.n = n
         self.rows = rows
-        # sparse int rows with the same span, for elimination: each row times
-        # its common denominator, the constant moved last to column ell
-        self._sparse = [{k: x for k, x in enumerate(b[1:] + b[:1]) if x}
-                        for b in (clear_denominators(r)[1] for r in rows)]
+        # dense int rows with the same span, for the type's walk: each row
+        # times its common denominator, the constant moved last to column ell
+        self._int_rows = [b[1:] + b[:1] for b in (clear_denominators(r)[1] for r in rows)]
 
     @classmethod
     def from_json(cls, data):
@@ -103,7 +126,7 @@ class Arrangement:
                 raise ValueError("row %d: coefficient part is zero, not a hyperplane" % i)
             rows.append(row)
         arr = cls(ell, n, rows)
-        if rank([{k: x for k, x in r.items() if k < ell} for r in arr._sparse]) < ell:
+        if rank([{k: x for k, x in enumerate(r[:ell]) if x} for r in arr._int_rows]) < ell:
             raise ValueError("arrangement is not essential: coefficient rank < ell")
         return arr
 
@@ -186,21 +209,59 @@ class CombinatorialType:
 
     @classmethod
     def from_arrangement(cls, a):
-        """The type of a realization, by the one walk of the module
-        docstring: one elimination per subset of [n] of size 2..ell+1."""
-        n, ell, rows = a.n, a.ell, a._sparse
-        dep = {2: [(j, n + 1) for j in range(1, n + 1) if rows[j - 1].keys() <= {ell}]}
-        dep.update((q, []) for q in range(3, min(ell + 1, n + 1) + 1))
+        """The type of a realization, by the null-space walk of the module
+        docstring, which also proves it.  Each subset T of [n] of size
+        1..min(ell+1, n) takes one dot product of its last row with each
+        basis vector of its parent's null space N(S), and a pivot on the
+        first nonzero one gives the basis of N(T) without elimination.
+        T is dependent when rank T = ell+1 - |N(T)| < |T|, and has no
+        common affine point when N(T) is zero at column ell, the
+        constant's column."""
+        n, ell, rows = a.n, a.ell, a._int_rows
+        top = min(ell + 1, n)
+        dep = {q: [] for q in range(2, min(ell + 1, n + 1) + 1)}
         empty = []
-        for size in range(2, min(ell + 1, n) + 1):
-            for S in combinations(range(1, n + 1), size):
-                pivots = _integer_echelon([rows[j - 1] for j in S])[1]
-                if len(pivots) < size:
-                    dep[size].append(S)
-                if ell in pivots:
-                    empty.append(S)
-                if size <= ell and (len(pivots) < size or ell in pivots):
-                    dep[size + 1].append(S + (n + 1,))
+
+        def walk(S, basis, dependent):
+            # the children T = S + (j,) of S, N(S) = span of `basis`
+            size = len(S) + 1
+            leaf = size == top
+            for j in range(S[-1] + 1 if S else 1, n + 1):
+                row, T = rows[j - 1], S + (j,)
+                dots = [sum(map(mul, row, v)) for v in basis]
+                for i, di in enumerate(dots):
+                    if di:
+                        break
+                else:
+                    di = 0
+                if not di:  # row j is in the span of S: N(T) = N(S)
+                    child, T_dependent = basis, True
+                    T_empty = not any(v[ell] for v in basis)
+                elif leaf:  # only column ell of N(T) is read
+                    T_dependent = dependent
+                    vi = basis[i][ell]
+                    T_empty = len(basis) == 1 or all(
+                        di * v[ell] == d * vi for v, d in zip(basis, dots))
+                else:
+                    child, T_dependent = [], dependent
+                    vi = basis[i]
+                    for m, (v, d) in enumerate(zip(basis, dots)):
+                        if m != i:
+                            w = [di * x - d * y for x, y in zip(v, vi)]
+                            g = gcd(*w)
+                            child.append([x // g for x in w] if g > 1 else w)
+                    T_empty = not any(w[ell] for w in child)
+                if size >= 2:
+                    if T_dependent:
+                        dep[size].append(T)
+                    if T_empty:
+                        empty.append(T)
+                if size <= ell and (T_dependent or T_empty):
+                    dep[size + 1].append(T + (n + 1,))
+                if not leaf:
+                    walk(T, child, T_dependent)
+
+        walk((), [[int(k == m) for k in range(ell + 1)] for m in range(ell + 1)], False)
         t = cls(n, ell, dep, empty, realization=a)
         if not any(t.dep.values()):  # the generic type; see `derived`
             t._store = generic_type(n, ell)._store

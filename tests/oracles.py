@@ -564,6 +564,38 @@ def type_by_two_walks(a):
     return CombinatorialType(a.n, a.ell, dep, empty, realization=a)
 
 
+def type_by_subset_eliminations(a):
+    """The type of the realization a by one elimination per subset S of
+    [n] with 2 <= |S| <= ell+1: the library's walk before it carried null
+    spaces down the subset tree, kept as a second oracle.  It runs
+    `linalg._integer_echelon` on the rows of S, times their common
+    denominator, with the constant b0 moved last to column ell.  r pivots
+    make S dependent when r < |S|, and column ell is a pivot exactly when
+    S has no common affine point (Rouche-Capelli).  Infinity's row is the
+    unit vector of column ell, so S + {n+1} is dependent when S is or
+    column ell is a pivot.  A pair {j, n+1} is dependent only when row j
+    has no coefficient part."""
+    from osgm.arrangement import CombinatorialType
+    from osgm.linalg import _integer_echelon, clear_denominators
+
+    n, ell = a.n, a.ell
+    rows = [{k: x for k, x in enumerate(b[1:] + b[:1]) if x}
+            for b in (clear_denominators(r)[1] for r in a.rows)]
+    dep = {2: [(j, n + 1) for j in range(1, n + 1) if rows[j - 1].keys() <= {ell}]}
+    dep.update((q, []) for q in range(3, min(ell + 1, n + 1) + 1))
+    empty = []
+    for size in range(2, min(ell + 1, n) + 1):
+        for S in combinations(range(1, n + 1), size):
+            pivots = _integer_echelon([rows[j - 1] for j in S])[1]
+            if len(pivots) < size:
+                dep[size].append(S)
+            if ell in pivots:
+                empty.append(S)
+            if size <= ell and (len(pivots) < size or ell in pivots):
+                dep[size + 1].append(S + (n + 1,))
+    return CombinatorialType(n, ell, dep, empty, realization=a)
+
+
 def pencil_realization(n, ell, S, r):
     """Explicit rational arrangement of the pencil type on (S, r), the
     witness the tests build pencil types from.

@@ -79,6 +79,40 @@ def special_arrangements(draw):
 
 
 @st.composite
+def wide_arrangements(draw):
+    """Rows in the special positions of `special_arrangements` with wide
+    entries: ints up to +-10^12 and Fractions with denominators up to
+    10^6, at ell up to 5, so null vectors have large contents to divide
+    out.  n runs from ell, where the largest subset is [n] itself and
+    smaller than ell+1, to ell+4.  Not necessarily essential."""
+    ell = draw(st.integers(1, 5))
+    n = draw(st.integers(ell, ell + 4))
+    entry = st.one_of(st.just(0), st.integers(-10**12, 10**12),
+                      st.fractions(-10**12, 10**12, max_denominator=10**6))
+    point = draw(st.lists(entry, min_size=ell, max_size=ell))
+
+    def coefficients():
+        c = draw(st.lists(entry, min_size=ell, max_size=ell))
+        return c if any(c) else [1] + c[1:]
+
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "repeated", "parallel", "concurrent"]))
+        if kind == "fresh" or not rows:
+            row = [draw(entry)] + coefficients()
+        elif kind == "repeated":
+            scale = draw(entry.filter(bool))
+            row = [scale * x for x in draw(st.sampled_from(rows))]
+        elif kind == "parallel":
+            row = [draw(entry)] + list(draw(st.sampled_from(rows))[1:])
+        else:
+            c = coefficients()
+            row = [-sum(x * p for x, p in zip(c, point))] + c
+        rows.append(tuple(Fraction(x) for x in row))
+    return Arrangement(ell, n, rows)
+
+
+@st.composite
 def pencil_arrangements(draw, count=1):
     """Realizations of pencil types with `count` disjoint pencils; a single
     pencil may contain the hyperplane at infinity."""

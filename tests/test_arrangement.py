@@ -2,11 +2,13 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import osgm.linalg
 from osgm import arrangement
 from osgm.arrangement import (
     Arrangement,
@@ -32,6 +34,7 @@ from oracles import (
     multiplicity,
     pencil_profile_by_walk,
     pencil_rank,
+    type_by_subset_eliminations,
     type_by_two_walks,
 )
 from strategies import (
@@ -40,6 +43,7 @@ from strategies import (
     pencil_arrangements,
     realized_types,
     special_arrangements,
+    wide_arrangements,
 )
 
 SELBERG_ROWS = [
@@ -465,15 +469,22 @@ PENCIL_SHAPES = [(15, 2, (1, 2, 3, 4, 5), 2), (10, 4, (1, 2, 3, 4), 1),
 
 
 def assert_same_type(a):
-    t, oracle = CombinatorialType.from_arrangement(a), type_by_two_walks(a)
-    assert t.dep == oracle.dep
-    assert t.affine_empty == oracle.affine_empty
+    t = CombinatorialType.from_arrangement(a)
+    for oracle in (type_by_two_walks(a), type_by_subset_eliminations(a)):
+        assert t.dep == oracle.dep
+        assert t.affine_empty == oracle.affine_empty
 
 
 @given(a=st.one_of(special_arrangements(), integer_arrangements(),
                    pencil_arrangements(1), pencil_arrangements(2)))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_one_walk_matches_the_two_walks(a):
+    assert_same_type(a)
+
+
+@given(a=wide_arrangements())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_one_walk_matches_the_two_walks_on_wide_entries(a):
     assert_same_type(a)
 
 
@@ -495,32 +506,35 @@ def test_one_walk_matches_the_two_walks_on_the_bundled_files_and_pencils():
                                                           (2, 5)]
 
 
-def test_one_walk_eliminates_each_subset_once(monkeypatch):
-    # one elimination per subset S of [n] with 2 <= |S| <= min(ell+1, n),
-    # in the walk's order, on the stored rows of S and no other row
-    def eliminated_sets(a):
-        index = {id(row): j for j, row in enumerate(a._sparse, start=1)}
-        seen = []
-        real = arrangement._integer_echelon
+def test_the_walk_runs_no_elimination(monkeypatch):
+    # the walk carries null spaces down the subset tree: building a type
+    # calls `_integer_echelon` nowhere, neither directly nor through `rank`
+    def refuse(rows):
+        raise AssertionError("from_arrangement called _integer_echelon")
 
-        def counting(rows):
-            js = [index.get(id(row)) for row in rows]
-            assert None not in js, "eliminated rows that are not stored rows"
-            seen.append(tuple(js))
-            return real(rows)
-
-        monkeypatch.setattr(arrangement, "_integer_echelon", counting)
-        CombinatorialType.from_arrangement(a)
-        monkeypatch.setattr(arrangement, "_integer_echelon", real)
-        return seen
-
+    assert "_integer_echelon" not in vars(arrangement)
     cases = [selberg(), selberg_degenerate()] + [
         Arrangement.from_file(path) for path in GOLDEN_INPUTS] + [
         pencil_realization(n, ell, S, r) for n, ell, S, r in PENCIL_SHAPES]
+    # the oracle eliminates each subset of [n] of size 2..min(ell+1, n)
+    # once, Selberg's 20 subsets of sizes 2 and 3 among them
+    real, calls = osgm.linalg._integer_echelon, []
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(osgm.linalg, "_integer_echelon", counting)
+    oracles, eliminations = [], []
     for a in cases:
-        assert len(a._sparse) == a.n
-        assert eliminated_sets(a) == [
-            S for q in range(2, min(a.ell + 1, a.n) + 1)
-            for S in combinations(range(1, a.n + 1), q)]
-    # Selberg: the 20 subsets of [5] of sizes 2 and 3
-    assert len(eliminated_sets(selberg())) == 20
+        oracles.append(type_by_subset_eliminations(a))
+        eliminations.append(len(calls))
+        calls.clear()
+    assert eliminations == [sum(comb(a.n, q) for q in range(2, min(a.ell + 1, a.n) + 1))
+                            for a in cases]
+    assert eliminations[0] == 20
+    monkeypatch.setattr(osgm.linalg, "_integer_echelon", refuse)
+    monkeypatch.setattr(arrangement, "_integer_echelon", refuse, raising=False)
+    for a, oracle in zip(cases, oracles):
+        t = CombinatorialType.from_arrangement(a)
+        assert (t.dep, t.affine_empty) == (oracle.dep, oracle.affine_empty)
