@@ -100,6 +100,8 @@ class AomotoComplex:
         self.t = t
         self.bases = bases  # bases[q] = nbc monomials of degree q
         self.rows = rows    # rows[q][i] = {(k, j): c}, |nbc_q| rows, degrees q < ell
+        # index[q][T] = position of T in bases[q], the only such numbering
+        self.index = [{T: i for i, T in enumerate(b)} for b in bases]
 
     @cached_property
     def layouts(self):
@@ -128,21 +130,13 @@ def build_aomoto(t):
 
 
 def _build_aomoto(t):
-    n = t.n
-    bases = [nbc_basis(t, q) for q in range(t.ell + 1)]
-    rows = []
-    for q in range(t.ell):
-        cols = {U: k for k, U in enumerate(bases[q + 1])}
-        mat = []
-        for T in bases[q]:
-            row = {}
-            for a, j, M in insertions(T, n):
-                sgn = -1 if a % 2 else 1
-                for U, c in reduce_monomial(M, t).items():
-                    row[cols[U], j] = sgn * c
-            mat.append(row)
-        rows.append(mat)
-    return AomotoComplex(t, bases, rows)
+    """Row T of degree q holds reduce(e_j e_T) at the keys (col, j), signed
+    as `insertions` yields it (see the `orlik_solomon` docstring)."""
+    cx = AomotoComplex(t, [nbc_basis(t, q) for q in range(t.ell + 1)], [])
+    for T_q, cols in zip(cx.bases, cx.index[1:]):
+        cx.rows.append([{(cols[U], j): s * c for s, j, M in insertions(T, t.n)
+                         for U, c in reduce_monomial(M, t).items()} for T in T_q])
+    return cx
 
 
 class CohomologyData:

@@ -56,6 +56,7 @@ from math import gcd
 from operator import mul
 
 from .linalg import clear_denominators, rank
+from .orlik_solomon import insertions
 from .poly import parse_rational
 
 
@@ -163,10 +164,10 @@ class CombinatorialType:
             self.dep[q] = sorted({tuple(sorted(S)) for S in dep.get(q, [])})
         self.affine_empty = sorted({tuple(sorted(S)) for S in affine_empty})
         self.realization = realization
-        self._validate()
         # membership tables; dep and affine_empty are never reassigned
         self._dep_sets = {q: frozenset(fam) for q, fam in self.dep.items()}
         self._empty_set = frozenset(self.affine_empty)
+        self._validate()
         self._store = {}  # filled by derived()
 
     def derived(self, key, build):
@@ -197,11 +198,9 @@ class CombinatorialType:
         for q in sorted(self.dep):
             if q + 1 not in self.dep:
                 break
-            bigger = set(self.dep[q + 1])
+            bigger = self._dep_sets[q + 1]
             for S in self.dep[q]:
-                rest = set(range(1, self.n + 2)) - set(S)
-                for j in rest:
-                    sup = tuple(sorted(S + (j,)))
+                for _, _, sup in insertions(S, self.n + 1):
                     if sup not in bigger:
                         raise ValueError(
                             "dependent set %r has independent superset %r" % (S, sup)
@@ -331,8 +330,8 @@ def compare_types(t1, t2):
     if (t1.n, t1.ell) != (t2.n, t2.ell):
         raise ValueError("types live on different (n, ell): (%d, %d) and (%d, %d)"
                          % (t1.n, t1.ell, t2.n, t2.ell))
-    le = all(set(t1.dep[q]) <= set(t2.dep[q]) for q in t1.dep)
-    ge = all(set(t1.dep[q]) >= set(t2.dep[q]) for q in t1.dep)
+    le = all(t1._dep_sets[q] <= t2._dep_sets[q] for q in t1.dep)
+    ge = all(t1._dep_sets[q] >= t2._dep_sets[q] for q in t1.dep)
     if le and ge:
         return "equal"
     if le:

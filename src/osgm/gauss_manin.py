@@ -34,7 +34,7 @@ from .arrangement import (
     pencil_starred,
 )
 from .linalg import add_scaled, by_column, evaluate_int, form_matmul, matmul
-from .orlik_solomon import insertions, projection_matrix, wedge
+from .orlik_solomon import facets, insertions, projection_matrix, wedge
 from .poly import dense_forms, y_coeffs
 
 
@@ -82,7 +82,7 @@ class SigmaAction:
 
     def _degree_rows(self, p):
         n, m = self.n, self.images[self.n]
-        index = {T: k for k, T in enumerate(combinations(range(1, n + 1), p))}
+        index = build_aomoto(generic_type(n, self.ell)).index[p]
         rows = [{} for _ in index]
         for T, row in zip(index, rows):
             image = tuple(self.images[t - 1] for t in T)
@@ -158,14 +158,6 @@ class ChainEndomorphism:
                                  "in degree %d" % q)
 
 
-def _boundary_terms(S):
-    """Alternating-sign facets of a sorted tuple: [(S minus a spot, sign)]."""
-    return [
-        (S[:a] + S[a + 1:], 1 if a % 2 == 0 else -1)
-        for a in range(len(S))
-    ]
-
-
 def _clean_subset(S, n):
     S = tuple(int(j) for j in S)
     if len(set(S)) != len(S):
@@ -185,24 +177,23 @@ def _closure_images(K, n, index):
     Keyed by closure monomial U; each image is a sparse int row keyed
     (col, j), the coefficient of y_j at the affine monomial numbered col,
     already stripped of the closure monomials that contain n+1; y_{n+1} is
-    read through `y_coeffs`.  A wedge sign is that of moving j to its place
-    in a sorted tuple, see `insertions`.
+    read through `y_coeffs`.  The signs are those of `facets` and
+    `insertions` (see the `orlik_solomon` docstring).
     """
     p = len(K) - 1
     if p >= len(index):
         return {}
-    bnd = [(V, s) for V, s in _boundary_terms(K) if n + 1 not in V]
+    bnd = [(V, s) for s, _, V in facets(K) if n + 1 not in V]
     cols = [(index[p][V], s) for V, s in bnd]
     images = {}
-    for a, j in enumerate(K):
-        sgn = -1 if a % 2 else 1
+    for sgn, j, V in facets(K):
         yj = [(k, sgn * c) for k, c in y_coeffs((j,), n).items()]
-        images[K[:a] + K[a + 1:]] = {(col, k): s * c for col, s in cols for k, c in yj}
+        images[V] = {(col, k): s * c for col, s in cols for k, c in yj}
     if p + 1 < len(index):
         # omega wedge the boundary, one term y_j e_j at a time; for one j
         # the products e_j e_V are distinct monomials, so nothing cancels
-        images[K] = {(index[p + 1][W], j): -s if a % 2 else s
-                     for V, s in bnd for a, j, W in insertions(V, n)}
+        images[K] = {(index[p + 1][W], j): s * sgn
+                     for V, s in bnd for sgn, j, W in insertions(V, n)}
     return images
 
 
@@ -210,13 +201,13 @@ def _rows_containing(U, n):
     """Affine monomials e_T whose closure expansion has an f_U term, with
     its coefficient.
 
-    e_T = prod over t in T of (f_t - f_{n+1}); swapping t for f_{n+1}
-    and moving it last costs the sign (-1)^(|T| - position of t).
+    e_T = prod over t in T of (f_t - f_{n+1}); taking -f_{n+1} for t and
+    moving it last gives (-1)^|U| times the sign of e_t e_{T minus t}.
     """
     if U[-1] != n + 1:
         return [(U, 1)]
-    return [(T, -1 if (len(U) - a) % 2 else 1) for a, _, T in insertions(U[:-1], n)]
-
+    deg = -1 if len(U) % 2 else 1
+    return [(T, deg * s) for s, _, T in insertions(U[:-1], n)]
 
 
 def omega_tilde(S, n, ell):
@@ -257,12 +248,11 @@ def _weighted_sum(terms, n, ell):
     """
     cx = build_aomoto(generic_type(n, ell))
     rows = [[{} for _ in b] for b in cx.bases]
-    index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
     for K, m in sorted(terms.items()):
-        for U, image in _closure_images(K, n, index).items():
+        for U, image in _closure_images(K, n, cx.index).items():
             p = len(U)
             for T, c in _rows_containing(U, n):
-                add_scaled(rows[p][index[p][T]], image, m * c)
+                add_scaled(rows[p][cx.index[p][T]], image, m * c)
     return ChainEndomorphism(cx, rows, validate=True)
 
 
@@ -290,13 +280,9 @@ def relative_multiplicities(t_special, t_general):
     """
     if compare_types(t_special, t_general) != "t2_finer":
         raise ValueError("first type must have strictly more dependent sets")
-    out = {}
-    for q in sorted(t_special.dep):
-        gen = set(t_general.dep.get(q, []))
-        for K in t_special.dep[q]:
-            if K not in gen:
-                out[K] = len(K) - _rank_in_type(K, t_special)
-    return out
+    return {K: len(K) - _rank_in_type(K, t_special)
+            for q in sorted(t_special.dep) for K in t_special.dep[q]
+            if not t_general.is_dependent(K)}
 
 
 def omega_tilde_pair(t_special, t_general):
@@ -328,9 +314,8 @@ def induce_on_type(e, t):
     rows = []
     for q in range(t.ell + 1):
         proj = projection_matrix(t, q)
-        index = {T: i for i, T in enumerate(e.cx.bases[q])}
         wp = form_matmul(e.rows[q], proj)
-        induced = [wp[index[T]] for T in cx.bases[q]]
+        induced = [wp[e.cx.index[q][T]] for T in cx.bases[q]]
         if wp != matmul(proj, induced):
             raise NotCovered(
                 "not a valid covering datum: degree-%d relations "

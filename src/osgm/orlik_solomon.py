@@ -7,9 +7,15 @@ least broken circuit it contains, and drops it when it has an empty affine
 intersection or degree past ell.  The quotient's monomial basis, the nbc
 basis, is the set of monomials that rewriting fixes: those with a nonempty
 intersection and no broken circuit inside.
+
+The exterior algebra's two sign rules are computed here and nowhere else.
+For sorted V and j not in V, e_j e_V = (-1)^a e_W, W the sorted union and
+a the number of members of V below j (`insertions`); the boundary of e_S
+is the sum over a of (-1)^a e_{S minus s_a}, the same rule read back
+(`facets`).
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .linalg import add_scaled
 
@@ -30,15 +36,21 @@ def wedge(t1, t2):
 
 
 def insertions(V, n):
-    """(a, j, V with j inserted at position a) for each j in 1..n not in
-    the sorted tuple V, by increasing j: e_j e_V = (-1)^a e_W for the
-    returned W, since a counts the members of V below j."""
+    """(s, j, W) for each j in 1..n not in the sorted tuple V, by
+    increasing j: e_j e_V = s e_W, W sorted."""
     a = 0
     for j in range(1, n + 1):
         if a < len(V) and V[a] == j:
             a += 1
         else:
-            yield a, j, V[:a] + (j,) + V[a:]
+            yield (-1 if a % 2 else 1), j, V[:a] + (j,) + V[a:]
+
+
+def facets(S):
+    """(s, j, V) for each j in the sorted tuple S, in order, V = S minus j:
+    e_j e_V = s e_S, so the boundary of e_S is the sum of s e_V."""
+    for a, j in enumerate(S):
+        yield (-1 if a % 2 else 1), j, S[:a] + S[a + 1:]
 
 
 def circuits(t):
@@ -60,10 +72,11 @@ def _circuits(t):
 
 
 def _breaking(t):
-    # each broken circuit B, sorted, with the first circuit (k, B), the one
-    # with the smallest k: circuits come sorted, and walking them backwards
-    # writes the first circuit of each B last
-    return dict(sorted({C[1:]: C for C in reversed(circuits(t))}.items()))
+    # each broken circuit B, sorted, with e_B as [(sign, facet)]: the boundary
+    # of its first circuit C = (k, B), smallest k, is zero and begins with e_B
+    # (circuits come sorted; walking them backwards writes that C last)
+    first = {C[1:]: C for C in reversed(circuits(t))}
+    return {B: [(-s, V) for s, _, V in islice(facets(first[B]), 1, None)] for B in sorted(first)}
 
 
 def nbc_basis(t, q):
@@ -101,15 +114,13 @@ def _reduce(S, t):
         return {S: 1}
     rest = tuple(j for j in S if j not in B)
     _, outer = wedge(B, rest)
-    # circuit relation through the first (so smallest-k) circuit (k, B):
-    # e_B = sum over c in B of +/- e_{(k,B) minus c}
-    C = breaking[B]
+    # e_B rewritten through the circuit relation of `_breaking`
     out = {}
-    for i in range(1, len(C)):
-        w = wedge(C[:i] + C[i + 1:], rest)
+    for s, V in breaking[B]:
+        w = wedge(V, rest)
         if w is not None:
             M, inner = w
-            add_scaled(out, reduce_monomial(M, t), (-1) ** (i + 1) * outer * inner)
+            add_scaled(out, reduce_monomial(M, t), s * outer * inner)
     return out
 
 

@@ -763,6 +763,29 @@ def reduce_by_scan(S, t, circuits=None):
     return out
 
 
+def aomoto_rows_by_scan(t):
+    """(bases, rows) of `aomoto.build_aomoto(t)` with no library sign code:
+    the bases from `nbc_basis_by_filter`, and row T of degree q holding
+    `reduce_by_scan` of e_j e_T, sorted and signed by `_sort_sign`, at the
+    keys (col, j)."""
+    circuits = circuits_by_walk(t)
+    bases = [nbc_basis_by_filter(t, q) for q in range(t.ell + 1)]
+    rows = []
+    for q in range(t.ell):
+        col = {U: k for k, U in enumerate(bases[q + 1])}
+        mat = []
+        for T in bases[q]:
+            row = {}
+            for j in range(1, t.n + 1):
+                if j not in T:
+                    M, sgn = _sort_sign((j,) + T)
+                    for U, c in reduce_by_scan(M, t, circuits).items():
+                        row[col[U], j] = sgn * c
+            mat.append(row)
+        rows.append(mat)
+    return bases, rows
+
+
 def projection_by_scan(t, q):
     """`orlik_solomon.projection_matrix` from `nbc_basis_by_filter` and
     `reduce_by_scan`."""
@@ -1209,10 +1232,9 @@ def dense_omega_tilde(S, n, ell):
     cx = build_aomoto(generic_type(n, ell))
     zero = Form.zero(n)
     mats = [[[zero] * len(b) for _ in b] for b in cx.bases]
-    index = [{T: i for i, T in enumerate(b)} for b in cx.bases]
-    for U, image in _closure_images(S, n, index).items():
+    for U, image in _closure_images(S, n, cx.index).items():
         for T, c in _rows_containing(U, n):
-            row = mats[len(U)][index[len(U)][T]]
+            row = mats[len(U)][cx.index[len(U)][T]]
             for (j, k), f in image.items():
                 row[j] = row[j] + Form.variable(k, n) * (f * c)
     return mats

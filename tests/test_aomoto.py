@@ -16,8 +16,9 @@ from osgm.aomoto import (
 )
 from osgm.linalg import form_matmul, matmul
 from osgm.poly import y_coeffs
-from strategies import realized_types
+from strategies import infinity_pencil_pairs, realized_types
 from oracles import (
+    aomoto_rows_by_scan,
     Form,
     pencil_realization,
     dense,
@@ -135,6 +136,17 @@ def test_differential_squares_to_zero():
         d = [form_rows(m, t.n) for m in c.rows]
         for q in range(len(c.rows) - 1):
             assert not any(matmul(d[q], d[q + 1]))
+
+
+@given(t=st.one_of(realized_types(), infinity_pencil_pairs().map(lambda pair: pair[0])))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_aomoto_complex_matches_the_scan(t):
+    # bases and rows against an oracle with no library sign code, pencils
+    # through infinity included; index numbers each basis in order
+    c = build_aomoto(t)
+    assert (c.bases, c.rows) == aomoto_rows_by_scan(t)
+    assert [sorted(ix, key=ix.get) for ix in c.index] == c.bases
+    assert [sorted(ix.values()) for ix in c.index] == [list(range(len(b))) for b in c.bases]
 
 
 def test_specialized_chain_is_complex():

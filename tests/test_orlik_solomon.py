@@ -10,6 +10,8 @@ from osgm import orlik_solomon
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type
 from osgm.orlik_solomon import (
     circuits,
+    facets,
+    insertions,
     nbc_basis,
     betti_numbers,
     os_reduce,
@@ -20,6 +22,7 @@ from osgm.orlik_solomon import (
 from oracles import Form
 from oracles import circuits_by_walk, exterior_quotient_dims, frac_rank, ideal_span_rows, multiply
 from oracles import (
+    _sort_sign,
     breaking_circuit_by_scan,
     broken_circuits,
     nbc_basis_by_filter,
@@ -145,6 +148,25 @@ def test_rewriting_matches_the_filter_and_the_scan(t):
             assert reduce_monomial(S, t) == reduce_by_scan(S, t, circuits)
             if len(S) < 2 or not t.has_empty_intersection(S):
                 assert _first_step(S, t) == breaking_circuit_by_scan(S, circuits)
+
+
+@given(n=st.integers(0, 9), data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_the_sign_helpers_match_the_sort_sign(n, data):
+    # e_j e_V = s e_W with W sorted and j ascending, e_j e_U = s e_V for
+    # each facet U = V minus j in order, and the boundary squares to zero
+    V = tuple(sorted(data.draw(st.sets(st.integers(1, n), max_size=n)) if n else ()))
+    ins = list(insertions(V, n))
+    assert [j for _, j, _ in ins] == [j for j in range(1, n + 1) if j not in V]
+    assert all((W, s) == _sort_sign((j,) + V) for s, j, W in ins)
+    fac = list(facets(V))
+    assert [(j, U) for _, j, U in fac] == [(j, tuple(x for x in V if x != j)) for j in V]
+    assert all((V, s) == _sort_sign((j,) + U) for s, j, U in fac)
+    boundary_twice = {}
+    for s, _, U in fac:
+        for s2, _, X in facets(U):
+            boundary_twice[X] = boundary_twice.get(X, 0) + s * s2
+    assert not any(boundary_twice.values())
 
 
 def test_nbc_basis():
