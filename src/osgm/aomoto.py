@@ -37,7 +37,7 @@ from .linalg import (
     form_matmul,
     image_and_kernel,
 )
-from .orlik_solomon import insertions, nbc_basis, reduce_monomial
+from .orlik_solomon import insertions, nbc_index, reduce_monomial
 from .poly import dense_forms, parse_rational
 
 
@@ -96,12 +96,11 @@ class AomotoComplex:
     column k of degree q+1.  `boundary` is the dense view.
     """
 
-    def __init__(self, t, bases, rows):
+    def __init__(self, t, rows):
         self.t = t
-        self.bases = bases  # bases[q] = nbc monomials of degree q
-        self.rows = rows    # rows[q][i] = {(k, j): c}, |nbc_q| rows, degrees q < ell
-        # index[q][T] = position of T in bases[q], the only such numbering
-        self.index = [{T: i for i, T in enumerate(b)} for b in bases]
+        self.rows = rows  # rows[q][i] = {(k, j): c}, |nbc_q| rows, degrees q < ell
+        self.index = nbc_index(t)  # index[q][T] = position of T in bases[q]
+        self.bases = [list(index) for index in self.index]  # nbc monomials by degree
 
     @cached_property
     def layouts(self):
@@ -132,11 +131,10 @@ def build_aomoto(t):
 def _build_aomoto(t):
     """Row T of degree q holds reduce(e_j e_T) at the keys (col, j), signed
     as `insertions` yields it (see the `orlik_solomon` docstring)."""
-    cx = AomotoComplex(t, [nbc_basis(t, q) for q in range(t.ell + 1)], [])
-    for T_q, cols in zip(cx.bases, cx.index[1:]):
-        cx.rows.append([{(cols[U], j): s * c for s, j, M in insertions(T, t.n)
-                         for U, c in reduce_monomial(M, t).items()} for T in T_q])
-    return cx
+    index = nbc_index(t)
+    return AomotoComplex(t, [[{(cols[U], j): s * c for s, j, M in insertions(T, t.n)
+                               for U, c in reduce_monomial(M, t).items()} for T in T_q]
+                             for T_q, cols in zip(index, index[1:])])
 
 
 class CohomologyData:

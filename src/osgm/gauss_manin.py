@@ -34,7 +34,7 @@ from .arrangement import (
     pencil_starred,
 )
 from .linalg import add_scaled, by_column, evaluate_int, form_matmul, matmul
-from .orlik_solomon import facets, insertions, projection_matrix, wedge
+from .orlik_solomon import facets, insertions, nbc_index, projection_matrix, wedge
 from .poly import dense_forms, y_coeffs
 
 
@@ -302,7 +302,8 @@ def induce_on_type(e, t):
     by degree and reported as an invalid covering when it fails.  Row i of
     W P is row i of W times P, so M is read off the one product W P at the
     nbc rows.  P is an int matrix, so W P is a `form_matmul` and P M a plain
-    `matmul`, both keyed (col, j).
+    `matmul`, both keyed (col, j).  W's rows must follow the generic type's
+    `nbc_index`, and P's columns and the type complex's rows follow t's.
 
     M needs no chain check of its own when W had one: P is a chain map,
     D_q P_{q+1} = P_q D'_q, so P_q (M_q D'_q - D'_q M_{q+1}) = W_q D_q P_{q+1}
@@ -310,6 +311,9 @@ def induce_on_type(e, t):
     """
     if (t.n, t.ell) != (e.cx.t.n, e.cx.t.ell):
         raise ValueError("type does not live on the endomorphism's (n, ell)")
+    if e.cx.index is not nbc_index(generic_type(t.n, t.ell)):
+        raise ValueError("endomorphism does not live on the generic complex: "
+                         "its rows follow another type's nbc basis")
     cx = build_aomoto(t)
     rows = []
     for q in range(t.ell + 1):

@@ -89,8 +89,15 @@ def nbc_basis(t, q):
             if reduce_monomial(S, t) == {S: 1}]
 
 
+def nbc_index(t):
+    """For each degree 0..ell, {T: position of T in `nbc_basis(t, q)`},
+    built once and kept in the type's store."""
+    return t.derived("nbc", lambda t: [{T: i for i, T in enumerate(nbc_basis(t, q))}
+                                       for q in range(t.ell + 1)])
+
+
 def betti_numbers(t):
-    return [len(nbc_basis(t, q)) for q in range(t.ell + 1)]
+    return [len(index) for index in nbc_index(t)]
 
 
 def reduce_monomial(S, t):
@@ -136,8 +143,10 @@ def os_reduce(x, t):
 def projection_matrix(t, q):
     """Matrix of the quotient map in degree q as sparse rows {col: entry}:
     rows run over all q-subsets of [n] in lexicographic order, columns over
-    the nbc basis.  The entries are ints: the rewriting only adds relations
-    with coefficients +-1."""
-    col = {T: i for i, T in enumerate(nbc_basis(t, q))}
+    the nbc basis, numbered by `nbc_index`.  The entries are ints: the
+    rewriting only adds relations with coefficients +-1."""
+    if q < 0 or q > t.ell:
+        raise ValueError("degree must be between 0 and ell")
+    col = nbc_index(t)[q]
     return [{col[U]: c for U, c in reduce_monomial(S, t).items()}
             for S in combinations(range(1, t.n + 1), q)]

@@ -466,6 +466,28 @@ def test_induce_rejects_map_that_breaks_relations():
         induce_on_type(e, selberg_type())
 
 
+def test_induce_refuses_a_map_off_the_generic_complex():
+    # an induced map lives on its type's complex, numbered by that type's
+    # nbc basis: pushing it down again is refused by name, onto the generic
+    # type and onto its own type alike, not with a KeyError or a false
+    # NotCovered
+    t1 = CombinatorialType.from_arrangement(pencil_realization(6, 2, (1, 2, 3), 2))
+    ind = induce_on_type(omega_tilde_sum((1, 2, 3), 2, 6, 2), t1)
+    for t in (generic_type(6, 2), t1):
+        with pytest.raises(ValueError, match="^endomorphism does not live on the generic "
+                                             "complex: its rows follow another type's nbc "
+                                             "basis$"):
+            induce_on_type(ind, t)
+    # a realized generic type shares the generic store, so a map is still
+    # accepted when such a file's complex was built before the generic one
+    a = Arrangement(2, 7, [tuple(Fraction(j) ** k for k in range(3)) for j in range(2, 9)])
+    g = CombinatorialType.from_arrangement(a)
+    build_aomoto(g)
+    e = omega_tilde_sum((1, 2, 3), 1, 7, 2)
+    assert e.cx is build_aomoto(g)
+    assert induce_on_type(e, g).rows == e.rows
+
+
 def test_induce_on_type_runs_no_elimination(monkeypatch):
     # descent is the identity W P = P M on the projection, so neither the
     # induced map nor the refusal of one that breaks the relations row-reduces

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from osgm import orlik_solomon
 from osgm.arrangement import Arrangement, CombinatorialType, generic_type
+from osgm.aomoto import build_aomoto
 from osgm.orlik_solomon import (
     circuits,
     facets,
     insertions,
     nbc_basis,
+    nbc_index,
     betti_numbers,
     os_reduce,
     reduce_monomial,
@@ -29,7 +31,7 @@ from oracles import (
     projection_by_scan,
     reduce_by_scan,
 )
-from strategies import asserted_types, realized_types
+from strategies import asserted_types, infinity_pencil_pairs, realized_types
 
 SELBERG = {"ell": 2, "n": 5, "rows": [
     ["0", "1", "0"],
@@ -148,6 +150,18 @@ def test_rewriting_matches_the_filter_and_the_scan(t):
             assert reduce_monomial(S, t) == reduce_by_scan(S, t, circuits)
             if len(S) < 2 or not t.has_empty_intersection(S):
                 assert _first_step(S, t) == breaking_circuit_by_scan(S, circuits)
+
+
+@given(t=st.one_of(realized_types(), infinity_pencil_pairs().map(lambda pair: pair[0])))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_one_numbering_serves_the_complex_the_projection_and_the_betti_numbers(t):
+    # `nbc_index` is built once per store: the type's complex holds that very
+    # object, the projection's columns follow it, and its lengths are the
+    # Betti numbers, each against an oracle that numbers the basis itself
+    assert build_aomoto(t).index is nbc_index(t)
+    assert betti_numbers(t) == [len(nbc_basis_by_filter(t, q)) for q in range(t.ell + 1)]
+    for q in range(t.ell + 1):
+        assert projection_matrix(t, q) == projection_by_scan(t, q)
 
 
 @given(n=st.integers(0, 9), data=st.data())
@@ -295,6 +309,12 @@ def test_nbc_counts_match_quotient_oracle():
         for q in range(ell + 1):
             assert len(nbc_basis(t, q)) == dims[q]
         done += 1
+
+
+def test_projection_matrix_refuses_a_degree_outside_0_to_ell():
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match="^degree must be between 0 and ell$"):
+            projection_matrix(selberg_type(), q)
 
 
 def test_projection_matrix_selberg():
