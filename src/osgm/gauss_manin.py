@@ -309,11 +309,10 @@ def induce_on_type(e, t):
     D_q P_{q+1} = P_q D'_q, so P_q (M_q D'_q - D'_q M_{q+1}) = W_q D_q P_{q+1}
     - D_q W_{q+1} P_{q+1} = 0, and the nbc rows of P_q are the identity.
     """
-    if (t.n, t.ell) != (e.cx.t.n, e.cx.t.ell):
-        raise ValueError("type does not live on the endomorphism's (n, ell)")
-    if e.cx.index is not nbc_index(generic_type(t.n, t.ell)):
-        raise ValueError("endomorphism does not live on the generic complex: "
-                         "its rows follow another type's nbc basis")
+    if ((t.n, t.ell) != (e.cx.t.n, e.cx.t.ell)
+            or e.cx.index is not nbc_index(generic_type(t.n, t.ell))):
+        raise ValueError("endomorphism does not live on the generic complex of "
+                         "the type's (n, ell)")
     cx = build_aomoto(t)
     rows = []
     for q in range(t.ell + 1):

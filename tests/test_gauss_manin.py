@@ -470,13 +470,12 @@ def test_induce_refuses_a_map_off_the_generic_complex():
     # an induced map lives on its type's complex, numbered by that type's
     # nbc basis: pushing it down again is refused by name, onto the generic
     # type and onto its own type alike, not with a KeyError or a false
-    # NotCovered
+    # NotCovered, and so is pushing it onto another (n, ell)
     t1 = CombinatorialType.from_arrangement(pencil_realization(6, 2, (1, 2, 3), 2))
     ind = induce_on_type(omega_tilde_sum((1, 2, 3), 2, 6, 2), t1)
-    for t in (generic_type(6, 2), t1):
-        with pytest.raises(ValueError, match="^endomorphism does not live on the generic "
-                                             "complex: its rows follow another type's nbc "
-                                             "basis$"):
+    for t in (generic_type(6, 2), t1, selberg_type()):
+        with pytest.raises(ValueError, match=r"^endomorphism does not live on the generic "
+                                             r"complex of the type's \(n, ell\)$"):
             induce_on_type(ind, t)
     # a realized generic type shares the generic store, so a map is still
     # accepted when such a file's complex was built before the generic one
