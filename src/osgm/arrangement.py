@@ -349,9 +349,9 @@ def pencil_starred(K, S, r, ell):
     return len(K & S) >= r + 1 and len(K - S) <= ell - r
 
 
-def pencil_profile(S, r, n, ell, top=None):
-    """The starred sets of the pencil type on (S, r), as sorted tuples of at
-    most `top` elements (all sizes by default), in no particular order.
+def pencil_profile(S, r, n, ell):
+    """The forced sets of the pencil type on (S, r): its dependent sets of
+    2..ell+1 elements, as sorted tuples, in no particular order.
 
     Write K = A + B with A inside S and B outside.  With the rows of S in
     a generic rank-r subspace and every other row generic, K has rank
@@ -359,14 +359,13 @@ def pencil_profile(S, r, n, ell, top=None):
     most min(|K|-1, ell): dependent, with a common point in the projective
     closure.  The right side is at most ell, so this is
     min(|A|, r) + |B| <= |A| + |B| - 1 and <= ell, that is |A| >= r+1 and
-    |B| <= ell - r.  The sets are listed straight from that, without
-    looking at any other subset of [n+1]; `pencil_starred` tests one K.
+    |B| <= ell - r, which |K| <= ell+1 already implies.  The sets are
+    listed straight from that; `pencil_starred` tests one K of any size.
     """
     S = tuple(sorted(S))
     rest = [j for j in range(1, n + 2) if j not in S]
-    top = n + 1 if top is None else top
-    for a in range(r + 1, min(len(S), top) + 1):
-        for b in range(min(ell - r, len(rest), top - a) + 1):
+    for a in range(r + 1, min(len(S), ell + 1) + 1):
+        for b in range(min(ell + 1 - a, len(rest)) + 1):
             for A in combinations(S, a):
                 for B in combinations(rest, b):
                     yield tuple(sorted(A + B))

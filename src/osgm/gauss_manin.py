@@ -21,7 +21,6 @@ compares W P with P M keyed (col, j).
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 from .aomoto import build_aomoto, os_cohomology
@@ -235,7 +234,7 @@ def pencil_sum_terms(S, r, n, ell):
     """
     S = _clean_subset(S, n)
     check_pencil_rank(S, r, ell)
-    forced = sorted(pencil_profile(S, r, n, ell, top=ell + 1), key=lambda K: (len(K), K))
+    forced = sorted(pencil_profile(S, r, n, ell), key=lambda K: (len(K), K))
     return {K: len(set(K).intersection(S)) - r for K in forced}
 
 
@@ -261,28 +260,23 @@ def omega_tilde_sum(S, r, n, ell):
     return _weighted_sum(pencil_sum_terms(S, r, n, ell), n, ell)
 
 
-def _rank_in_type(K, t):
-    """Matroid rank of K read off the type's dependent-set data."""
-    top = min(len(K), t.ell + 1)
-    for size in range(top, 1, -1):
-        for J in combinations(K, size):
-            if not t.is_dependent(J):
-                return size
-    return min(len(K), 1)
-
-
 def relative_multiplicities(t_special, t_general):
     """Sets dependent in the first type but not the second, with their
     rank drop measured in the special type.
 
     t_special is the degenerate position (more dependent sets); the types
-    must be strictly comparable or the pair is rejected.
+    must be strictly comparable or the pair is rejected.  Each rank is
+    read off the facets (K minus one element) of K, smaller grades first:
+    a largest independent subset of a dependent K misses some element, so
+    it lies in a facet V, of rank |V| when V is not stored as dependent.
     """
     if compare_types(t_special, t_general) != "t2_finer":
         raise ValueError("first type must have strictly more dependent sets")
-    return {K: len(K) - _rank_in_type(K, t_special)
-            for q in sorted(t_special.dep) for K in t_special.dep[q]
-            if not t_general.is_dependent(K)}
+    rank = {}
+    for q in sorted(t_special.dep):
+        for K in t_special.dep[q]:
+            rank[K] = max(rank.get(V, len(V)) for _, _, V in facets(K))
+    return {K: len(K) - m for K, m in rank.items() if not t_general.is_dependent(K)}
 
 
 def omega_tilde_pair(t_special, t_general):
@@ -364,13 +358,17 @@ def principal_dependence(t_special, t_general):
     forced by the pencil.  Degenerations that fail to come from a single
     pencil are rejected.  A strictly finer special type always has a new
     dependent set of size at most ell+1, so there is a candidate S.
+
+    Forced sets are checked up to size ell+1 (`pencil_profile`), and that
+    suffices: a forced K above ell+1 has |K & S| >= r+2, as |K - S| <=
+    ell - r, so each facet (K minus one element) is forced too, and starred
+    by induction; `dep_star` stars exactly the sets whose facets are.
     """
     if compare_types(t_special, t_general) != "t2_finer":
         raise ValueError("first type must have strictly more dependent sets")
     n, ell = t_special.n, t_special.ell
     star_sp = dep_star(t_special)
     star_gen = dep_star(t_general)
-    sp_all = set().union(*star_sp.values())
     new = set()
     for q in star_sp:
         new.update(set(star_sp[q]) - set(star_gen.get(q, [])))
@@ -380,7 +378,7 @@ def principal_dependence(t_special, t_general):
             # the pencil must force every new set, and the special type must
             # hold every set the pencil forces; stop at the first one missing
             if (all(pencil_starred(K, S, r, ell) for K in new)
-                    and all(K in sp_all for K in pencil_profile(S, r, n, ell))):
+                    and all(map(t_special.is_dependent, pencil_profile(S, r, n, ell)))):
                 found.append((S, r))
     if not found:
         raise NotCovered("no single pencil accounts for the degeneration")

@@ -810,6 +810,26 @@ def pencil_profile_by_walk(S, r, n, ell):
             if pencil_starred(K, S, r, ell)}
 
 
+def multiplicities_by_subsets(t_special, t_general):
+    """`gauss_manin.relative_multiplicities` with each rank found by walking
+    the subsets of K, largest first, down to the first one the special type
+    does not list as dependent; a set with no independent subset of size
+    2 or more has rank 1."""
+    from osgm.arrangement import compare_types
+
+    if compare_types(t_special, t_general) != "t2_finer":
+        raise ValueError("first type must have strictly more dependent sets")
+
+    def rank(K):
+        for size in range(min(len(K), t_special.ell + 1), 1, -1):
+            if not all(t_special.is_dependent(J) for J in combinations(K, size)):
+                return size
+        return min(len(K), 1)
+
+    return {K: len(K) - rank(K) for q in sorted(t_special.dep) for K in t_special.dep[q]
+            if not t_general.is_dependent(K)}
+
+
 def principal_dependence_by_walk(t_special, t_general):
     """Pencil recovery by whole-subset walks: starred sets of both types and
     the profile of every candidate (S, r) found by testing every subset."""

@@ -56,6 +56,8 @@ from oracles import (
     induce_by_forms,
     lift,
     mat_evaluate,
+    multiplicities_by_subsets,
+    multiplicity,
     omega_tilde_by_conjugation,
     pencil_realization,
     relabel,
@@ -732,6 +734,32 @@ def test_principal_dependence_matches_the_walk_route(pair):
     # same pencil, or the same refusal with the same message, as the route
     # that walks every subset for the starred sets and for each profile
     assert _outcome(principal_dependence, *pair) == _outcome(principal_dependence_by_walk, *pair)
+
+
+def _items(route, t_special, t_general):
+    out = _outcome(route, t_special, t_general)
+    return list(out.items()) if isinstance(out, dict) else out
+
+
+@given(pair=type_pairs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_relative_multiplicities_match_the_subset_walk(pair):
+    # ranks read off facets against the walk over every subset of K: the
+    # same sets in the same order with the same drops, or the same refusal
+    assert _items(relative_multiplicities, *pair) == _items(multiplicities_by_subsets, *pair)
+
+
+@given(pair=realized_type_pairs())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_relative_multiplicities_are_the_rank_drops_of_the_realization(pair):
+    special, general = pair
+    try:
+        terms = relative_multiplicities(special, general)
+    except ValueError:
+        return
+    assert terms
+    for K, m in terms.items():
+        assert m == multiplicity(K, special.realization), K
 
 
 # ---- spectrum ----------------------------------------------------------------
