@@ -330,6 +330,7 @@ def cmd_gm(args):
     if (args.file2 is None) == (args.pencil is None):
         raise ValueError("supply either a second arrangement file or --pencil S r")
     lam = _parse_weights(args.weights, n)
+    degrees = _degree_list(args, ell)  # refused before the second file is read
     # a pair of files is recovered to its pencil; then both forms run one route
     if args.pencil is not None:
         S, r = _parse_pencil(args.pencil)
@@ -339,7 +340,6 @@ def cmd_gm(args):
             raise ValueError("the second file, %s, must have strictly more dependent sets "
                              "than the first, %s" % (args.file2, args.file))
         S, r = principal_dependence(special, t)
-    degrees = _degree_list(args, ell)  # refused before the sum is built
     e = omega_tilde_sum(S, r, n, ell)
     ind = induce_on_type(e, t)
     h = os_cohomology(t, lam)

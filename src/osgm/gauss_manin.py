@@ -21,6 +21,7 @@ compares W P with P M keyed (col, j).
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .aomoto import build_aomoto, os_cohomology
@@ -359,14 +360,15 @@ def principal_dependence(t_special, t_general):
     pencil are rejected.  A strictly finer special type always has a new
     dependent set of size at most ell+1, so there is a candidate S.
 
-    Forced sets are checked up to size ell+1 (`pencil_profile`), and that
-    suffices: a forced K above ell+1 has |K & S| >= r+2, as |K - S| <=
-    ell - r, so each facet (K minus one element) is forced too, and starred
-    by induction; `dep_star` stars exactly the sets whose facets are.
+    The first is checked before the scan, on the (r+1)-subsets of S in
+    grade r+1: they are forced, each forced set up to ell+1 holds one, and
+    `_validate` keeps the stored grades upward closed through n+1.  A forced
+    K above ell+1 has |K & S| >= r+2, as |K - S| <= ell - r: its facets are
+    forced, so starred by induction, and `dep_star` stars K by its facets.
     """
     if compare_types(t_special, t_general) != "t2_finer":
         raise ValueError("first type must have strictly more dependent sets")
-    n, ell = t_special.n, t_special.ell
+    ell = t_special.ell
     star_sp = dep_star(t_special)
     star_gen = dep_star(t_general)
     new = set()
@@ -375,10 +377,8 @@ def principal_dependence(t_special, t_general):
     found = []
     for S in sorted(new):
         for r in range(1, min(ell, len(S) - 1) + 1):
-            # the pencil must force every new set, and the special type must
-            # hold every set the pencil forces; stop at the first one missing
-            if (all(pencil_starred(K, S, r, ell) for K in new)
-                    and all(map(t_special.is_dependent, pencil_profile(S, r, n, ell)))):
+            if (t_special._dep_sets[r + 1].issuperset(combinations(S, r + 1))
+                    and all(pencil_starred(K, S, r, ell) for K in new)):
                 found.append((S, r))
     if not found:
         raise NotCovered("no single pencil accounts for the degeneration")

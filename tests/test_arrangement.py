@@ -440,18 +440,20 @@ def test_pencil_profile_matches_the_walk_over_all_subsets(data, ell, n):
 @given(t=st.one_of(realized_types(), asserted_types()), data=st.data())
 @PROPERTY
 def test_a_type_holds_a_pencils_starred_sets_when_it_holds_its_stored_grades(t, data):
-    # the lemma behind principal_dependence, on data that need not be a
+    # the lemmas behind principal_dependence, on data that need not be a
     # matroid: every starred set of the pencil is starred in t exactly when
-    # every forced set of size at most ell+1 is dependent in t.  S is drawn
-    # among t's own starred sets half the time, so both answers occur.
+    # every forced set of size at most ell+1 is dependent in t, and exactly
+    # when every (r+1)-subset of S is.  S is drawn among t's own starred
+    # sets half the time, so both answers occur.
     n, ell = t.n, t.ell
     starred = {K for fam in dep_star(t).values() for K in fam}
     anywhere = st.lists(st.integers(1, n + 1), min_size=2, max_size=n + 1, unique=True)
     S = tuple(sorted(data.draw(st.one_of(anywhere, st.sampled_from(sorted(starred)))
                                if starred else anywhere)))
     r = data.draw(st.integers(1, min(ell, len(S) - 1)))
-    assert ((pencil_profile_by_walk(S, r, n, ell) <= starred)
-            == all(t.is_dependent(K) for K in pencil_profile(S, r, n, ell)))
+    held = pencil_profile_by_walk(S, r, n, ell) <= starred
+    assert held == all(t.is_dependent(K) for K in pencil_profile(S, r, n, ell))
+    assert held == all(t.is_dependent(A) for A in combinations(S, r + 1))
 
 
 def test_pencil_sum_terms_match_the_rank_rule_on_every_small_pencil():

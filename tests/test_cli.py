@@ -297,6 +297,22 @@ def test_gm_rejects_multi_pencil_degeneration(tmp_path, capsys):
     assert "pencil" in err
 
 
+def test_gm_refuses_a_bad_degree_before_recovering_the_pencil(tmp_path, capsys):
+    # the special file is a (6,2) type no single pencil accounts for, so a
+    # degree checked after the recovery would exit 3 on the pair form
+    general = tmp_path / "general.json"
+    general.write_text(json.dumps(
+        {"ell": 2, "n": 6, "rows": [[j ** k for k in range(3)] for j in range(1, 7)]}))
+    special = tmp_path / "special.json"
+    special.write_text(json.dumps({"ell": 2, "n": 6, "rows": [
+        ["0", "1", "0"], ["1", "1", "0"], ["2", "1", "0"],
+        ["0", "0", "1"], ["1", "0", "1"], ["2", "0", "1"]]}))
+    weights = ["--weights", "1/2,1/3,1/5,1/7,1/11,1/13", "--degree", "9"]
+    for route in ([str(special)], ["--pencil", "1,2,3", "1"]):
+        assert run(capsys, "gm", str(general), *route, *weights) == (
+            2, "", "error: degree must lie in 0..2\n")
+
+
 def test_spectrum_symbolic_and_inapplicable(capsys):
     code, out, _ = run(capsys, "spectrum", SELBERG, "--pencil", "3,4,5", "1")
     assert code == 0
@@ -846,7 +862,7 @@ def test_bad_degree_and_weights_are_refused_before_the_sum(tmp_path, capsys, mon
              "weight 3: not a rational literal: 'x'")]:
         for extra in ([], ["--json"]):
             assert run(capsys, *argv, *extra) == (2, "", "error: %s\n" % message)
-    # (S, r) is recovered first, so a pair with no single pencil still exits 3
+    # so is a pair with no single pencil, before its (S, r) is sought
     general = tmp_path / "general.json"
     general.write_text(json.dumps({"ell": 2, "n": 4, "rows": [
         ["1", str(j), str(j * j)] for j in range(1, 5)]}))
@@ -855,7 +871,7 @@ def test_bad_degree_and_weights_are_refused_before_the_sum(tmp_path, capsys, mon
         ["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"], ["0", "0", "1"]]}))
     code, out, err = run(capsys, "gm", str(general), str(special),
                          "--weights", "1,1,1,1", "--degree", "9")
-    assert code == 3 and out == "" and "pencil" in err
+    assert (code, out, err) == (2, "", "error: degree must lie in 0..2\n")
 
 
 def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
