@@ -11,10 +11,10 @@ whose cohomology is computed here, together with resonance queries.
 What depends on the complex alone is done once per complex, the first
 time it is specialized (`AomotoComplex.layouts`): the check that
 D_{q-1} D_q = 0 as quadratic forms, and each differential's terms grouped
-by column.  Per weight, `os_cohomology` specializes each differential
-straight to int rows at the weights' int point N = D * lam
-(`Weights.nums`), drops the rows at the coboundary pivots, which the other
-rows span in a checked complex, and eliminates the rest, R, alone.  The
+by column.  Per weight, `os_cohomology` specializes, straight to int rows
+at the weights' int point N = D * lam (`Weights.nums`), only the rows of
+each differential off the coboundary pivots, since the other rows span
+those in a checked complex, and eliminates them, R, alone.  The
 degree is exact exactly when R is independent; otherwise R, cut down to
 the pivot columns of that elimination, is eliminated again beside an
 identity block, and since ker = span(coboundaries) + ker R, a direct sum,
@@ -210,10 +210,11 @@ def os_cohomology(t, lam):
       times m_q are zero at every lam.  The row drop below rests on this
       check, not on a theorem.
     - `keep` lists the indices of m that are not coboundary pivots, and R
-      holds the rows of m at them.  R alone is eliminated; its rows are the
-      coboundaries of degree q+1.  Proof: a coboundary row z is reduced, so
-      it is zero at the other coboundary pivots, and z m = 0; so the row of
-      m at z's pivot is a combination of rows of R, and im m = row space R.
+      holds the rows of m at them, the only ones specialized.  R alone is
+      eliminated; its rows are the coboundaries of degree q+1.  Proof: a
+      coboundary row z is reduced, so it is zero at the other pivots, and
+      z m = 0; so the row of m at z's pivot is a combination of rows of R,
+      and im m = row space R.
     - Degree q is exact exactly when R is independent, rank R = len(keep).
       Proof: from a closed v, subtracting v_p / z_p times each coboundary z
       at its pivot p leaves a closed cochain on `keep`, which R kills, and
@@ -243,9 +244,9 @@ def os_cohomology(t, lam):
     for q in range(t.ell + 1):
         cobound.append(cob)
         if q < t.ell:
-            m = evaluate_int(layouts[q], lam.nums, t.n)
-            keep = [i for i in range(len(m)) if i not in cob]
-            sub = [m[i] for i in keep]
+            layout = layouts[q]
+            keep = [i for i in range(len(layout)) if i not in cob]
+            sub = evaluate_int([layout[i] for i in keep], lam.nums, t.n)
             img, img_piv = _integer_echelon(sub)
             if len(img_piv) == len(keep):
                 reps.append({})

@@ -49,6 +49,7 @@ recover from a pair of files or take as `--pencil i,j 1`.
 """
 
 import json
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -71,8 +72,8 @@ def _whole_number(data, key):
 
 def read_json(path):
     """The JSON document in a file; bytes that are not UTF-8, text that is
-    not JSON, or nesting too deep for the parser, is a ValueError naming
-    the file."""
+    not JSON, nesting too deep for the parser, or a number past Python's
+    limit on the digits int() converts, is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -82,6 +83,9 @@ def read_json(path):
             raise ValueError("%s: not valid JSON: %s" % (path, e)) from None
         except RecursionError:
             raise ValueError("%s: JSON nested too deeply to parse" % path) from None
+        except ValueError:  # the only other ValueError json raises on reading
+            raise ValueError("%s: a number has more than %d digits, Python's limit for "
+                             "int conversion" % (path, sys.get_int_max_str_digits())) from None
 
 
 class Arrangement:
@@ -136,11 +140,8 @@ class Arrangement:
         return cls.from_json(read_json(path))
 
     def to_json(self):
-        return {
-            "ell": self.ell,
-            "n": self.n,
-            "rows": [[str(x) for x in row] for row in self.rows],
-        }
+        return {"ell": self.ell, "n": self.n,
+                "rows": [[str(x) for x in row] for row in self.rows]}
 
 
 class CombinatorialType:
@@ -268,9 +269,7 @@ class CombinatorialType:
 
     def is_dependent(self, S):
         S = tuple(sorted(S))
-        if len(S) >= self.ell + 2:
-            return True
-        return S in self._dep_sets.get(len(S), ())
+        return len(S) >= self.ell + 2 or S in self._dep_sets.get(len(S), ())
 
     def has_empty_intersection(self, S):
         """Affine-intersection test for S a subset of [n], |S| <= ell."""

@@ -332,7 +332,7 @@ def gm_endomorphism(e, lam, q, h=None):
     the image at lam.  All representatives go through one product per
     degree; a zero image is a row holding one shared Fraction(0), which is
     immutable, and `int_coords` divides any other by a * D, one Fraction
-    per entry.
+    per entry.  A degree without classes gives [] and specializes nothing.
     """
     lam.check_length(e.cx.t.n)
     if not 0 <= q < len(e.rows):
@@ -340,6 +340,8 @@ def gm_endomorphism(e, lam, q, h=None):
     if h is None:
         h = os_cohomology(e.cx.t, lam)
     reps = h.rep_rows[q]
+    if not reps:
+        return []
     images = matmul(reps.values(), evaluate_int(e.layouts[q], lam.nums, e.cx.t.n))
     out, zero = [], Fraction(0)
     for (p, z), w in zip(reps.items(), images):

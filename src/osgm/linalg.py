@@ -62,26 +62,27 @@ def _integer_echelon(m):
     """Gauss-Jordan elimination of sparse rows over int: (rows, pivots),
     one int row per pivot column, in pivot order, each zero at every other
     pivot.  Each row is first scaled to a primitive int row, which changes
-    neither its span nor its reduced form; a pivot a clears the entry b of
-    a row as (a/g) row - (b/g) prow with g = gcd(a, b), and the row is
-    divided by its content again, so its entries stay small.  The pivot row
-    of column c is, of the rows not yet used that hold c, the one with the
-    fewest entries (the first on a tie), since clearing c adds it to every
-    other row holding c.  The reduced form is unique, so that choice moves
-    only the fill: each returned row is the primitive int multiple, up to
-    sign, of the same reduced row, at the same pivot.  The input is not
-    modified.
+    neither its span nor its reduced form: an int row is read with one `gcd`
+    of its values and copied whole when that content is 1, and a row holding
+    a Fraction, which `gcd` refuses, has its denominators cleared first.  A
+    pivot a clears the entry b of a row as (a/g) row - (b/g) prow with
+    g = gcd(a, b), and the row is divided by its content again, so its
+    entries stay small.  The pivot row of column c is, of the rows not yet
+    used that hold c, the one with the fewest entries (the first on a tie),
+    since clearing c adds it to every other row holding c.  The reduced
+    form is unique, so that choice moves only the fill: each returned row is
+    the primitive int multiple, up to sign, of the same reduced row, at the
+    same pivot.  The input is not modified.
     """
     rows, cols = [], set()
     for row in m:
         if row:
-            ints = list(row.values())
-            for x in ints:
-                if x.__class__ is not int:
-                    ints = clear_denominators(ints)[1]
-                    break
-            g = gcd(*ints)
-            rows.append(dict(zip(row, [x // g for x in ints] if g > 1 else ints)))
+            try:
+                g = gcd(*row.values())
+            except TypeError:  # a Fraction among the entries
+                row = dict(zip(row, clear_denominators(list(row.values()))[1]))
+                g = gcd(*row.values())
+            rows.append({j: x // g for j, x in row.items()} if g > 1 else row.copy())
             cols.update(row)
     nrows = len(rows)
     pivots = []
@@ -256,10 +257,10 @@ def evaluate_int(layout, nums, nvars):
     `by_column`, at the point nums, as sparse rows {col: value}; zero values
     are dropped.  An entry takes the value sum c_j nums_j, an int for int
     coefficients and int nums."""
-    if not any(layout):
-        return [{} for _ in layout]  # a zero map, as induced maps often are
     if len(nums) != nvars:
         raise ValueError("expected %d values, got %d" % (nvars, len(nums)))
+    if not any(layout):
+        return [{} for _ in layout]  # a zero map, as induced maps often are
     point = (0,) + tuple(nums)
     out = []
     for row in layout:

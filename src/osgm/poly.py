@@ -18,22 +18,30 @@ and `AomotoComplex.boundary`.  A form stores {j: c} for its nonzero
 coefficients only, so equality is dict equality.
 """
 
+import re
+import sys
 from fractions import Fraction
 
 from .linalg import by_column
 
+_INT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the decimal text int() accepts
+
 
 def parse_rational(s):
-    """Parse "p/q" or "p" into a Fraction; reject everything else."""
+    """Parse "p/q" or "p" into a Fraction; reject everything else, naming
+    Python's limit on the digits of an int and echoing 20 characters."""
     s = s.strip()
+    num, _, den = s.partition("/")
+    shown = repr(s) if len(s) <= 20 else "%r... (%d characters)" % (s[:20], len(s))
     try:
-        num, _, den = s.partition("/")
-        p = int(num)
-        q = int(den) if den else 1
+        p, q = int(num), int(den) if den else 1
     except ValueError:
-        raise ValueError("not a rational literal: %r" % (s,))
+        if _INT.fullmatch(num) and _INT.fullmatch(den or "1"):
+            raise ValueError("rational literal %s has more than %d digits, Python's limit "
+                             "for int conversion" % (shown, sys.get_int_max_str_digits()))
+        raise ValueError("not a rational literal: %s" % shown)
     if q == 0:
-        raise ValueError("zero denominator in rational literal: %r" % (s,))
+        raise ValueError("zero denominator in rational literal: %s" % shown)
     return Fraction(p, q)
 
 
@@ -72,8 +80,6 @@ class LinearForm:
         f.terms = terms
         return f
 
-    # ---- constructors -------------------------------------------------
-
     @classmethod
     def zero(cls, nvars):
         return cls._of(nvars, {})
@@ -85,8 +91,6 @@ class LinearForm:
         if not isinstance(other, LinearForm):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    # ---- presentation ---------------------------------------------------
 
     def __str__(self):
         return format_form(self.terms.items())

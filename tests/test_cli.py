@@ -498,6 +498,34 @@ def test_exit_code_follows_the_exception_type(tmp_path, monkeypatch, capsys):
                    "are not preserved\n")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts text of any length")
+def test_over_long_integer_literals_exit_2_naming_the_digit_limit(tmp_path):
+    # a valid literal past Python's limit on the digits int() converts names
+    # that limit and echoes 20 characters; a bare JSON number past it names
+    # the file it is in
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    over = "has more than %d digits, Python's limit for int conversion\n" % limit
+    literal = "rational literal '%s'... (%d characters) %s" % ("1" * 20, len(long), over)
+    code, out, err = run_quiet(["cohomology", SELBERG, "--weights", long + ",1,1,1,1"])
+    assert (code, out, err) == (2, "", "error: weight 1: " + literal)
+    rows = '[["%s", 1, 2], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, 1, 3]]' % long
+    arr = tmp_path / "long-entry.json"
+    arr.write_text('{"ell": 2, "n": 5, "rows": %s}' % rows)
+    code, out, err = run_quiet(["betti", str(arr)])
+    assert (code, out, err) == (2, "", "error: row 1: " + literal)
+    for name, text, argv in [
+            ("long-number.json", '{"ell": 2, "n": 5, "rows": %s}' % rows.replace('"', ""),
+             ["betti"]),
+            ("long-weights.json", '{"weights": [%s, 1, 1, 1, 1]}' % long,
+             ["cohomology", SELBERG, "--weights"])]:
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_quiet(argv + [str(path)])
+        assert (code, out, err) == (2, "", "error: %s: a number %s" % (path, over))
+
+
 def test_malformed_weights_file_exits_2_naming_the_entry(tmp_path, capsys):
     wfile = tmp_path / "weights.json"
     for weights, message in [([None, 2, 3, 4, 5], "weight 1 is not a rational number: None"),

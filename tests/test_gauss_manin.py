@@ -662,6 +662,59 @@ def test_gm_images_zero_and_nonzero_match_the_solving_route(S):
     assert zero and nonzero
 
 
+def _spy_on_evaluate_int(monkeypatch, module):
+    """The layouts a module passes to `evaluate_int`, in call order."""
+    seen, real = [], module.evaluate_int
+
+    def spy(layout, nums, nvars):
+        seen.append(layout)
+        return real(layout, nums, nvars)
+
+    monkeypatch.setattr(module, "evaluate_int", spy)
+    return seen
+
+
+def test_cohomology_specializes_only_the_rows_off_the_coboundary_pivots(monkeypatch):
+    # the rows of a differential at the coboundary pivots are spanned by the
+    # others, so they are never specialized: of the eight rows leaving degree
+    # 1 the one at the pivot of the degree-1 coboundary is skipped, at a
+    # generic weight and at one resonant on the four-fold point
+    import osgm.aomoto
+
+    t, _, _, generic = _gm_case("four-fold-8-2")
+    layouts = build_aomoto(t).layouts
+    seen = _spy_on_evaluate_int(monkeypatch, osgm.aomoto)
+    for weights, dims in [(generic, [0, 0, 18]), (_FOUR_FOLD_WEIGHTS[1], [0, 2, 20])]:
+        seen.clear()
+        h = os_cohomology(t, Weights(weights))
+        assert h.dims == dims
+        assert [len(rows) for rows in seen] == [1, 7]
+        assert seen == [[row for i, row in enumerate(layouts[q]) if i not in h.cob_rows[q]]
+                        for q in range(t.ell)]
+
+
+def test_gm_specializes_nothing_in_a_degree_without_classes(monkeypatch):
+    # a nonzero induced map is specialized once per degree with classes and
+    # never in a degree without, which gives []; every degree still equals
+    # the dense solving route
+    import osgm.gauss_manin
+
+    t, _, _, generic = _gm_case("four-fold-8-2")
+    e = induce_on_type(omega_tilde_sum((1, 2, 3), 1, t.n, t.ell), t)
+    assert any(map(any, e.rows))
+    seen = _spy_on_evaluate_int(monkeypatch, osgm.gauss_manin)
+    for weights, dims in [(generic, [0, 0, 18]), (_FOUR_FOLD_WEIGHTS[1], [0, 2, 20])]:
+        lam = Weights(weights)
+        h = os_cohomology(t, lam)
+        assert h.dims == dims
+        for q in range(t.ell + 1):
+            seen.clear()
+            got = gm_endomorphism(e, lam, q, h=h)
+            assert [layout is e.layouts[q] for layout in seen] == [True] * (dims[q] > 0)
+            assert got == gm_by_solving(e, lam, q, h)
+            assert got or not dims[q]
+
+
 def test_gm_endomorphism_of_the_zero_map_is_a_square_of_fractions():
     t, S, r, _ = _gm_case("four-fold-8-2")
     e = induce_on_type(omega_tilde_sum(S, r, t.n, t.ell), t)

@@ -450,6 +450,43 @@ def test_integer_echelon_normalizes_content_one_integral_fraction_and_mixed_rows
         assert (reduced_rows, pivots) == (sparse(dense_rows[:len(dense_pivots)]), dense_pivots)
 
 
+@st.composite
+def _echelon_inputs(draw):
+    """Sparse rows, each of one kind: ints with content > 1, Fractions,
+    whole-number Fractions, or a mix of int and Fraction entries."""
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        ints = draw(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols))
+        kind = draw(st.sampled_from(["content", "fractions", "whole", "mixed"]))
+        if kind == "content":
+            row = [draw(st.integers(2, 6)) * x for x in ints]
+        elif kind == "whole":
+            row = [Fraction(x) for x in ints]
+        else:
+            dens = draw(st.lists(st.integers(1, 5), min_size=ncols, max_size=ncols))
+            row = [Fraction(x, d) if kind == "fractions" or draw(st.booleans()) else x
+                   for x, d in zip(ints, dens)]
+        rows.append({j: x for j, x in enumerate(row) if x})
+    return rows
+
+
+@given(m=_echelon_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_integer_echelon_reads_every_kind_of_row(m):
+    # int rows are read with one gcd of their values and rows holding a
+    # Fraction through their common denominator; either way the input is
+    # left as it was, every entry returned is an int, and the rows divided
+    # by their pivots are the Fraction route's reduced form
+    import osgm.linalg
+
+    before = [[(j, type(x), x) for j, x in row.items()] for row in m]
+    rows, pivots = osgm.linalg._integer_echelon(m)
+    assert [[(j, type(x), x) for j, x in row.items()] for row in m] == before
+    assert all(type(x) is int for row in rows for x in row.values())
+    assert (divided_by_pivots(rows, pivots), pivots) == fraction_rref(m)
+
+
 # Large rationals, so that clearing denominators, content removal and the
 # gcd of pivot and entry all act: numerators up to 10^30 over primes whose
 # products run far past a machine word.  Some rows are int only, some are
@@ -610,12 +647,10 @@ def test_grouped_evaluation_matches_the_entrywise_oracle(data):
     for row, vals, gone in zip(rows, got, cancelled):
         assert not gone & set(vals)
         assert list(vals) == [col for col in dict.fromkeys(col for col, _ in row) if col in vals]
+    # the length is checked whether or not any entry is stored
     wrong = draw(st.integers(0, nvars + 2).filter(lambda k: k != nvars))
-    if any(rows):
-        with pytest.raises(ValueError, match="^expected %d values, got %d$" % (nvars, wrong)):
-            evaluate_int(layout, [1] * wrong, nvars)
-    else:
-        assert evaluate_int(layout, [1] * wrong, nvars) == [{} for _ in rows]
+    with pytest.raises(ValueError, match="^expected %d values, got %d$" % (nvars, wrong)):
+        evaluate_int(layout, [1] * wrong, nvars)
 
 
 def test_evaluate_int_refuses_a_weight_vector_of_the_wrong_length():
@@ -626,5 +661,17 @@ def test_evaluate_int_refuses_a_weight_vector_of_the_wrong_length():
         with pytest.raises(ValueError, match=re.escape(str(exc.value))):
             evaluate_int(by_column(key_rows(rows)), nums, 3)
     assert str(exc.value) == "expected 3 values, got 4"
-    # no stored entry, nothing to evaluate
-    assert evaluate_int(by_column([{}]), [1], 3) == [{}]
+    # no stored entry: nothing to evaluate, but the length is still checked
+    assert evaluate_int(by_column([{}]), [1, 2, 3], 3) == [{}]
+    with pytest.raises(ValueError, match="^expected 3 values, got 1$"):
+        evaluate_int(by_column([{}]), [1], 3)
+
+
+def test_evaluate_int_checks_the_length_of_a_zero_layout():
+    # a layout with no stored entry is refused at the wrong length exactly
+    # as one with a stored entry is
+    zero, one = [(), ()], [((0, ((1, 1),)),), ()]
+    for layout in (zero, one):
+        with pytest.raises(ValueError, match="^expected 5 values, got 2$"):
+            evaluate_int(layout, (1, 2), 5)
+    assert evaluate_int(zero, (1, 2, 3, 4, 5), 5) == [{}, {}]

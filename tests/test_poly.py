@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from oracles import Form, Quadratic, form_value, quadratic_value
 from strategies import linear_forms, small_rationals
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# Python's limit on the digits int() converts from text; 0 where there is none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def test_parse_rational_forms():
@@ -29,6 +32,32 @@ def test_parse_rational_rejects_garbage():
         parse_rational("a/b")
     with pytest.raises(ValueError):
         parse_rational("1.5")  # decimals are not part of the format
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() converts text of any length")
+def test_parse_rational_names_the_int_digit_limit():
+    # a literal that int() refuses only for its length is reported as such,
+    # and no message echoes more than the first 20 characters it was given
+    assert parse_rational("1" * INT_DIGITS) == int("1" * INT_DIGITS)
+    long = "7" * (INT_DIGITS + 1)
+    for text in (long, "-" + long, " +" + long + " ", "1/" + long, long + "/3", "7_" + long):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == (
+            "rational literal %r... (%d characters) has more than %d digits, Python's limit "
+            "for int conversion" % (text.strip()[:20], len(text.strip()), INT_DIGITS))
+    for text in ("x" + long, long + "/x", long + ".5", "1__" + long):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == "not a rational literal: %r... (%d characters)" % (
+            text[:20], len(text))
+    # a literal within the limit is parsed, and a zero denominator under it
+    # is refused with the same short echo
+    text = "1" * INT_DIGITS + "/0"
+    with pytest.raises(ValueError) as exc:
+        parse_rational(text)
+    assert str(exc.value) == "zero denominator in rational literal: %r... (%d characters)" % (
+        text[:20], len(text))
 
 
 def test_printed_rational_round_trip():
